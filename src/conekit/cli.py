@@ -19,7 +19,6 @@ from .cone3fold import (
     ConeModel,
     adjunction_consistency,
     cone_curve_numbers,
-    crepant_pullback_fy,
     kvv_schedule,
     picard_chain,
     plt_coefficient_b,
@@ -209,7 +208,7 @@ def cmd_cone(args) -> int:
             cone_curve_numbers(model, name).to_json_dict()
             for name in sorted(model.psi.contracted, key=curve_sort_key)
         ]
-        crepant = crepant_pullback_fy(model)
+        crepant = model.crepant_coefficients
         payload_data = {
             "curves": data,
             "crepant_coefficients": {n: format_rat(c) for n, c in crepant.items()},

@@ -143,7 +143,11 @@ class ConeModel:
 
     @cached_property
     def crepant_coefficients(self) -> dict[str, Rat]:
-        """c_C = (-C^2 - 2 m_C)/(-C^2) per contracted curve."""
+        """Coefficients c_C with K_X + sum c_C R_C equal to the pullback of K_Y.
+
+        c_C = (-C^2 - 2 m_C)/(-C^2) per contracted curve; the discrepancy of
+        R_C over Y is -c_C.
+        """
         out: dict[str, Rat] = {}
         for name in sorted(self.psi.contracted, key=curve_sort_key):
             sq = self.curve_square(name)
@@ -196,14 +200,6 @@ def cone_curve_numbers(model: ConeModel, curve: str) -> CurveRecord:
         section_dot_section_curve=Fraction(0),
         k_dot_section_curve=Fraction(-sq - 2 * m, m),
     )
-
-
-def crepant_pullback_fy(model: ConeModel) -> dict[str, Rat]:
-    """Coefficients c_C with K_X + sum c_C R_C equal to the pullback of K_Y.
-
-    c_C = (-C^2 - 2 m_C)/(-C^2); the discrepancy of R_C over Y is -c_C.
-    """
-    return dict(model.crepant_coefficients)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ from .qlattice import (
     ClassVector,
     NamedDivisor,
     Rat,
+    _eliminate,
     class_of,
     format_rat,
+    gram_block,
     intersect,
     is_negative_definite,
 )
@@ -73,16 +75,19 @@ class Contraction:
     @cached_property
     def gram_inverse(self) -> tuple[tuple[Rat, ...], ...]:
         """Inverse of the contracted Gram block, computed once and reused by
-        every pullback/discrepancy solve."""
-        from .qlattice import gram_block, solve_linear
+        every pullback/discrepancy solve.
 
+        One elimination of [G | I]; the block is invertible because
+        construction checked it is negative definite.
+        """
         block = gram_block(self.lattice, self.contracted_classes)
         k = len(block)
-        cols = [
-            solve_linear(block, [Fraction(int(i == j)) for i in range(k)])
-            for j in range(k)
+        rows = [
+            row + [Fraction(int(i == j)) for j in range(k)]
+            for i, row in enumerate(block)
         ]
-        return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        _eliminate(rows, k)
+        return tuple(tuple(row[k:]) for row in rows)
 
     def _correction(self, cls: ClassVector) -> NamedDivisor:
         """Exceptional part of the pullback of a class: orthogonalizing terms."""

@@ -2,7 +2,8 @@
 
 Everything here is exact: coefficients are `fractions.Fraction` (exported as
 ``Rat``), intersection numbers come from a symmetric rational Gram matrix, and
-linear solves use fraction-exact Gaussian elimination.  No floating point is
+rank, determinants, linear solves and negative-definiteness all read their
+answer from one fraction-exact Gauss-Jordan elimination.  No floating point is
 used anywhere in the package and equality is always literal equality.
 
 Two distinct representations of a divisor coexist:
@@ -23,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
+from math import ceil, floor, prod
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction
@@ -190,65 +191,54 @@ def gram_block(
     return [[intersect(lattice, v, w) for w in subset] for v in subset]
 
 
-def _row_reduce(rows: list[list[Rat]]) -> int:
-    """In-place fraction-exact row echelon; returns the rank."""
+def _eliminate(rows: list[list[Rat]], n_cols: int) -> tuple[list[Rat], int]:
+    """Fraction-exact Gauss-Jordan elimination of ``rows``, in place.
+
+    Pivots come from the first ``n_cols`` columns only, each from the first
+    nonzero row at or below the current rank; later columns (an augmented
+    right-hand side) are carried along.  Returns the pivot values in column
+    order and the number of row swaps; the rank is ``len(pivots)``.
+    """
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
+    pivots: list[Rat] = []
+    swaps = 0
     for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
         pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            swaps += 1
+        pivot_value = rows[rank][col]
+        pivots.append(pivot_value)
+        inv = 1 / pivot_value
         rows[rank] = [inv * x for x in rows[rank]]
         for r in range(n_rows):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return pivots, swaps
 
 
 def solve_linear(matrix: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Rat]:
     """Solve M x = b exactly; raises SingularBlockError when M is singular."""
     n = len(matrix)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularBlockError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [inv * x for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    if len(_eliminate(aug, n)[0]) < n:
+        raise SingularBlockError("singular linear system")
+    return [row[n] for row in aug]
 
 
 def determinant(matrix: Sequence[Sequence[Rat]]) -> Rat:
-    """Exact determinant by fraction-valued Gaussian elimination."""
+    """Exact determinant: the signed product of the elimination pivots."""
     n = len(matrix)
-    rows = [list(r) for r in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    pivots, swaps = _eliminate([list(r) for r in matrix], n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return (-1) ** swaps * prod(pivots, start=Fraction(1))
 
 
 def is_negative_definite(
@@ -256,23 +246,25 @@ def is_negative_definite(
 ) -> bool:
     """True iff the Gram pairing restricted to ``subset`` is negative definite.
 
-    Checked exactly via leading principal minors: the k-th minor must have
-    sign (-1)^k.  A linearly dependent subset is rejected with
-    :class:`DependentSubsetError` instead of returning False.
+    Checked exactly by one elimination of the Gram block (Sylvester's
+    criterion): the block is negative definite iff the elimination needs no
+    row swap and every pivot is negative, since the k-th pivot is the ratio
+    of the k-th and (k-1)-th leading principal minors.  A linearly dependent
+    subset is rejected with :class:`DependentSubsetError` instead of
+    returning False.
     """
     if not subset:
         raise LatticeError("empty subset")
     for v in subset:
         lattice.check_rank(v)
+    k = len(subset)
+    pivots, swaps = _eliminate(gram_block(lattice, subset), k)
+    if swaps == 0 and len(pivots) == k and all(p < 0 for p in pivots):
+        return True  # a nonsingular Gram block already proves independence
     coords = [list(v.coeffs) for v in subset]
-    if _row_reduce(coords) < len(subset):
+    if len(_eliminate(coords, lattice.rank)[0]) < k:
         raise DependentSubsetError("subset is linearly dependent")
-    block = gram_block(lattice, subset)
-    for k in range(1, len(subset) + 1):
-        minor = determinant([row[:k] for row in block[:k]])
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
+    return False
 
 
 def solve_against(
@@ -363,10 +355,6 @@ class NamedDivisor:
     def __rmul__(self, c) -> "NamedDivisor":
         return self.scale(c)
 
-    def restrict(self, names: Iterable[str]) -> "NamedDivisor":
-        keep = set(names)
-        return NamedDivisor(tuple((n, c) for n, c in self.entries if n in keep))
-
     def drop(self, names: Iterable[str]) -> "NamedDivisor":
         omit = set(names)
         return NamedDivisor(tuple((n, c) for n, c in self.entries if n not in omit))
@@ -429,10 +417,6 @@ class CurveRegistry:
         for _, entry in ordered:
             lattice.check_rank(entry.cls)
         return CurveRegistry(lattice, tuple(ordered))
-
-    @property
-    def table(self) -> dict[str, RegistryEntry]:
-        return dict(self.entries)
 
     @cached_property
     def _by_name(self) -> dict[str, RegistryEntry]:

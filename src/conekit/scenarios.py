@@ -78,6 +78,7 @@ class PltReport:
     h2_chain_uniform: bool
     b: Rat
     extension_coefficient: Rat
+    plt: bool
     psi_classification: str
     min_discrepancy: Rat
     picard: PicardChain
@@ -86,14 +87,20 @@ class PltReport:
 
     @property
     def verdict(self) -> bool | None:
-        return self.non_normal
+        """Non-normal, plt (b < 1 over a klt surface contraction) and b equal
+        to its closed form (q-2)/(q-1); None while non-normality is unknown."""
+        if self.non_normal is None:
+            return None
+        return (
+            self.non_normal and self.plt and self.b == self.extension_coefficient
+        )
 
     def to_json_dict(self) -> dict:
         return {
             "scenario": "plt-nonnormal",
             "params": {"d": self.d, "q": self.q},
             "certificates": [c.to_json_dict() for c in self.certificates],
-            "verdict": self.non_normal,
+            "verdict": self.verdict,
         }
 
 
@@ -316,6 +323,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
         h2_chain_uniform=uniform_h2.holds,
         b=coeff.b,
         extension_coefficient=extension_coefficient,
+        plt=coeff.plt,
         psi_classification=classification.classification,
         min_discrepancy=classification.min_discrepancy,
         picard=chain,

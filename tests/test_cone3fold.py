@@ -9,7 +9,6 @@ from conekit.cone3fold import (
     ConeModel,
     adjunction_consistency,
     cone_curve_numbers,
-    crepant_pullback_fy,
     kvv_schedule,
     picard_chain,
     plt_coefficient_b,
@@ -110,7 +109,7 @@ def test_curve_ledger_rejects_uncontracted():
 
 
 def test_crepant_coefficients():
-    crepant = crepant_pullback_fy(M53)
+    crepant = M53.crepant_coefficients
     assert crepant["Gamma"] == 0
     assert crepant["l_1"] == -1
     assert crepant["l_5"] == 0
@@ -119,7 +118,7 @@ def test_crepant_coefficients():
 def test_fibre_divisor_discrepancy_over_contracted_threefold_is_klt():
     # log discrepancy 1 - c_C = 2 m_C / (-C^2) stays positive everywhere
     for model in (M53, plt_model(8, 3), fano_model(1), fano_model(2)):
-        for name, c in crepant_pullback_fy(model).items():
+        for name, c in model.crepant_coefficients.items():
             assert 1 - c > 0
             assert 1 - c == Fraction(2 * model.mc[name], -model.curve_square(name))
 

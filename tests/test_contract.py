@@ -113,7 +113,7 @@ def test_relative_canonical_orthogonality():
 
 
 def test_psi_is_klt_for_all_d():
-    for d in range(3, 21):
+    for d in [*range(3, 21), 40, 80]:
         psi = km_psi(build_km_surface(d))
         got = psi.classify_singularities()
         assert got.is_klt
@@ -121,6 +121,7 @@ def test_psi_is_klt_for_all_d():
         assert got.classification == ("canonical" if d == 3 else "klt")
         assert got.min_discrepancy == -Fraction(d - 3, d - 2)
         assert got.min_discrepancy > -1
+        assert psi.relative_canonical().residual_checks()
 
 
 def _one_point_blowup() -> KMSurface:
@@ -132,6 +133,38 @@ def _one_point_blowup() -> KMSurface:
         plan=BlowupPlan((BlowupStep(exceptional="e1", register="E"),)),
     )
     return KMSurface(d=3, lattice=data.lattice, registry=data.registry)
+
+
+def _a2_chain():
+    """P^2 blown up three times along a chain: E1 and E2 become (-2)-curves
+    meeting once, E3 is the last (-1)-curve, meeting E2."""
+    data = replay(
+        base_names=("H",),
+        base_squares=(1,),
+        base_canonical=ClassVector.of([-3]),
+        base_curves={},
+        plan=BlowupPlan(
+            (
+                BlowupStep(exceptional="e1", register="E1"),
+                BlowupStep(exceptional="e2", through=(("E1", 1),), register="E2"),
+                BlowupStep(exceptional="e3", through=(("E2", 1),), register="E3"),
+            )
+        ),
+    )
+    return Contraction(surface=data, contracted=("E1", "E2"))
+
+
+def test_a2_chain_contraction():
+    ctr = _a2_chain()
+    third = Fraction(1, 3)
+    assert ctr.gram_inverse == ((-2 * third, -third), (-third, -2 * third))
+    assert ctr.pullback(NamedDivisor.of({"E3": 1})) == NamedDivisor.of(
+        {"E1": third, "E2": 2 * third, "E3": 1}
+    )
+    discrepancies = ctr.relative_canonical()
+    assert discrepancies.table == {"E1": 0, "E2": 0}
+    assert discrepancies.residual_checks()
+    assert ctr.classify_singularities().classification == "canonical"
 
 
 def test_blowdown_of_minus_one_curve_is_terminal():

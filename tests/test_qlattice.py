@@ -8,10 +8,13 @@ from conekit.km_surface import build_km_surface
 from conekit.qlattice import (
     ClassVector,
     DependentSubsetError,
+    IntersectionLattice,
     NamedDivisor,
     RankMismatchError,
+    SingularBlockError,
     ceil_divisor,
     class_of,
+    determinant,
     floor_divisor,
     format_rat,
     frac_divisor,
@@ -19,6 +22,7 @@ from conekit.qlattice import (
     is_negative_definite,
     parse_rat,
     solve_against,
+    solve_linear,
 )
 
 S5 = build_km_surface(5)
@@ -65,6 +69,60 @@ def test_intersect_symmetric_bilinear(a, b, c, scalar):
     u, v, w = ClassVector.of(a), ClassVector.of(b), ClassVector.of(c)
     assert intersect(lat, u, v) == intersect(lat, v, u)
     assert intersect(lat, u + w.scale(scalar), v) == intersect(lat, u, v) + scalar * intersect(lat, w, v)
+
+
+# --- elimination kernel: determinant and solve ------------------------------
+
+
+def _laplace_det(m):
+    """Independent oracle: cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * _laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j] != 0
+    )
+
+
+@st.composite
+def square_matrices(draw):
+    """Small rational matrices; about a third are made singular on purpose by
+    replacing one row with a combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = [draw(st.lists(small_rats, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, n - 1))
+        weights = draw(st.lists(small_rats, min_size=n, max_size=n))
+        m[i] = [
+            sum(w * m[r][c] for r, w in enumerate(weights) if r != i)
+            for c in range(n)
+        ]
+    return m
+
+
+@given(square_matrices())
+@settings(max_examples=100)
+def test_determinant_matches_laplace_expansion(m):
+    assert determinant(m) == _laplace_det(m)
+
+
+def test_determinant_needs_a_row_swap():
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+
+
+@given(square_matrices(), st.lists(small_rats, min_size=5, max_size=5))
+@settings(max_examples=100)
+def test_solve_linear_is_exact_or_reports_singularity(m, b):
+    n = len(m)
+    rhs = b[:n]
+    if _laplace_det(m) == 0:
+        with pytest.raises(SingularBlockError):
+            solve_linear(m, rhs)
+    else:
+        x = solve_linear(m, rhs)
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == rhs
 
 
 # --- negative definiteness ---------------------------------------------------
@@ -120,6 +178,71 @@ def test_negative_definite_matches_ldl_oracle(names):
     assert is_negative_definite(S5.lattice, subset) == _oracle_negative_definite(
         S5.lattice, subset
     )
+
+
+@st.composite
+def lattices_with_subsets(draw):
+    """A lattice with a random symmetric non-diagonal Gram matrix, about half
+    of them negative definite (-A A^T + sI plus a sparse symmetric
+    perturbation), and a subset of random class vectors, sometimes dependent."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    ints = st.integers(min_value=-2, max_value=2)
+    a = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
+    shift = draw(st.sampled_from([-1, 0, 1]))
+    gram = [
+        [
+            -sum(x * y for x, y in zip(a[i], a[j])) + shift * (i == j)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    for i in range(n):
+        for j in range(i + 1):
+            e = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+            gram[i][j] += e
+            if i != j:
+                gram[j][i] += e
+    lat = IntersectionLattice(
+        basis_names=tuple(f"b{i}" for i in range(n)),
+        gram=tuple(tuple(Fraction(x) for x in row) for row in gram),
+        canonical=ClassVector.zero(n),
+    )
+    k = draw(st.integers(min_value=1, max_value=n))
+    subset = [
+        ClassVector.of(draw(st.lists(ints, min_size=n, max_size=n)))
+        for _ in range(k)
+    ]
+    return lat, subset
+
+
+def test_negative_definite_rejects_swap_with_negative_pivots():
+    # the leading minor is 0, so elimination swaps rows; both pivots are then
+    # -1, yet the block has determinant -1 and is indefinite
+    lat = IntersectionLattice(
+        basis_names=("b0", "b1"),
+        gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
+        canonical=ClassVector.zero(2),
+    )
+    subset = [lat.basis_vector("b0"), lat.basis_vector("b1")]
+    assert not is_negative_definite(lat, subset)
+    assert not _oracle_negative_definite(lat, subset)
+
+
+@given(lattices_with_subsets())
+@settings(max_examples=200)
+def test_negative_definite_matches_ldl_oracle_on_random_lattices(case):
+    lat, subset = case
+    # v_1..v_k are independent iff their Euclidean Gram matrix is nonsingular
+    euclid = [
+        [sum(x * y for x, y in zip(v.coeffs, w.coeffs)) for w in subset]
+        for v in subset
+    ]
+    if _laplace_det(euclid) == 0:
+        with pytest.raises(DependentSubsetError):
+            is_negative_definite(lat, subset)
+    else:
+        expected = _oracle_negative_definite(lat, subset)
+        assert is_negative_definite(lat, subset) == expected
 
 
 # --- solve_against -----------------------------------------------------------

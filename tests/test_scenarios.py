@@ -1,8 +1,12 @@
+import contextlib
+import dataclasses
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
+from conekit import cli, scenarios
 from conekit.cohom import CohStatus
 from conekit.scenarios import (
     ScenarioError,
@@ -57,7 +61,29 @@ def test_plt_verdict_true_on_all_valid_parameters_up_to_20():
     for d, q in valid_plt_parameters(20):
         report = verify_plt_nonnormal(d, q)
         assert report.non_normal is True, (d, q)
+        assert report.verdict is True, (d, q)
         assert all(c.value != "unknown" for c in report.certificates), (d, q)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [{"b": Fraction(1, 3)}, {"plt": False}],
+    ids=["b-off-closed-form", "not-plt"],
+)
+def test_plt_verdict_includes_boundary_checks(monkeypatch, wrong):
+    real = scenarios.plt_coefficient_b
+    monkeypatch.setattr(
+        scenarios,
+        "plt_coefficient_b",
+        lambda model, i: dataclasses.replace(real(model, i), **wrong),
+    )
+    report = verify_plt_nonnormal(5, 3)
+    assert report.non_normal is True
+    assert report.verdict is False
+    assert report.to_json_dict()["verdict"] is False
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", "plt", "--d", "5", "--q", "3"]) == 1
+    assert '"verdict": false' in out.getvalue()
 
 
 def test_plt_named_preconditions():
