@@ -4,9 +4,11 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import argparse
+
 import pytest
 
-from conekit.cli import main, parse_divisor
+from conekit.cli import build_parser, main, parse_divisor
 from conekit.qlattice import NamedDivisor
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -14,34 +16,70 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [
     ("km_surface_d5_check", ["km-surface", "--d", "5", "--check"]),
     ("km_surface_d3_md", ["km-surface", "--d", "3", "--format", "md"]),
+    (
+        "km_surface_d3_check_md",
+        ["km-surface", "--d", "3", "--check", "--format", "md"],
+    ),
     ("contract_pullback", ["contract", "--d", "5", "--pullback", "E_1^T"]),
     (
         "contract_tables",
         ["contract", "--d", "5", "--discrepancies", "--classify", "--picard-rank"],
     ),
+    (
+        "contract_tables_md",
+        ["contract", "--d", "5", "--discrepancies", "--classify", "--picard-rank",
+         "--format", "md"],
+    ),
     ("cohom_532", ["cohom", "--d", "5", "--q1", "3", "--q2", "2"]),
+    (
+        "cohom_532_md",
+        ["cohom", "--d", "5", "--q1", "3", "--q2", "2", "--format", "md"],
+    ),
     (
         "cohom_subtract_csv",
         ["cohom", "--d", "5", "--q1", "3", "--q2", "1", "--n", "1",
          "--subtract", "E_5", "--format", "csv"],
     ),
     ("cone_curve", ["cone", "--d", "5", "--q", "3", "--ledger", "curve"]),
+    (
+        "cone_curve_md",
+        ["cone", "--d", "5", "--q", "3", "--ledger", "curve", "--format", "md"],
+    ),
     ("cone_sections", ["cone", "--d", "5", "--q", "3", "--ledger", "sections"]),
+    (
+        "cone_sections_md",
+        ["cone", "--d", "5", "--q", "3", "--ledger", "sections", "--format", "md"],
+    ),
     ("cone_resolution", ["cone", "--d", "5", "--q", "3", "--ledger", "resolution"]),
     (
         "cone_resolution_md",
         ["cone", "--d", "5", "--q", "3", "--ledger", "resolution", "--format", "md"],
     ),
     ("cone_picard", ["cone", "--d", "5", "--q", "3", "--ledger", "picard"]),
+    (
+        "cone_picard_md",
+        ["cone", "--d", "5", "--q", "3", "--ledger", "picard", "--format", "md"],
+    ),
     ("cone_adjunction", ["cone", "--d", "5", "--q", "3", "--ledger", "adjunction"]),
+    (
+        "cone_adjunction_md",
+        ["cone", "--d", "5", "--q", "3", "--ledger", "adjunction", "--format", "md"],
+    ),
     (
         "kvv_schedule",
         ["kvv-schedule", "--e", "1,2", "--delta", "0,0", "--target", "3"],
     ),
+    (
+        "kvv_schedule_md",
+        ["kvv-schedule", "--e", "1,2", "--delta", "0,0", "--target", "3",
+         "--format", "md"],
+    ),
     ("verify_plt_53", ["verify", "plt", "--d", "5", "--q", "3"]),
     ("verify_plt_53_md", ["verify", "plt", "--d", "5", "--q", "3", "--format", "md"]),
     ("verify_fano_2", ["verify", "fano", "--q", "2"]),
+    ("verify_fano_2_md", ["verify", "fano", "--q", "2", "--format", "md"]),
     ("sweep_csv", ["sweep", "--d-min", "3", "--d-max", "5"]),
+    ("sweep_md", ["sweep", "--d-min", "3", "--d-max", "5", "--format", "md"]),
     ("sweep_csv_full", ["sweep", "--d-min", "3", "--d-max", "12"]),
     ("sweep_json", ["sweep", "--d-min", "3", "--d-max", "4", "--format", "json"]),
 ]
@@ -64,6 +102,33 @@ def test_cli_output_matches_golden_and_is_stable(name, argv):
     if os.environ.get("REGEN_GOLDEN"):
         golden.write_bytes(out1.encode())
     assert golden.read_bytes() == out1.encode()
+
+
+def _format_choices(parser, path=()):
+    """Yield (command path, --format choice) for every leaf of the parser tree."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _format_choices(child, path + (name,))
+        elif action.dest == "format":
+            for choice in action.choices:
+                yield path, choice
+
+
+def _command_path(args) -> tuple[str, ...]:
+    scenario = getattr(args, "scenario", None)
+    return (args.command,) if scenario is None else (args.command, scenario)
+
+
+def test_every_command_and_format_has_a_golden():
+    parser = build_parser()
+    pinned = set()
+    for _, argv in GOLDEN_CASES:
+        args = parser.parse_args(argv)
+        pinned.add((_command_path(args), args.format))
+    expected = set(_format_choices(parser))
+    assert expected, "parser exposes no --format option"
+    assert expected - pinned == set()
 
 
 def test_verify_exit_codes():
