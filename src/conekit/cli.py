@@ -1,6 +1,10 @@
 """conekit command line: surface tables, contraction queries, cohomology
 reports, threefold ledgers, schedules, scenario verifiers, and the sweep.
 
+Every command builds one payload, the dict printed by ``--format json``;
+``--format md`` (and ``csv`` where offered) renders that same payload as
+tables, so the formats never disagree on a number.
+
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
 fails or a verdict is not the expected one, 2 on usage errors.  All output
 is deterministic; rationals are serialized as p/q strings.
@@ -14,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cohom import FamilyDescriptor, cohomology_of_nA, target_context
+from .cohom import FamilyDescriptor, cohomology_of_nA, family_divisor, target_context
 from .cone3fold import (
     ConeModel,
     adjunction_consistency,
@@ -59,16 +63,42 @@ def parse_divisor(text: str) -> NamedDivisor:
     return NamedDivisor.of(terms)
 
 
-def _emit_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _cell(value) -> str:
+    """A table cell: bools lower-case, lists joined with ", ", the rest str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ", ".join(value)
+    return str(value)
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> str:
-    out = ["| " + " | ".join(headers) + " |"]
-    out.append("|" + "|".join(" --- " for _ in headers) + "|")
-    for row in rows:
-        out.append("| " + " | ".join(row) + " |")
+def _table(records, columns) -> str:
+    """Markdown table with one row per record.
+
+    ``columns`` maps each header to the record key its cells are read from;
+    a plain sequence of keys uses each key as its own header.
+    """
+    keys = list(columns.values()) if isinstance(columns, dict) else list(columns)
+    out = ["| " + " | ".join(columns) + " |"]
+    out.append("|" + "|".join(" --- " for _ in keys) + "|")
+    for rec in records:
+        out.append("| " + " | ".join(_cell(rec[k]) for k in keys) + " |")
     return "\n".join(out) + "\n"
+
+
+def _write(args, payload: dict, **views) -> None:
+    """Print the command's payload: as JSON for ``--format json``, otherwise
+    through ``views[args.format]``, a function of the payload.  ``--out``
+    (sweep only) sends the text to a file instead of stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = views[args.format](payload)
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _divisor_json(D: NamedDivisor) -> dict:
@@ -81,27 +111,26 @@ def _divisor_json(D: NamedDivisor) -> dict:
 def cmd_km_surface(args) -> int:
     surface = build_km_surface(args.d)
     report = km_sanity(surface) if args.check else None
-    if args.format == "json":
-        payload = {"command": "km-surface", "d": args.d, "surface": surface.to_json_dict()}
-        if report is not None:
-            payload["sanity"] = report.to_json_dict()
-        sys.stdout.write(_emit_json(payload))
-    else:
-        rows = [
-            [name, str(entry.cls), format_rat(surface.pairing(name, name))]
-            for name, entry in surface.registry.entries
+    payload = {"command": "km-surface", "d": args.d, "surface": surface.to_json_dict()}
+    if report is not None:
+        payload["sanity"] = report.to_json_dict()
+
+    def md(p: dict) -> str:
+        curves = [
+            {"curve": name, "class": f"({_cell(cls)})",
+             "square": format_rat(surface.pairing(name, name))}
+            for name, cls in p["surface"]["curves"].items()
         ]
-        out = [f"# surface d={args.d} (rank {surface.lattice.rank})\n"]
-        out.append(_md_table(["curve", "class", "self-intersection"], rows))
-        if report is not None:
-            out.append("\n## sanity\n")
-            out.append(
-                _md_table(
-                    ["check", "pass", "detail"],
-                    [[i.name, str(i.passed).lower(), i.detail] for i in report.items],
-                )
+        out = f"# surface d={p['d']} (rank {p['surface']['rank']})\n" + _table(
+            curves, {"curve": "curve", "class": "class", "self-intersection": "square"}
+        )
+        if "sanity" in p:
+            out += "\n## sanity\n" + _table(
+                p["sanity"]["items"], {"check": "name", "pass": "pass", "detail": "detail"}
             )
-        sys.stdout.write("".join(out))
+        return out
+
+    _write(args, payload, md=md)
     return 0 if report is None or report.all_pass else 1
 
 
@@ -132,13 +161,12 @@ def cmd_contract(args) -> int:
         results["picard_rank_after"] = psi.picard_rank_after()
     if not results:
         results["discrepancies"] = psi.relative_canonical().to_json_dict()
-    payload = {"command": "contract", "d": args.d, "results": results}
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        lines = [f"# contraction on d={args.d}\n"]
-        lines.append("```json\n" + json.dumps(results, indent=2) + "\n```\n")
-        sys.stdout.write("".join(lines))
+    _write(
+        args,
+        {"command": "contract", "d": args.d, "results": results},
+        md=lambda p: f"# contraction on d={p['d']}\n```json\n"
+        + json.dumps(p["results"], indent=2) + "\n```\n",
+    )
     return 0
 
 
@@ -154,6 +182,9 @@ def _parse_subtract(text: str | None) -> int | None:
     return int(m.group(1))
 
 
+_COHOM_CSV = ("d", "q1", "q2", "n", "subtract", "h0", "h1", "h2", "chi")
+
+
 def cmd_cohom(args) -> int:
     fam = FamilyDescriptor(args.d, args.q1, args.q2)
     ctx = target_context(args.d)
@@ -166,55 +197,57 @@ def cmd_cohom(args) -> int:
         "n": args.n,
         "subtract": subtract,
     }
-    if args.format == "json":
-        sys.stdout.write(
-            _emit_json({"command": "cohom", "params": params, "report": report.to_json_dict()})
+
+    def csv(p: dict) -> str:
+        row = {**p["params"], **p["report"]}
+        row["subtract"] = "" if subtract is None else f"E_{subtract}"
+        return ",".join(_COHOM_CSV) + "\n" + ",".join(_cell(row[k]) for k in _COHOM_CSV) + "\n"
+
+    def md(p: dict) -> str:
+        title = " ".join(f"{k}={p['params'][k]}" for k in ("d", "q1", "q2", "n"))
+        return (
+            f"# cohomology {title}\n"
+            + _table([p["report"]], ("h0", "h1", "h2", "chi"))
+            + "\ncertificates: " + "; ".join(p["report"]["certificates"]) + "\n"
         )
-    elif args.format == "csv":
-        sub = "" if subtract is None else f"E_{subtract}"
-        sys.stdout.write("d,q1,q2,n,subtract,h0,h1,h2,chi\n")
-        sys.stdout.write(
-            f"{args.d},{args.q1},{args.q2},{args.n},{sub},"
-            f"{report.h0},{report.h1},{report.h2},{report.chi}\n"
-        )
-    else:
-        rows = [[str(report.h0), str(report.h1), str(report.h2), str(report.chi)]]
-        sys.stdout.write(
-            f"# cohomology d={args.d} q1={args.q1} q2={args.q2} n={args.n}\n"
-            + _md_table(["h0", "h1", "h2", "chi"], rows)
-            + "\ncertificates: "
-            + "; ".join(report.certificates)
-            + "\n"
-        )
+
+    _write(
+        args,
+        {"command": "cohom", "params": params, "report": report.to_json_dict()},
+        csv=csv,
+        md=md,
+    )
     return 0
 
 
 # --- cone -------------------------------------------------------------------
 
 
-def _plt_model(d: int, q: int) -> ConeModel:
-    ctx = target_context(d)
-    terms = {f"E_{i}": 1 for i in range(1, q + 1)}
-    terms[f"E_{q + 1}"] = -1
-    return ConeModel.build(ctx.surface, ctx.psi, NamedDivisor.of(terms))
-
-
 def cmd_cone(args) -> int:
-    model = _plt_model(args.d, args.q)
+    ctx = target_context(args.d)
+    model = ConeModel.build(
+        ctx.surface, ctx.psi, family_divisor(FamilyDescriptor(args.d, args.q, 1))
+    )
     ledger = args.ledger
     failed = False
+    # Each ledger supplies its data and the (records, columns) of its tables;
+    # the records are the data's own lists, read only by the Markdown view.
     if ledger == "curve":
-        data = [
-            cone_curve_numbers(model, name).to_json_dict()
-            for name in sorted(model.psi.contracted, key=curve_sort_key)
-        ]
-        crepant = model.crepant_coefficients
-        payload_data = {
-            "curves": data,
-            "crepant_coefficients": {n: format_rat(c) for n, c in crepant.items()},
+        crepant = {n: format_rat(c) for n, c in model.crepant_coefficients.items()}
+        data = {
+            "curves": [
+                cone_curve_numbers(model, name).to_json_dict()
+                for name in sorted(model.psi.contracted, key=curve_sort_key)
+            ],
+            "crepant_coefficients": crepant,
         }
+        tables = [(
+            ({**c, "crepant": crepant[c["curve"]]} for c in data["curves"]),
+            {"curve": "curve", "m": "m", "square": "square",
+             "crepant coeff": "crepant", "K. section curve": "k_dot_section_curve"},
+        )]
     elif ledger == "sections":
-        payload_data = {
+        data = {
             "sections": [
                 section_numbers(model, i, i).to_json_dict()
                 for i in range(1, model.d + 1)
@@ -225,80 +258,45 @@ def cmd_cone(args) -> int:
                 if model.polarization_dot_e(i) != 0
             ],
         }
+        tables = [
+            (data["sections"],
+             {"i": "i", "pol.E_i": "polarization_dot_e_i",
+              "K_X.E+": "k_x_dot_e_plus", "K_X.E-": "k_x_dot_e_minus",
+              "K_Y.f(E+)": "k_y_dot_f_e_plus", "K_Y.f(E-)": "k_y_dot_f_e_minus",
+              "E^Y.f(E)": "e_y_dot_f_e"}),
+            (data["plt_coefficients"],
+             {"i": "i", "pol.E_i": "polarization_dot_e", "b": "b", "plt": "plt"}),
+        ]
     elif ledger == "resolution":
-        payload_data = {
-            "resolution": [r.to_json_dict() for r in resolution_ledger(model)]
-        }
+        data = {"resolution": [r.to_json_dict() for r in resolution_ledger(model)]}
+        tables = [(
+            data["resolution"],
+            {"curve": "curve", "m": "m", "F+ discrepancy": "f_plus_discrepancy",
+             "S- chain": "mu_s_minus_chain", "R chain": "mu_r_minus_chain",
+             "dual graph": "dual_graph"},
+        )]
     elif ledger == "picard":
-        payload_data = {"picard": picard_chain(model).to_json_dict()}
+        data = {"picard": picard_chain(model).to_json_dict()}
+        tables = [([data["picard"]], ("rho_s", "rho_t", "rho_x", "rho_y", "rho_z"))]
     else:  # adjunction
         report = adjunction_consistency(model)
-        payload_data = {"adjunction": report.to_json_dict()}
+        data = {"adjunction": report.to_json_dict()}
         failed = not report.all_pass
-    payload = {
-        "command": "cone",
-        "params": {"d": args.d, "q": args.q, "ledger": ledger},
-        "data": payload_data,
-    }
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        sys.stdout.write(
-            f"# cone ledger ({ledger}) d={args.d} q={args.q}\n"
-            + _cone_md(ledger, payload_data)
-        )
+        tables = [(
+            data["adjunction"]["checks"],
+            {"check": "name", "lhs": "lhs", "rhs": "rhs", "pass": "pass"},
+        )]
+    _write(
+        args,
+        {
+            "command": "cone",
+            "params": {"d": args.d, "q": args.q, "ledger": ledger},
+            "data": data,
+        },
+        md=lambda p: f"# cone ledger ({ledger}) d={args.d} q={args.q}\n"
+        + "\n".join(_table(records, columns) for records, columns in tables),
+    )
     return 1 if failed else 0
-
-
-def _cone_md(ledger: str, data: dict) -> str:
-    if ledger == "curve":
-        rows = [
-            [c["curve"], str(c["m"]), c["square"],
-             data["crepant_coefficients"][c["curve"]], c["k_dot_section_curve"]]
-            for c in data["curves"]
-        ]
-        return _md_table(
-            ["curve", "m", "square", "crepant coeff", "K. section curve"], rows
-        )
-    if ledger == "sections":
-        rows = [
-            [str(s["i"]), s["polarization_dot_e_i"], s["k_x_dot_e_plus"],
-             s["k_x_dot_e_minus"], s["k_y_dot_f_e_plus"], s["k_y_dot_f_e_minus"],
-             s["e_y_dot_f_e"]]
-            for s in data["sections"]
-        ]
-        out = _md_table(
-            ["i", "pol.E_i", "K_X.E+", "K_X.E-", "K_Y.f(E+)", "K_Y.f(E-)",
-             "E^Y.f(E)"],
-            rows,
-        )
-        brows = [
-            [str(b["i"]), b["polarization_dot_e"], b["b"], str(b["plt"]).lower()]
-            for b in data["plt_coefficients"]
-        ]
-        return out + "\n" + _md_table(["i", "pol.E_i", "b", "plt"], brows)
-    if ledger == "resolution":
-        rows = [
-            [r["curve"], str(r["m"]), r["f_plus_discrepancy"],
-             ", ".join(r["mu_s_minus_chain"]), ", ".join(r["mu_r_minus_chain"]),
-             r["dual_graph"]]
-            for r in data["resolution"]
-        ]
-        return _md_table(
-            ["curve", "m", "F+ discrepancy", "S- chain", "R chain", "dual graph"],
-            rows,
-        )
-    if ledger == "picard":
-        p = data["picard"]
-        return _md_table(
-            ["rho_s", "rho_t", "rho_x", "rho_y", "rho_z"],
-            [[str(p[k]) for k in ("rho_s", "rho_t", "rho_x", "rho_y", "rho_z")]],
-        )
-    checks = data["adjunction"]["checks"]
-    rows = [
-        [c["name"], c["lhs"], c["rhs"], str(c["pass"]).lower()] for c in checks
-    ]
-    return _md_table(["check", "lhs", "rhs", "pass"], rows)
 
 
 # --- kvv-schedule -----------------------------------------------------------
@@ -312,60 +310,34 @@ def cmd_kvv_schedule(args) -> int:
         else [Fraction(0)] * len(e)
     )
     trace = kvv_schedule(e, delta, Fraction(args.target))
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"command": "kvv-schedule", **trace.to_json_dict()}))
-    else:
-        rows = [
-            [
-                str(s.j),
-                format_rat(s.mu),
-                str(s.chosen),
-                format_rat(s.lam),
-                "(" + ", ".join(format_rat(x) for x in s.delta) + ")",
-            ]
-            for s in trace.steps
-        ]
-        sys.stdout.write(
-            f"# schedule e={list(trace.multiplicities)} target={format_rat(trace.target)}\n"
-            + _md_table(["j", "mu", "chosen", "lambda", "delta"], rows)
+
+    def md(p: dict) -> str:
+        steps = [{**s, "delta": f"({_cell(s['delta'])})"} for s in p["steps"]]
+        return f"# schedule e={p['multiplicities']} target={p['target']}\n" + _table(
+            steps, ("j", "mu", "chosen", "lambda", "delta")
         )
+
+    _write(args, {"command": "kvv-schedule", **trace.to_json_dict()}, md=md)
     return 0
 
 
 # --- verify -----------------------------------------------------------------
 
 
-def _verify_md(payload: dict) -> str:
-    rows = [
-        [c["claim"], c["value"], c["rule"]]
-        for c in payload["certificates"]
-    ]
-    verdict = payload["verdict"]
-    head = (
-        f"# {payload['scenario']} "
-        + " ".join(f"{k}={v}" for k, v in payload["params"].items())
-        + f"\n\nverdict: {json.dumps(verdict)}\n\n"
-    )
-    return head + _md_table(["claim", "value", "rule"], rows)
-
-
-def cmd_verify_plt(args) -> int:
-    report = verify_plt_nonnormal(args.d, args.q)
-    payload = report.to_json_dict()
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
+def cmd_verify(args) -> int:
+    if args.scenario == "plt":
+        report = verify_plt_nonnormal(args.d, args.q)
     else:
-        sys.stdout.write(_verify_md(payload))
-    return 0 if report.verdict is True else 1
+        report = verify_bad_fano(args.q)
 
+    def md(p: dict) -> str:
+        params = " ".join(f"{k}={v}" for k, v in p["params"].items())
+        return (
+            f"# {p['scenario']} {params}\n\nverdict: {json.dumps(p['verdict'])}\n\n"
+            + _table(p["certificates"], ("claim", "value", "rule"))
+        )
 
-def cmd_verify_fano(args) -> int:
-    report = verify_bad_fano(args.q)
-    payload = report.to_json_dict()
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    else:
-        sys.stdout.write(_verify_md(payload))
+    _write(args, report.to_json_dict(), md=md)
     return 0 if report.verdict is True else 1
 
 
@@ -374,28 +346,12 @@ def cmd_verify_fano(args) -> int:
 
 def cmd_sweep(args) -> int:
     table = sweep_kvv(args.d_min, args.d_max)
-    if args.format == "csv":
-        text = table.to_csv()
-    elif args.format == "json":
-        text = _emit_json(table.to_json_dict())
-    else:
-        rows = [
-            [
-                str(r.d),
-                str(r.q1),
-                str(r.q2),
-                str(r.ample).lower(),
-                str(r.h1),
-                str(r.kvv_violation).lower(),
-            ]
-            for r in table.rows
-        ]
-        text = _md_table(["d", "q1", "q2", "ample", "h1", "kvv_violation"], rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(
+        args,
+        table.to_json_dict(),
+        csv=lambda p: table.to_csv(),
+        md=lambda p: _table(p["rows"], ("d", "q1", "q2", "ample", "h1", "kvv_violation")),
+    )
     return 0
 
 
@@ -464,11 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--d", type=int, required=True)
     vp.add_argument("--q", type=int, required=True)
     add_format(vp)
-    vp.set_defaults(func=cmd_verify_plt)
     vf = vsub.add_parser("fano", help="cone with nonzero intermediate cohomology")
     vf.add_argument("--q", type=int, required=True)
     add_format(vf)
-    vf.set_defaults(func=cmd_verify_fano)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="vanishing-failure table over (d, q1, q2)")
     p.add_argument("--d-min", type=int, required=True)

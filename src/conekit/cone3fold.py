@@ -74,9 +74,10 @@ def validate_assumption_a(psi: Contraction, A: NamedDivisor) -> dict[str, int]:
 
 
 @dataclass(frozen=True)
-class ConeInput:
-    """Validated input: the surface, its contraction, and an ample integral
-    polarization on the target satisfying the unit-fraction assumption."""
+class ConeModel:
+    """The surface, its contraction, and an ample integral polarization on
+    the target satisfying the unit-fraction assumption, plus the derived
+    multiplicity table."""
 
     surface: KMSurface
     psi: Contraction
@@ -85,26 +86,11 @@ class ConeInput:
     def __post_init__(self):
         if not self.psi.is_ample_rho1(self.polarization):
             raise ConeError(f"polarization is not ample: {self.polarization}")
-        validate_assumption_a(self.psi, self.polarization)
-
-
-@dataclass(frozen=True)
-class ConeModel:
-    """The input plus the derived multiplicity table and pulled polarization."""
-
-    input: ConeInput
+        self.mc  # validates the unit-fraction assumption
 
     @staticmethod
     def build(surface: KMSurface, psi: Contraction, A: NamedDivisor) -> "ConeModel":
-        return ConeModel(ConeInput(surface, psi, A))
-
-    @property
-    def surface(self) -> KMSurface:
-        return self.input.surface
-
-    @property
-    def psi(self) -> Contraction:
-        return self.input.psi
+        return ConeModel(surface, psi, A)
 
     @property
     def d(self) -> int:
@@ -112,15 +98,7 @@ class ConeModel:
 
     @cached_property
     def mc(self) -> dict[str, int]:
-        return validate_assumption_a(self.psi, self.input.polarization)
-
-    @cached_property
-    def pulled_polarization(self) -> NamedDivisor:
-        return self.psi.pullback(self.input.polarization)
-
-    @cached_property
-    def _pulled_class(self):
-        return class_of(self.surface.registry, self.pulled_polarization)
+        return validate_assumption_a(self.psi, self.polarization)
 
     @cached_property
     def _curve_squares(self) -> dict[str, Rat]:
@@ -137,7 +115,7 @@ class ConeModel:
         """pullback(A) . E_i on the source surface."""
         return intersect(
             self.surface.lattice,
-            self._pulled_class,
+            self.psi.pullback_class(self.polarization),
             self.surface.class_vector(f"E_{i}"),
         )
 

@@ -24,7 +24,6 @@ from .qlattice import (
     format_rat,
     gram_block,
     intersect,
-    is_negative_definite,
 )
 
 
@@ -55,10 +54,7 @@ class Contraction:
     def __post_init__(self):
         if len(set(self.contracted)) != len(self.contracted):
             raise ContractionError("contracted curve names must be distinct")
-        if self.contracted and not is_negative_definite(
-            self.lattice, self.contracted_classes
-        ):
-            raise ContractionError("contracted Gram block is not negative definite")
+        self.gram_inverse  # raises unless the Gram block is negative definite
 
     @property
     def lattice(self):
@@ -77,8 +73,10 @@ class Contraction:
         """Inverse of the contracted Gram block, computed once and reused by
         every pullback/discrepancy solve.
 
-        One elimination of [G | I]; the block is invertible because
-        construction checked it is negative definite.
+        One elimination of [G | I], which also certifies the contraction
+        (read by construction): as in ``is_negative_definite``, G is negative
+        definite iff the elimination makes no row swap and all k pivots are
+        negative.  A linearly dependent set has a singular G and fails too.
         """
         block = gram_block(self.lattice, self.contracted_classes)
         k = len(block)
@@ -86,7 +84,9 @@ class Contraction:
             row + [Fraction(int(i == j)) for j in range(k)]
             for i, row in enumerate(block)
         ]
-        _eliminate(rows, k)
+        pivots, swaps = _eliminate(rows, k)
+        if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
+            raise ContractionError("contracted Gram block is not negative definite")
         return tuple(tuple(row[k:]) for row in rows)
 
     def _correction(self, cls: ClassVector) -> NamedDivisor:

@@ -62,6 +62,36 @@ def _fmt_bool(x: bool | None) -> str:
     return "true" if x else "false"
 
 
+def _certify_m_table(
+    model: ConeModel, certs: list[Certificate]
+) -> tuple[tuple[str, int], ...]:
+    """The multiplicities m(C) in curve order, one certificate each."""
+    m_table = tuple(sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])))
+    for name, m in m_table:
+        certs.append(
+            Certificate(
+                claim=f"m({name})",
+                value=str(m),
+                rule="unit-fraction-extraction",
+                provenance="derived:pullback-fractional-part",
+            )
+        )
+    return m_table
+
+
+def _certify_picard_chain(model: ConeModel, certs: list[Certificate]) -> PicardChain:
+    chain = picard_chain(model)
+    certs.append(
+        Certificate(
+            claim="picard-chain",
+            value=",".join(str(r) for r in chain.as_tuple()),
+            rule="rank-bookkeeping",
+            provenance="derived:threefold-ledger",
+        )
+    )
+    return chain
+
+
 @dataclass(frozen=True)
 class PltReport:
     """Verification record for the non-normal divisor over the cone point."""
@@ -140,16 +170,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
     )
 
     model = ConeModel.build(ctx.surface, ctx.psi, a)
-    m_table = tuple(sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])))
-    for name, m in m_table:
-        certs.append(
-            Certificate(
-                claim=f"m({name})",
-                value=str(m),
-                rule="unit-fraction-extraction",
-                provenance="derived:pullback-fractional-part",
-            )
-        )
+    m_table = _certify_m_table(model, certs)
 
     h1_chain: list[tuple[int, CohomReport]] = []
     for n in (0, 1, 2):
@@ -252,15 +273,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
         )
     )
 
-    chain = picard_chain(model)
-    certs.append(
-        Certificate(
-            claim="picard-chain",
-            value=",".join(str(r) for r in chain.as_tuple()),
-            rule="rank-bookkeeping",
-            provenance="derived:threefold-ledger",
-        )
-    )
+    chain = _certify_picard_chain(model, certs)
 
     # verdict logic over certified entries
     h1_all_zero: bool | None = True
@@ -380,16 +393,7 @@ def verify_bad_fano(q: int) -> FanoReport:
     certs: list[Certificate] = []
 
     model = ConeModel.build(ctx.surface, ctx.psi, a)
-    m_table = tuple(sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])))
-    for name, m in m_table:
-        certs.append(
-            Certificate(
-                claim=f"m({name})",
-                value=str(m),
-                rule="unit-fraction-extraction",
-                provenance="derived:pullback-fractional-part",
-            )
-        )
+    m_table = _certify_m_table(model, certs)
 
     h1_a = km_family_cohomology(fam)
     certs.append(
@@ -432,15 +436,7 @@ def verify_bad_fano(q: int) -> FanoReport:
         )
     )
 
-    chain = picard_chain(model)
-    certs.append(
-        Certificate(
-            claim="picard-chain",
-            value=",".join(str(r) for r in chain.as_tuple()),
-            rule="rank-bookkeeping",
-            provenance="derived:threefold-ledger",
-        )
-    )
+    chain = _certify_picard_chain(model, certs)
     certs.append(
         Certificate(
             claim="ample(-K_Z)",

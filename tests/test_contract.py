@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,17 @@ from hypothesis import strategies as st
 
 from conekit.contract import Contraction, ContractionError, km_psi
 from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupPlan, BlowupStep
-from conekit.qlattice import ClassVector, NamedDivisor, class_of, intersect
+from conekit.qlattice import (
+    ClassVector,
+    CurveRegistry,
+    DependentSubsetError,
+    IntersectionLattice,
+    NamedDivisor,
+    RegistryEntry,
+    class_of,
+    intersect,
+    is_negative_definite,
+)
 
 S5 = build_km_surface(5)
 PSI5 = km_psi(S5)
@@ -165,6 +176,44 @@ def test_a2_chain_contraction():
     assert discrepancies.table == {"E1": 0, "E2": 0}
     assert discrepancies.residual_checks()
     assert ctr.classify_singularities().classification == "canonical"
+
+
+def _swap_block_surface():
+    """Two curves with Gram block [[0, -1], [-1, -1]]: elimination swaps rows,
+    both pivots are then -1, yet the block is indefinite."""
+    lat = IntersectionLattice(
+        basis_names=("b0", "b1"),
+        gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
+        canonical=ClassVector.zero(2),
+    )
+    registry = CurveRegistry.of(
+        lat, {n: RegistryEntry(lat.basis_vector(n), True) for n in ("b0", "b1")}
+    )
+    return SimpleNamespace(lattice=lat, registry=registry)
+
+
+@pytest.mark.parametrize(
+    "surface,names",
+    [
+        (S5, ("Gamma", "l_1", "lp_1")),  # negative definite
+        (S5, ("E_1", "l_1", "lp_1", "F")),  # dependent: F = 2E_1 + l_1 + lp_1
+        (S5, ("Gamma", "F")),  # indefinite
+        (S5, ("F",)),  # square zero
+        (_swap_block_surface(), ("b0", "b1")),
+    ],
+    ids=["definite", "dependent", "indefinite", "square-zero", "swap"],
+)
+def test_contraction_is_possible_iff_negative_definite(surface, names):
+    classes = [surface.registry.class_vector(n) for n in names]
+    try:
+        definite = is_negative_definite(surface.lattice, classes)
+    except DependentSubsetError:
+        definite = False
+    if definite:
+        assert len(Contraction(surface=surface, contracted=names).gram_inverse) == len(names)
+    else:
+        with pytest.raises(ContractionError, match="not negative definite"):
+            Contraction(surface=surface, contracted=names)
 
 
 def test_blowdown_of_minus_one_curve_is_terminal():

@@ -1,0 +1,63 @@
+"""The benchmark's tracer wraps conekit functions by name; a renamed or
+deleted traced name must fail here rather than in a traced benchmark run."""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import conekit.cli
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _conekit_namespaces():
+    """Snapshot of every conekit module's and class's attributes."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conekit"):
+            out[name] = dict(vars(module))
+            for value in vars(module).values():
+                if isinstance(value, type) and value.__module__ == name:
+                    out[f"{name}.{value.__qualname__}"] = dict(vars(value))
+    return out
+
+
+def test_every_traced_name_resolves():
+    tracer_mod = _load_tracer()
+    for mod_name, attr in tracer_mod.FUNCTIONS:
+        module = importlib.import_module(f"conekit.{mod_name}")
+        assert callable(getattr(module, attr, None)), f"conekit.{mod_name}.{attr}"
+    for mod_name, cls_name, attr, _ in tracer_mod.METHODS:
+        cls = getattr(importlib.import_module(f"conekit.{mod_name}"), cls_name, None)
+        assert cls is not None, f"conekit.{mod_name}.{cls_name}"
+        assert attr in vars(cls), f"conekit.{mod_name}.{cls_name}.{attr}"
+
+
+def test_tracer_installs_records_and_restores():
+    tracer_mod = _load_tracer()
+    before = _conekit_namespaces()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.start_request(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = conekit.cli.main(
+                ["cone", "--d", "5", "--q", "3", "--ledger", "adjunction"]
+            )
+    finally:
+        tracer.restore()
+    assert code == 0
+    totals = tracer.totals()
+    for name in ("cli.main", "cone3fold.ConeModel.build", "cone3fold.adjunction_consistency"):
+        assert totals[name][0] == 1, name
+    assert _conekit_namespaces() == before
