@@ -1,93 +1,3 @@
 """Exact-rational intersection theory for blown-up surfaces and cone threefolds."""
 
-from .cohom import (
-    CohomReport,
-    CohStatus,
-    FamilyDescriptor,
-    chi_rr,
-    cohomology_of_nA,
-    effective_ample_rewrite,
-    floor_pullback_stats,
-    h0_zero_by_degree,
-    h1_vanish_eff_nef_big,
-    km_family_cohomology,
-    serre_dual,
-    target_context,
-)
-from .cone3fold import (
-    ConeModel,
-    adjunction_consistency,
-    cone_curve_numbers,
-    kvv_schedule,
-    picard_chain,
-    plt_coefficient_b,
-    resolution_ledger,
-    section_numbers,
-    validate_assumption_a,
-)
-from .contract import Contraction, DiscrepancyTable, km_psi
-from .km_surface import BlowupPlan, BlowupStep, KMSurface, build_km_surface, km_sanity
-from .qlattice import (
-    ClassVector,
-    CurveRegistry,
-    IntersectionLattice,
-    NamedDivisor,
-    Rat,
-    ceil_divisor,
-    class_of,
-    floor_divisor,
-    frac_divisor,
-    intersect,
-    is_negative_definite,
-    solve_against,
-)
-from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlowupPlan",
-    "BlowupStep",
-    "ClassVector",
-    "CohStatus",
-    "CohomReport",
-    "ConeModel",
-    "Contraction",
-    "CurveRegistry",
-    "DiscrepancyTable",
-    "FamilyDescriptor",
-    "IntersectionLattice",
-    "KMSurface",
-    "NamedDivisor",
-    "Rat",
-    "adjunction_consistency",
-    "build_km_surface",
-    "ceil_divisor",
-    "chi_rr",
-    "class_of",
-    "cohomology_of_nA",
-    "cone_curve_numbers",
-    "effective_ample_rewrite",
-    "floor_divisor",
-    "floor_pullback_stats",
-    "frac_divisor",
-    "h0_zero_by_degree",
-    "h1_vanish_eff_nef_big",
-    "intersect",
-    "is_negative_definite",
-    "km_family_cohomology",
-    "km_psi",
-    "km_sanity",
-    "kvv_schedule",
-    "picard_chain",
-    "plt_coefficient_b",
-    "resolution_ledger",
-    "section_numbers",
-    "serre_dual",
-    "solve_against",
-    "sweep_kvv",
-    "target_context",
-    "validate_assumption_a",
-    "verify_bad_fano",
-    "verify_plt_nonnormal",
-]

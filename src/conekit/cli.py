@@ -29,15 +29,9 @@ from .cone3fold import (
     resolution_ledger,
     section_numbers,
 )
-from .contract import km_psi
 from .km_surface import build_km_surface, km_sanity
 from .qlattice import NamedDivisor, curve_sort_key, format_rat
-from .scenarios import (
-    ScenarioError,
-    sweep_kvv,
-    verify_bad_fano,
-    verify_plt_nonnormal,
-)
+from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
 
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)$")
 
@@ -138,8 +132,7 @@ def cmd_km_surface(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    surface = build_km_surface(args.d)
-    psi = km_psi(surface)
+    psi = target_context(args.d)
     results: dict = {}
     if args.pullback is not None:
         results["pullback"] = _divisor_json(psi.pullback(parse_divisor(args.pullback)))
@@ -187,9 +180,8 @@ _COHOM_CSV = ("d", "q1", "q2", "n", "subtract", "h0", "h1", "h2", "chi")
 
 def cmd_cohom(args) -> int:
     fam = FamilyDescriptor(args.d, args.q1, args.q2)
-    ctx = target_context(args.d)
     subtract = _parse_subtract(args.subtract)
-    report = cohomology_of_nA(ctx, fam, args.n, subtract=subtract)
+    report = cohomology_of_nA(fam, args.n, subtract=subtract)
     params = {
         "d": args.d,
         "q1": args.q1,
@@ -224,10 +216,8 @@ def cmd_cohom(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    ctx = target_context(args.d)
-    model = ConeModel.build(
-        ctx.surface, ctx.psi, family_divisor(FamilyDescriptor(args.d, args.q, 1))
-    )
+    psi = target_context(args.d)
+    model = ConeModel.build(psi, family_divisor(FamilyDescriptor(args.d, args.q, 1)))
     ledger = args.ledger
     failed = False
     # Each ledger supplies its data and the (records, columns) of its tables;
@@ -440,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

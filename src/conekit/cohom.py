@@ -23,14 +23,12 @@ from functools import lru_cache
 from math import floor
 
 from .contract import Contraction, km_psi
-from .km_surface import KMSurface, build_km_surface
+from .km_surface import build_km_surface
 from .qlattice import (
     NamedDivisor,
     Rat,
     class_of,
-    curve_sort_key,
     floor_divisor,
-    format_rat,
     intersect,
 )
 
@@ -126,35 +124,18 @@ class FamilyDescriptor:
 
 
 @lru_cache(maxsize=None)
-def target_context(d: int) -> "TargetContext":
-    surface = build_km_surface(d)
-    return TargetContext(surface=surface, psi=km_psi(surface))
+def target_context(d: int) -> Contraction:
+    """The contraction of S(d) to the rank-one target T(d), built once per d."""
+    return km_psi(build_km_surface(d))
 
 
-@dataclass(frozen=True)
-class TargetContext:
-    """S(d) together with its contraction to the rank-one target."""
-
-    surface: KMSurface
-    psi: Contraction
-
-    @property
-    def d(self) -> int:
-        return self.surface.d
-
-    def e(self, i: int) -> NamedDivisor:
-        if not 1 <= i <= self.d:
-            raise CohomError(f"curve index {i} out of range 1..{self.d}")
-        return NamedDivisor.of({f"E_{i}": 1})
-
-    def canonical(self) -> NamedDivisor:
-        return self.psi.target_canonical()
-
-    def degree(self, D: NamedDivisor) -> Rat:
-        return self.psi.degree(D)
-
-    def numerically_trivial(self, D: NamedDivisor) -> bool:
-        return self.psi.pullback_class(D).is_zero()
+def _minus_e(d: int, subtract: int | None) -> NamedDivisor:
+    """-E_subtract on T(d), or zero when no curve is subtracted."""
+    if subtract is None:
+        return NamedDivisor.zero()
+    if not 1 <= subtract <= d:
+        raise CohomError(f"subtract index out of range 1..{d}: {subtract}")
+    return NamedDivisor.of({f"E_{subtract}": -1})
 
 
 def family_divisor(fam: FamilyDescriptor) -> NamedDivisor:
@@ -200,11 +181,11 @@ def floor_pullback_stats(fam: FamilyDescriptor) -> FloorStats:
     A mismatch between lattice arithmetic and the closed form is an internal
     error.
     """
-    ctx = target_context(fam.d)
-    lat = ctx.surface.lattice
-    pulled = ctx.psi.pullback(family_divisor(fam))
+    psi = target_context(fam.d)
+    lat = psi.lattice
+    pulled = psi.pullback(family_divisor(fam))
     floored = floor_divisor(pulled)
-    cls = class_of(ctx.surface.registry, floored)
+    cls = class_of(psi.registry, floored)
     square = intersect(lat, cls, cls)
     dot = intersect(lat, cls, -lat.canonical)
 
@@ -230,10 +211,10 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     rank-one family table.
     """
     d, q1, q2 = fam.d, fam.q1, fam.q2
-    ctx = target_context(d)
+    psi = target_context(d)
     t = floor(Fraction(q1 - q2, 2 * d - 4))
     chi_closed = 1 - q2 + (q1 - q2 - d + 3) * t - t * t * (d - 2)
-    chi_lattice = chi_rr(ctx.surface, floor_pullback_stats(fam).divisor)
+    chi_lattice = chi_rr(psi.surface, floor_pullback_stats(fam).divisor)
     if chi_closed != chi_lattice:
         raise ChiMismatchError(
             f"chi closed form {chi_closed} != Riemann-Roch {chi_lattice} at {fam}"
@@ -272,25 +253,21 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     return report
 
 
-def serre_dual(ctx_or_surface, D: NamedDivisor) -> NamedDivisor:
-    """K - D; callers pair it with h^i(D) = h^{2-i}(K - D)."""
-    if isinstance(ctx_or_surface, TargetContext):
-        k = ctx_or_surface.canonical()
-    else:
-        k = ctx_or_surface.canonical_named
-    return k - D
+def serre_dual(psi: Contraction, D: NamedDivisor) -> NamedDivisor:
+    """K - D on the target; callers pair it with h^i(D) = h^{2-i}(K - D)."""
+    return psi.target_canonical() - D
 
 
-def h0_zero_by_degree(ctx: TargetContext, D: NamedDivisor) -> CohStatus:
+def h0_zero_by_degree(psi: Contraction, D: NamedDivisor) -> CohStatus:
     """No-sections test by degree sign on the rank-one target.
 
     Negative degree has no sections; zero degree has none either unless the
     divisor is numerically trivial, in which case nothing is concluded.
     """
-    deg = ctx.degree(D)
+    deg = psi.degree(D)
     if deg < 0:
         return CohStatus.zero()
-    if deg == 0 and not ctx.numerically_trivial(D):
+    if deg == 0 and not psi.pullback_class(D).is_zero():
         return CohStatus.zero()
     return CohStatus.unknown()
 
@@ -300,7 +277,7 @@ def _e_index(name: str) -> int:
 
 
 def effective_ample_rewrite(
-    ctx: TargetContext, D: NamedDivisor
+    psi: Contraction, D: NamedDivisor
 ) -> NamedDivisor | None:
     """Effective representative of D under the pair shifts 2E_i ~ 2E_j, if any.
 
@@ -316,7 +293,7 @@ def effective_ample_rewrite(
         if not name.startswith("E_"):
             raise CohomError(f"rewrite needs support on the E curves, got {name}")
         _e_index_check = _e_index(name)
-        if not 1 <= _e_index_check <= ctx.d:
+        if not 1 <= _e_index_check <= psi.surface.d:
             raise CohomError(f"curve index out of range: {name}")
     coeffs = {n: int(c) for n, c in D.entries}
     total = sum(coeffs.values())
@@ -349,14 +326,14 @@ class VanishingCertificate:
 
 
 def h1_vanish_eff_nef_big(
-    ctx: TargetContext, D: NamedDivisor
+    psi: Contraction, D: NamedDivisor
 ) -> VanishingCertificate | None:
     """Vanishing rule for divisors with an effective representative and
     positive degree: h1(-D) = 0 and h1(K+D) = 0.  None when not applicable."""
-    rep = effective_ample_rewrite(ctx, D)
+    rep = effective_ample_rewrite(psi, D)
     if rep is None or rep.is_zero():
         return None
-    deg = ctx.degree(D)
+    deg = psi.degree(D)
     if deg <= 0:
         return None
     return VanishingCertificate(
@@ -364,16 +341,13 @@ def h1_vanish_eff_nef_big(
     )
 
 
-def _minus_k_as_e(ctx: TargetContext) -> NamedDivisor:
+def _minus_k_as_e(d: int) -> NamedDivisor:
     """-K on the target rewritten with support on the E curves: 2 E_d."""
-    return NamedDivisor.of({f"E_{ctx.d}": 2})
+    return NamedDivisor.of({f"E_{d}": 2})
 
 
 def cohomology_of_nA(
-    ctx: TargetContext,
-    fam: FamilyDescriptor,
-    n: int,
-    subtract: int | None = None,
+    fam: FamilyDescriptor, n: int, subtract: int | None = None
 ) -> CohomReport:
     """Certified h^i of n.A (optionally minus one E curve) on the target.
 
@@ -383,21 +357,12 @@ def cohomology_of_nA(
     and degree vanishing of the Serre dual for h2.  Anything outside rule
     coverage is reported Unknown, never guessed.
     """
-    if ctx.d != fam.d:
-        raise CohomError("context and family disagree on d")
     if n < 0:
         raise CohomError(f"n must be nonnegative, got {n}")
-    if subtract is not None and not 1 <= subtract <= ctx.d:
-        raise CohomError(f"subtract index out of range 1..{ctx.d}: {subtract}")
+    divisor = family_divisor(fam).scale(n) + _minus_e(fam.d, subtract)
 
-    a = family_divisor(fam)
-    divisor = a.scale(n)
-    if subtract is not None:
-        divisor = divisor - ctx.e(subtract)
-
-    chi = chi_rr(
-        ctx.surface, floor_divisor(ctx.psi.pullback(divisor))
-    )
+    psi = target_context(fam.d)
+    chi = chi_rr(psi.surface, floor_divisor(psi.pullback(divisor)))
     certs = ["chi:riemann-roch-on-floor-pullback"]
 
     if n == 0 and subtract is None:
@@ -412,10 +377,10 @@ def cohomology_of_nA(
         )
 
     if n == 0:
-        h0 = h0_zero_by_degree(ctx, divisor)
+        h0 = h0_zero_by_degree(psi, divisor)
         if h0.is_exact_zero:
             certs.append("h0:negative-degree")
-        h2 = h0_zero_by_degree(ctx, serre_dual(ctx, divisor))
+        h2 = h0_zero_by_degree(psi, serre_dual(psi, divisor))
         if h2.is_exact_zero:
             certs.append("h2:duality+negative-degree")
         return CohomReport(
@@ -462,26 +427,26 @@ def cohomology_of_nA(
         )
 
     h1 = CohStatus.unknown()
-    shifted = divisor + _minus_k_as_e(ctx)  # divisor - K, with -K ~ 2 E_d
-    cert = h1_vanish_eff_nef_big(ctx, shifted)
+    shifted = divisor + _minus_k_as_e(fam.d)  # divisor - K, with -K ~ 2 E_d
+    cert = h1_vanish_eff_nef_big(psi, shifted)
     if cert is not None:
         # h1(K + (divisor - K)) = h1(divisor) = 0
         h1 = CohStatus.zero()
         certs.extend(cert.tokens)
         certs.append("h1:applied-to-divisor-minus-canonical")
 
-    dual = serre_dual(ctx, divisor)
-    h2 = h0_zero_by_degree(ctx, dual)
+    dual = serre_dual(psi, divisor)
+    h2 = h0_zero_by_degree(psi, dual)
     if h2.is_exact_zero:
         certs.append("h2:duality+negative-degree")
 
     h0 = CohStatus.unknown()
-    rep = effective_ample_rewrite(ctx, divisor)
+    rep = effective_ample_rewrite(psi, divisor)
     if rep is not None:
         h0 = CohStatus.at_least_one() if not rep.is_zero() else CohStatus.exact(1)
         certs.append("h0:effective-rewrite")
     else:
-        by_degree = h0_zero_by_degree(ctx, divisor)
+        by_degree = h0_zero_by_degree(psi, divisor)
         if by_degree.is_exact_zero:
             h0 = by_degree
             certs.append("h0:negative-degree")
@@ -508,7 +473,7 @@ class UniformChainCertificate:
 
 
 def uniform_h1_chain_zero(
-    ctx: TargetContext, fam: FamilyDescriptor, subtract: int | None = None
+    fam: FamilyDescriptor, subtract: int | None = None
 ) -> UniformChainCertificate:
     """Certify h1(nA - [E_subtract]) = 0 uniformly for all n >= 2."""
     if fam.q1 <= fam.q2:
@@ -517,7 +482,7 @@ def uniform_h1_chain_zero(
             tokens=("coverage:family-not-ample",), holds=False,
         )
     for n in (2, 3):  # one even and one odd case; the sum grows with n
-        report = cohomology_of_nA(ctx, fam, n, subtract=subtract)
+        report = cohomology_of_nA(fam, n, subtract=subtract)
         if not report.h1.is_exact_zero:
             return UniformChainCertificate(
                 claim="h1(nA)=0 for n>=2", n_from=2,
@@ -536,7 +501,7 @@ def uniform_h1_chain_zero(
 
 
 def uniform_h2_chain_zero(
-    ctx: TargetContext, fam: FamilyDescriptor, subtract: int, n_from: int = 0
+    fam: FamilyDescriptor, subtract: int, n_from: int = 0
 ) -> UniformChainCertificate:
     """Certify h2(nA - E_subtract) = 0 uniformly for all n >= n_from.
 
@@ -544,14 +509,15 @@ def uniform_h2_chain_zero(
     divisor has positive degree), so a negative degree at n_from certifies
     every larger n.
     """
+    psi = target_context(fam.d)
     a = family_divisor(fam)
-    if ctx.degree(a) <= 0:
+    if psi.degree(a) <= 0:
         return UniformChainCertificate(
             claim=f"h2(nA-E_{subtract})=0 for n>={n_from}", n_from=n_from,
             tokens=("coverage:family-not-ample",), holds=False,
         )
-    start = a.scale(n_from) - ctx.e(subtract)
-    status = h0_zero_by_degree(ctx, serre_dual(ctx, start))
+    start = a.scale(n_from) + _minus_e(fam.d, subtract)
+    status = h0_zero_by_degree(psi, serre_dual(psi, start))
     holds = status.is_exact_zero
     tokens = (
         ("h2:duality+negative-degree", "uniform:degree-strictly-decreasing")

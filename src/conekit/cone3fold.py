@@ -75,11 +75,10 @@ def validate_assumption_a(psi: Contraction, A: NamedDivisor) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class ConeModel:
-    """The surface, its contraction, and an ample integral polarization on
-    the target satisfying the unit-fraction assumption, plus the derived
+    """A contraction of S(d) and an ample integral polarization on the
+    target satisfying the unit-fraction assumption, plus the derived
     multiplicity table."""
 
-    surface: KMSurface
     psi: Contraction
     polarization: NamedDivisor
 
@@ -89,8 +88,12 @@ class ConeModel:
         self.mc  # validates the unit-fraction assumption
 
     @staticmethod
-    def build(surface: KMSurface, psi: Contraction, A: NamedDivisor) -> "ConeModel":
-        return ConeModel(surface, psi, A)
+    def build(psi: Contraction, A: NamedDivisor) -> "ConeModel":
+        return ConeModel(psi, A)
+
+    @property
+    def surface(self) -> KMSurface:
+        return self.psi.surface
 
     @property
     def d(self) -> int:
@@ -104,8 +107,8 @@ class ConeModel:
     def _curve_squares(self) -> dict[str, Rat]:
         lat = self.surface.lattice
         return {
-            name: intersect(lat, entry.cls, entry.cls)
-            for name, entry in self.surface.registry.entries
+            name: intersect(lat, cls, cls)
+            for name, cls in self.surface.registry.entries
         }
 
     def curve_square(self, name: str) -> Rat:

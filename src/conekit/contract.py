@@ -21,6 +21,8 @@ from .qlattice import (
     Rat,
     _eliminate,
     class_of,
+    curve_sort_key,
+    floor_divisor,
     format_rat,
     gram_block,
     intersect,
@@ -198,8 +200,6 @@ class Contraction:
             for name in self.contracted
         }
         lowest = min(table.values())
-        from .qlattice import curve_sort_key, floor_divisor
-
         boundary_floor_zero = floor_divisor(boundary).is_zero()
         if lowest > 0:
             label = "terminal"

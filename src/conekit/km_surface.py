@@ -28,7 +28,6 @@ from .qlattice import (
     CurveRegistry,
     IntersectionLattice,
     NamedDivisor,
-    RegistryEntry,
     class_of,
     format_rat,
     intersect,
@@ -110,11 +109,7 @@ def replay(
         chi_structure_sheaf=Fraction(1),
     )
     registry = CurveRegistry.of(
-        lattice,
-        {
-            n: RegistryEntry(ClassVector(tuple(v)), is_prime=True)
-            for n, v in curves.items()
-        },
+        lattice, {n: ClassVector(tuple(v)) for n, v in curves.items()}
     )
     return SurfaceData(lattice, registry)
 
@@ -171,8 +166,8 @@ class KMSurface:
             "basis": list(self.lattice.basis_names),
             "canonical": [format_rat(c) for c in self.canonical.coeffs],
             "curves": {
-                name: [format_rat(c) for c in entry.cls.coeffs]
-                for name, entry in self.registry.entries
+                name: [format_rat(c) for c in cls.coeffs]
+                for name, cls in self.registry.entries
             },
         }
 

@@ -11,9 +11,9 @@ Two distinct representations of a divisor coexist:
 * :class:`ClassVector` -- coordinates in a fixed lattice basis.  Intersection
   numbers live here.
 * :class:`NamedDivisor` -- a finite formal sum of *named* irreducible curves.
-  Rounding operations (:func:`floor_divisor`, :func:`frac_divisor`,
-  :func:`ceil_divisor`) act on this representation only, because floors are
-  basis-dependent and the geometry floors in the curve basis.
+  Rounding operations (:func:`floor_divisor`, :func:`frac_divisor`) act on
+  this representation only, because floors are basis-dependent and the
+  geometry floors in the curve basis.
 
 A :class:`CurveRegistry` links the two: it maps curve names to their classes.
 """
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, prod
+from math import floor, prod
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction
@@ -267,23 +267,6 @@ def is_negative_definite(
     return False
 
 
-def solve_against(
-    lattice: IntersectionLattice,
-    subset: Sequence[ClassVector],
-    target: ClassVector,
-) -> list[Rat]:
-    """Coefficients x with (target + sum x_k subset_k) . subset_j = 0 for all j.
-
-    This is the solve behind every pullback and discrepancy computation: the
-    unique correction supported on a negative-definite curve set making the
-    result orthogonal to that set.
-    """
-    lattice.check_rank(target)
-    block = gram_block(lattice, subset)
-    rhs = [-intersect(lattice, target, v) for v in subset]
-    return solve_linear(block, rhs)
-
-
 @dataclass(frozen=True)
 class NamedDivisor:
     """Finite formal rational combination of named irreducible curves.
@@ -384,20 +367,9 @@ def floor_divisor(D: NamedDivisor) -> NamedDivisor:
     return _map_coeffs(D, floor)
 
 
-def ceil_divisor(D: NamedDivisor) -> NamedDivisor:
-    """Componentwise ceiling of the named-curve coefficients."""
-    return _map_coeffs(D, ceil)
-
-
 def frac_divisor(D: NamedDivisor) -> NamedDivisor:
     """Componentwise fractional part; floor_divisor(D) + frac_divisor(D) == D."""
     return _map_coeffs(D, lambda c: c - floor(c))
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    cls: ClassVector
-    is_prime: bool
 
 
 @dataclass(frozen=True)
@@ -405,34 +377,31 @@ class CurveRegistry:
     """Curve name -> class table; all classes share one lattice."""
 
     lattice: IntersectionLattice
-    entries: tuple[tuple[str, RegistryEntry], ...]
+    entries: tuple[tuple[str, ClassVector], ...]
 
     @staticmethod
     def of(
         lattice: IntersectionLattice,
-        entries: Mapping[str, RegistryEntry] | Iterable[tuple[str, RegistryEntry]],
+        entries: Mapping[str, ClassVector] | Iterable[tuple[str, ClassVector]],
     ) -> "CurveRegistry":
         items = entries.items() if isinstance(entries, Mapping) else entries
         ordered = sorted(items, key=lambda item: curve_sort_key(item[0]))
-        for _, entry in ordered:
-            lattice.check_rank(entry.cls)
+        for _, cls in ordered:
+            lattice.check_rank(cls)
         return CurveRegistry(lattice, tuple(ordered))
 
     @cached_property
-    def _by_name(self) -> dict[str, RegistryEntry]:
+    def _by_name(self) -> dict[str, ClassVector]:
         return dict(self.entries)
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
 
     def class_vector(self, name: str) -> ClassVector:
-        entry = self._by_name.get(name)
-        if entry is None:
+        cls = self._by_name.get(name)
+        if cls is None:
             raise UnknownCurveError(f"unknown curve name: {name!r}")
-        return entry.cls
-
-    def prime_names(self) -> tuple[str, ...]:
-        return tuple(n for n, e in self.entries if e.is_prime)
+        return cls
 
 
 def class_of(registry: CurveRegistry, D: NamedDivisor) -> ClassVector:

@@ -98,14 +98,10 @@ class PltReport:
 
     d: int
     q: int
-    ample: bool
     m_table: tuple[tuple[str, int], ...]
     h1_chain: tuple[tuple[int, CohomReport], ...]
-    h1_chain_uniform: bool
-    h0_minus_e: CohomReport
     h1_a_minus_e: CohomReport
     h2_chain: tuple[tuple[int, CohomReport], ...]
-    h2_chain_uniform: bool
     b: Rat
     extension_coefficient: Rat
     plt: bool
@@ -154,12 +150,12 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
             "(q-1)|(2d-4)", f"q - 1 = {q - 1} does not divide 2d - 4 = {2 * d - 4}"
         )
 
-    ctx = target_context(d)
+    psi = target_context(d)
     fam = FamilyDescriptor(d, q, 1)
     a = family_divisor(fam)
     certs: list[Certificate] = []
 
-    ample = ctx.psi.is_ample_rho1(a)
+    ample = psi.is_ample_rho1(a)
     certs.append(
         Certificate(
             claim="ample(A)",
@@ -169,12 +165,12 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
         )
     )
 
-    model = ConeModel.build(ctx.surface, ctx.psi, a)
+    model = ConeModel.build(psi, a)
     m_table = _certify_m_table(model, certs)
 
     h1_chain: list[tuple[int, CohomReport]] = []
     for n in (0, 1, 2):
-        report = cohomology_of_nA(ctx, fam, n)
+        report = cohomology_of_nA(fam, n)
         h1_chain.append((n, report))
         certs.append(
             Certificate(
@@ -184,7 +180,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
                 provenance="derived:cohomology-rules",
             )
         )
-    uniform_h1 = uniform_h1_chain_zero(ctx, fam)
+    uniform_h1 = uniform_h1_chain_zero(fam)
     certs.append(
         Certificate(
             claim="h1(T,nA) for all n>=2",
@@ -195,7 +191,9 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
     )
 
     j = q + 2
-    h0_minus_e = cohomology_of_nA(ctx, fam, 0, subtract=j)
+    # n = 0 and 1 of the h2 chain also give h0(-E_j) and h1(A - E_j)
+    h2_chain = tuple((n, cohomology_of_nA(fam, n, subtract=j)) for n in (0, 1, 2))
+    h0_minus_e, h1_a_minus_e = h2_chain[0][1], h2_chain[1][1]
     certs.append(
         Certificate(
             claim=f"h0(T,-E_{j})",
@@ -204,7 +202,6 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
             provenance="derived:intersection-lattice",
         )
     )
-    h1_a_minus_e = cohomology_of_nA(ctx, fam, 1, subtract=j)
     certs.append(
         Certificate(
             claim=f"h1(T,A-E_{j})",
@@ -213,10 +210,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
             provenance="derived:cohomology-rules",
         )
     )
-    h2_chain: list[tuple[int, CohomReport]] = []
-    for n in (0, 1, 2):
-        report = cohomology_of_nA(ctx, fam, n, subtract=j)
-        h2_chain.append((n, report))
+    for n, report in h2_chain:
         certs.append(
             Certificate(
                 claim=f"h2(T,{n}A-E_{j})",
@@ -225,7 +219,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
                 provenance="derived:cohomology-rules",
             )
         )
-    uniform_h2 = uniform_h2_chain_zero(ctx, fam, subtract=j, n_from=0)
+    uniform_h2 = uniform_h2_chain_zero(fam, subtract=j, n_from=0)
     certs.append(
         Certificate(
             claim=f"h2(T,nA-E_{j}) for all n>=0",
@@ -255,7 +249,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
         )
     )
 
-    classification = ctx.psi.classify_singularities()
+    classification = psi.classify_singularities()
     certs.append(
         Certificate(
             claim="classification(psi)",
@@ -326,14 +320,10 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
     return PltReport(
         d=d,
         q=q,
-        ample=ample,
         m_table=m_table,
         h1_chain=tuple(h1_chain),
-        h1_chain_uniform=uniform_h1.holds,
-        h0_minus_e=h0_minus_e,
         h1_a_minus_e=h1_a_minus_e,
-        h2_chain=tuple(h2_chain),
-        h2_chain_uniform=uniform_h2.holds,
+        h2_chain=h2_chain,
         b=coeff.b,
         extension_coefficient=extension_coefficient,
         plt=coeff.plt,
@@ -353,12 +343,9 @@ class FanoReport:
     q: int
     d: int
     m_table: tuple[tuple[str, int], ...]
-    h1_a: CohomReport
-    h1_tail_uniform: bool
     h2_z: int | None
     not_cohen_macaulay: bool | None
     picard: PicardChain
-    anticanonical_ample: bool
     certificates: tuple[Certificate, ...]
 
     @property
@@ -387,12 +374,12 @@ def verify_bad_fano(q: int) -> FanoReport:
     if q < 1:
         raise ScenarioError("q>=1", f"q = {q}")
     d = 4 * q + 2
-    ctx = target_context(d)
+    psi = target_context(d)
     fam = FamilyDescriptor(d, 3 * q, q)
     a = family_divisor(fam)
     certs: list[Certificate] = []
 
-    model = ConeModel.build(ctx.surface, ctx.psi, a)
+    model = ConeModel.build(psi, a)
     m_table = _certify_m_table(model, certs)
 
     h1_a = km_family_cohomology(fam)
@@ -404,7 +391,7 @@ def verify_bad_fano(q: int) -> FanoReport:
             provenance="derived:cohomology-rules",
         )
     )
-    uniform = uniform_h1_chain_zero(ctx, fam)
+    uniform = uniform_h1_chain_zero(fam)
     certs.append(
         Certificate(
             claim="h1(T,nA) for all n>=2",
@@ -450,12 +437,9 @@ def verify_bad_fano(q: int) -> FanoReport:
         q=q,
         d=d,
         m_table=m_table,
-        h1_a=h1_a,
-        h1_tail_uniform=uniform.holds,
         h2_z=h2_z,
         not_cohen_macaulay=not_cm,
         picard=chain,
-        anticanonical_ample=True,
         certificates=tuple(certs),
     )
 
@@ -516,12 +500,12 @@ def sweep_kvv(d_min: int, d_max: int) -> SweepTable:
         raise ScenarioError("3<=d_min<=d_max", f"({d_min}, {d_max})")
     rows: list[SweepRow] = []
     for d in range(d_min, d_max + 1):
-        ctx = target_context(d)
+        psi = target_context(d)
         for q1 in range(0, d + 1):
             for q2 in range(0, d - q1 + 1):
                 fam = FamilyDescriptor(d, q1, q2)
                 report = km_family_cohomology(fam)
-                ample = ctx.psi.is_ample_rho1(family_divisor(fam))
+                ample = psi.is_ample_rho1(family_divisor(fam))
                 h1 = report.h1.value
                 rows.append(
                     SweepRow(

@@ -125,14 +125,12 @@ def test_criterion_04_fano_family():
 
 def _ledger_models(d_max: int):
     for d, q in plt_instances(d_max):
-        ctx = target_context(d)
         yield ConeModel.build(
-            ctx.surface, ctx.psi, family_divisor(FamilyDescriptor(d, q, 1))
+            target_context(d), family_divisor(FamilyDescriptor(d, q, 1))
         )
     for q, d in fano_instances(d_max):
-        ctx = target_context(d)
         yield ConeModel.build(
-            ctx.surface, ctx.psi, family_divisor(FamilyDescriptor(d, 3 * q, q))
+            target_context(d), family_divisor(FamilyDescriptor(d, 3 * q, q))
         )
 
 
@@ -157,10 +155,8 @@ def test_criterion_05_threefold_ledger_identities():
 
 
 def test_criterion_06_resolution_ledger():
-    ctx5 = target_context(5)
-    m53 = ConeModel.build(ctx5.surface, ctx5.psi, family_divisor(FamilyDescriptor(5, 3, 1)))
-    ctx6 = target_context(6)
-    fano1 = ConeModel.build(ctx6.surface, ctx6.psi, family_divisor(FamilyDescriptor(6, 3, 1)))
+    m53 = ConeModel.build(target_context(5), family_divisor(FamilyDescriptor(5, 3, 1)))
+    fano1 = ConeModel.build(target_context(6), family_divisor(FamilyDescriptor(6, 3, 1)))
     by_m = {}
     for rec in resolution_ledger(m53) + resolution_ledger(fano1):
         by_m.setdefault(rec.m, rec)

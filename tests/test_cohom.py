@@ -21,10 +21,9 @@ from conekit.cohom import (
     uniform_h1_chain_zero,
     uniform_h2_chain_zero,
 )
-from conekit.km_surface import build_km_surface
 from conekit.qlattice import NamedDivisor, floor_divisor
 
-CTX5 = target_context(5)
+PSI5 = target_context(5)
 FAM531 = FamilyDescriptor(5, 3, 1)
 
 
@@ -39,24 +38,24 @@ def grid(d_lo, d_hi):
 
 
 def test_chi_of_trivial_divisor():
-    assert chi_rr(CTX5.surface, NamedDivisor.zero()) == 1
+    assert chi_rr(PSI5.surface, NamedDivisor.zero()) == 1
 
 
 def test_chi_of_floored_pullback_531():
     stats = floor_pullback_stats(FAM531)
     assert stats.square == -4
     assert stats.dot_minus_k == 2
-    assert chi_rr(CTX5.surface, stats.divisor) == 1 + (-4 + 2) // 2
+    assert chi_rr(PSI5.surface, stats.divisor) == 1 + (-4 + 2) // 2
 
 
 def test_chi_of_floored_pullback_532():
     fam = FamilyDescriptor(5, 3, 2)
-    assert chi_rr(CTX5.surface, floor_pullback_stats(fam).divisor) == -1
+    assert chi_rr(PSI5.surface, floor_pullback_stats(fam).divisor) == -1
 
 
 def test_chi_rejects_fractional_divisor():
     with pytest.raises(CohomError):
-        chi_rr(CTX5.surface, NamedDivisor.of({"E_1": Fraction(1, 2)}))
+        chi_rr(PSI5.surface, NamedDivisor.of({"E_1": Fraction(1, 2)}))
 
 
 def test_floor_stats_with_deep_negative_floor():
@@ -126,25 +125,23 @@ def test_descriptor_invariants():
 
 
 def test_serre_dual_of_canonical_and_zero():
-    k = CTX5.canonical()
-    assert serre_dual(CTX5, k).is_zero()
-    assert serre_dual(CTX5, NamedDivisor.zero()) == k
-    s = build_km_surface(4)
-    assert serre_dual(s, NamedDivisor.zero()) == s.canonical_named
+    k = PSI5.target_canonical()
+    assert serre_dual(PSI5, k).is_zero()
+    assert serre_dual(PSI5, NamedDivisor.zero()) == k
 
 
 def test_h0_zero_for_twisted_dual():
-    dual = serre_dual(CTX5, family_divisor(FAM531) - CTX5.e(5))
-    assert CTX5.degree(dual) < 0
-    assert h0_zero_by_degree(CTX5, dual) == CohStatus.zero()
+    dual = serre_dual(PSI5, family_divisor(FAM531) - NamedDivisor.of({"E_5": 1}))
+    assert PSI5.degree(dual) < 0
+    assert h0_zero_by_degree(PSI5, dual) == CohStatus.zero()
 
 
 def test_h0_rule_on_trivial_divisor_is_unknown():
-    assert h0_zero_by_degree(CTX5, NamedDivisor.zero()) == CohStatus.unknown()
+    assert h0_zero_by_degree(PSI5, NamedDivisor.zero()) == CohStatus.unknown()
 
 
 def test_h0_rule_on_negative_curve():
-    assert h0_zero_by_degree(CTX5, NamedDivisor.of({"E_1": -1})) == CohStatus.zero()
+    assert h0_zero_by_degree(PSI5, NamedDivisor.of({"E_1": -1})) == CohStatus.zero()
 
 
 # --- pair-shift rewriting -------------------------------------------------------
@@ -161,18 +158,18 @@ def _rewrite_reachable(D, rep):
 
 def test_rewrite_double_family():
     for q in (2, 3):
-        ctx = target_context(q + 3)
+        psi = target_context(q + 3)
         terms = {f"E_{i}": 1 for i in range(1, q + 1)}
         terms[f"E_{q + 1}"] = -1
         a = NamedDivisor.of(terms)
-        rep = effective_ample_rewrite(ctx, a.scale(2))
+        rep = effective_ample_rewrite(psi, a.scale(2))
         assert rep == NamedDivisor.of({f"E_{q + 1}": 2 * (q - 1)})
         assert _rewrite_reachable(a.scale(2), rep)
 
 
 def test_rewrite_triple_family():
     a = family_divisor(FAM531)
-    rep = effective_ample_rewrite(CTX5, a.scale(3))
+    rep = effective_ample_rewrite(PSI5, a.scale(3))
     expected = {f"E_{i}": 1 for i in range(1, 4)}
     expected["E_4"] = 2 * 3 - 3
     assert rep == NamedDivisor.of(expected)
@@ -180,12 +177,12 @@ def test_rewrite_triple_family():
 
 
 def test_rewrite_negative_curve_has_no_representative():
-    assert effective_ample_rewrite(CTX5, NamedDivisor.of({"E_1": -1})) is None
+    assert effective_ample_rewrite(PSI5, NamedDivisor.of({"E_1": -1})) is None
 
 
 def test_rewrite_rejects_non_e_support():
     with pytest.raises(CohomError):
-        effective_ample_rewrite(CTX5, NamedDivisor.of({"F": 1}))
+        effective_ample_rewrite(PSI5, NamedDivisor.of({"F": 1}))
 
 
 # --- vanishing rule -------------------------------------------------------------
@@ -195,20 +192,20 @@ def test_vanishing_rule_on_family_multiples():
     a = family_divisor(FAM531)
     minus_k = NamedDivisor.of({"E_5": 2})
     for n in (2, 3, 5):
-        cert = h1_vanish_eff_nef_big(CTX5, a.scale(n) + minus_k)
+        cert = h1_vanish_eff_nef_big(PSI5, a.scale(n) + minus_k)
         assert cert is not None
         assert cert.degree > 0
 
 
 def test_vanishing_rule_not_applicable_to_zero():
-    assert h1_vanish_eff_nef_big(CTX5, NamedDivisor.zero()) is None
+    assert h1_vanish_eff_nef_big(PSI5, NamedDivisor.zero()) is None
 
 
 # --- dispatch -------------------------------------------------------------------
 
 
 def test_dispatch_structure_sheaf():
-    report = cohomology_of_nA(CTX5, FAM531, 0)
+    report = cohomology_of_nA(FAM531, 0)
     assert (report.h0, report.h1, report.h2) == (
         CohStatus.exact(1),
         CohStatus.zero(),
@@ -218,27 +215,27 @@ def test_dispatch_structure_sheaf():
 
 
 def test_dispatch_n1_with_fresh_subtract():
-    report = cohomology_of_nA(CTX5, FAM531, 1, subtract=5)
+    report = cohomology_of_nA(FAM531, 1, subtract=5)
     assert report.h1 == CohStatus.exact(1)
     assert report.h0 == CohStatus.zero()
     assert report.h2 == CohStatus.zero()
 
 
 def test_dispatch_n2_plt_family():
-    report = cohomology_of_nA(CTX5, FAM531, 2)
+    report = cohomology_of_nA(FAM531, 2)
     assert report.h1 == CohStatus.zero()
     assert report.h2 == CohStatus.zero()
 
 
 def test_dispatch_gap_when_family_not_ample():
     fam = FamilyDescriptor(5, 2, 2)
-    report = cohomology_of_nA(CTX5, fam, 2)
+    report = cohomology_of_nA(fam, 2)
     assert report.h1 == CohStatus.unknown()
     assert "coverage:family-not-ample" in report.certificates
 
 
 def test_dispatch_gap_for_non_fresh_subtract():
-    report = cohomology_of_nA(CTX5, FAM531, 1, subtract=2)
+    report = cohomology_of_nA(FAM531, 1, subtract=2)
     assert report.h1 == CohStatus.unknown()
     assert "coverage:subtracted-curve-not-fresh" in report.certificates
 
@@ -249,7 +246,7 @@ def test_certified_entries_always_carry_tokens():
         (0, 5), (1, 5), (2, 5),
     ]
     for n, sub in cases:
-        report = cohomology_of_nA(CTX5, FAM531, n, subtract=sub)
+        report = cohomology_of_nA(FAM531, n, subtract=sub)
         joined = ";".join(report.certificates)
         if report.h1.is_exact:
             assert "h1" in joined
@@ -263,15 +260,15 @@ def test_certified_entries_always_carry_tokens():
 
 
 def test_uniform_h1_certificate_holds_for_plt_family():
-    cert = uniform_h1_chain_zero(CTX5, FAM531)
+    cert = uniform_h1_chain_zero(FAM531)
     assert cert.holds
     assert any(t.startswith("uniform") for t in cert.tokens)
 
 
 def test_uniform_h1_refuses_non_ample_family():
-    assert not uniform_h1_chain_zero(CTX5, FamilyDescriptor(5, 2, 2)).holds
+    assert not uniform_h1_chain_zero(FamilyDescriptor(5, 2, 2)).holds
 
 
 def test_uniform_h2_certificate_holds_from_zero():
-    cert = uniform_h2_chain_zero(CTX5, FAM531, subtract=5, n_from=0)
+    cert = uniform_h2_chain_zero(FAM531, subtract=5, n_from=0)
     assert cert.holds

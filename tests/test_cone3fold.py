@@ -20,15 +20,13 @@ from conekit.qlattice import NamedDivisor
 
 
 def plt_model(d: int, q: int) -> ConeModel:
-    ctx = target_context(d)
-    return ConeModel.build(ctx.surface, ctx.psi, family_divisor(FamilyDescriptor(d, q, 1)))
+    return ConeModel.build(target_context(d), family_divisor(FamilyDescriptor(d, q, 1)))
 
 
 def fano_model(q: int) -> ConeModel:
     d = 4 * q + 2
-    ctx = target_context(d)
     return ConeModel.build(
-        ctx.surface, ctx.psi, family_divisor(FamilyDescriptor(d, 3 * q, q))
+        target_context(d), family_divisor(FamilyDescriptor(d, 3 * q, q))
     )
 
 
@@ -54,18 +52,16 @@ def test_m_gamma_bad_fano_is_four():
 
 
 def test_m_table_for_doubled_single_curve():
-    ctx = target_context(5)
-    table = validate_assumption_a(ctx.psi, NamedDivisor.of({"E_1": 2}))
+    table = validate_assumption_a(target_context(5), NamedDivisor.of({"E_1": 2}))
     assert table["Gamma"] == 3  # fractional coefficient 2/6 = 1/3
     assert table["l_1"] == 1  # coefficient 1 after doubling
     assert table["l_2"] == 1
 
 
 def test_assumption_violation_reports_curve():
-    ctx = target_context(6)
     A = family_divisor(FamilyDescriptor(6, 4, 1))  # Gamma coefficient 3/8
     with pytest.raises(AssumptionError) as err:
-        validate_assumption_a(ctx.psi, A)
+        validate_assumption_a(target_context(6), A)
     assert err.value.curve == "Gamma"
     assert err.value.coefficient == Fraction(3, 8)
 
@@ -82,9 +78,8 @@ def test_unit_fraction_acceptance_tracks_divisibility():
 
 
 def test_non_ample_polarization_rejected():
-    ctx = target_context(5)
     with pytest.raises(ConeError):
-        ConeModel.build(ctx.surface, ctx.psi, NamedDivisor.zero())
+        ConeModel.build(target_context(5), NamedDivisor.zero())
 
 
 # --- curve ledger ---------------------------------------------------------------
@@ -178,8 +173,7 @@ def test_b_closed_form_for_fresh_indices():
 
 
 def test_b_degenerates_to_zero():
-    ctx = target_context(5)
-    model = ConeModel.build(ctx.surface, ctx.psi, NamedDivisor.of({"E_1": 1}))
+    model = ConeModel.build(target_context(5), NamedDivisor.of({"E_1": 1}))
     # pullback(A).E_5 = 1/(2d-4) exactly, so the numerator vanishes
     assert model.polarization_dot_e(5) == Fraction(1, 6)
     assert plt_coefficient_b(model, 5).b == 0
@@ -233,8 +227,7 @@ def test_adjunction_consistency_plt_and_fano():
 
 def test_picard_chain_values():
     assert picard_chain(M53).as_tuple() == (12, 1, 13, 2, 1)
-    ctx3 = target_context(3)
-    model3 = ConeModel.build(ctx3.surface, ctx3.psi, NamedDivisor.of({"E_1": 1}))
+    model3 = ConeModel.build(target_context(3), NamedDivisor.of({"E_1": 1}))
     assert picard_chain(model3).as_tuple() == (8, 1, 9, 2, 1)
 
 

@@ -13,7 +13,6 @@ from conekit.qlattice import (
     DependentSubsetError,
     IntersectionLattice,
     NamedDivisor,
-    RegistryEntry,
     class_of,
     intersect,
     is_negative_definite,
@@ -186,9 +185,7 @@ def _swap_block_surface():
         gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
         canonical=ClassVector.zero(2),
     )
-    registry = CurveRegistry.of(
-        lat, {n: RegistryEntry(lat.basis_vector(n), True) for n in ("b0", "b1")}
-    )
+    registry = CurveRegistry.of(lat, {n: lat.basis_vector(n) for n in ("b0", "b1")})
     return SimpleNamespace(lattice=lat, registry=registry)
 
 

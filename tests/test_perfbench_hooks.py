@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps conekit functions by name; a renamed or
-deleted traced name must fail here rather than in a traced benchmark run."""
+deleted traced name must fail here rather than in a traced benchmark run.
+The tracer's call counts are deterministic, so a few are pinned here."""
 
 import contextlib
 import importlib
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import conekit.cli
+import conekit.cohom
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +63,31 @@ def test_tracer_installs_records_and_restores():
     for name in ("cli.main", "cone3fold.ConeModel.build", "cone3fold.adjunction_consistency"):
         assert totals[name][0] == 1, name
     assert _conekit_namespaces() == before
+
+
+def _traced_calls(argv):
+    """Span counts of one CLI run from a cold target_context cache, as in a
+    fresh process."""
+    conekit.cohom.target_context.cache_clear()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.start_request(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = conekit.cli.main(argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    return {name: calls for name, (calls, _) in tracer.totals().items()}
+
+
+def test_deterministic_call_counts():
+    # verify plt computes each h^i(nA - E_j) report once: 3 for the h1 chain,
+    # 2 for its uniform tail, 3 for the subtracted chain
+    calls = _traced_calls(["verify", "plt", "--d", "5", "--q", "3"])
+    assert calls["cohom.cohomology_of_nA"] == 8
+    assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
+    # contract shares the one cached contraction per d
+    calls = _traced_calls(["contract", "--d", "5", "--pullback", "E_1"])
+    assert calls["cohom.target_context"] == 1
+    assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1

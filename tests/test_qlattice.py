@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit.contract import Contraction
 from conekit.km_surface import build_km_surface
 from conekit.qlattice import (
     ClassVector,
@@ -12,7 +13,6 @@ from conekit.qlattice import (
     NamedDivisor,
     RankMismatchError,
     SingularBlockError,
-    ceil_divisor,
     class_of,
     determinant,
     floor_divisor,
@@ -21,7 +21,6 @@ from conekit.qlattice import (
     intersect,
     is_negative_definite,
     parse_rat,
-    solve_against,
     solve_linear,
 )
 
@@ -245,42 +244,48 @@ def test_negative_definite_matches_ldl_oracle_on_random_lattices(case):
         assert is_negative_definite(lat, subset) == expected
 
 
-# --- solve_against -----------------------------------------------------------
+# --- the pullback solve (Contraction) ----------------------------------------
 
 
 def test_solve_exceptional_correction_of_minus_one_curve():
     # orthogonalize E_i against {Gamma, l_i, lp_i}: known closed form
     for d in (3, 5, 8):
         s = build_km_surface(d)
-        subset = [s.class_vector("Gamma"), s.class_vector("l_1"), s.class_vector("lp_1")]
-        x = solve_against(s.lattice, subset, s.class_vector("E_1"))
-        assert x == [Fraction(1, 2 * d - 4), Fraction(1, 2), Fraction(1, 2)]
+        pulled = Contraction(s, ("Gamma", "l_1", "lp_1")).pullback(
+            NamedDivisor.of({"E_1": 1})
+        )
+        assert [pulled.coefficient(n) for n in ("Gamma", "l_1", "lp_1")] == [
+            Fraction(1, 2 * d - 4), Fraction(1, 2), Fraction(1, 2)
+        ]
 
 
 def test_solve_canonical_against_minus_two_curve():
-    x = solve_against(S5.lattice, [S5.class_vector("l_1")], S5.canonical)
-    assert x == [Fraction(0)]
+    assert Contraction(S5, ("l_1",)).relative_canonical().table == {"l_1": 0}
 
 
 def test_solve_canonical_against_gamma():
-    # K.Gamma = 2d-6 and Gamma^2 = 4-2d force x = (2d-6)/(2d-4)
+    # K.Gamma = 2d-6 and Gamma^2 = 4-2d force a_Gamma = -(2d-6)/(2d-4)
     for d in (3, 5, 9):
-        s = build_km_surface(d)
-        x = solve_against(s.lattice, [s.class_vector("Gamma")], s.canonical)
-        assert x == [Fraction(2 * d - 6, 2 * d - 4)]
+        table = Contraction(build_km_surface(d), ("Gamma",)).relative_canonical().table
+        assert table == {"Gamma": -Fraction(2 * d - 6, 2 * d - 4)}
 
 
-@given(st.lists(small_rats, min_size=12, max_size=12))
+CONTRACTED = ("Gamma", "l_2", "lp_2", "l_3")
+PSI_OFF = Contraction(S5, CONTRACTED)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from([n for n in S5.curve_names() if n not in CONTRACTED]),
+        small_rats,
+        min_size=0,
+        max_size=6,
+    )
+)
 @settings(max_examples=60)
-def test_solve_residual_identically_zero(coords):
-    lat = S5.lattice
-    subset = [S5.class_vector(n) for n in ("Gamma", "l_2", "lp_2", "l_3")]
-    target = ClassVector.of(coords)
-    xs = solve_against(lat, subset, target)
-    corrected = target
-    for x, c in zip(xs, subset):
-        corrected = corrected + c.scale(x)
-    assert all(intersect(lat, corrected, c) == 0 for c in subset)
+def test_solve_residual_identically_zero(terms):
+    pulled = PSI_OFF.pullback_class(NamedDivisor.of(terms))
+    assert all(intersect(S5.lattice, pulled, c) == 0 for c in PSI_OFF.contracted_classes)
 
 
 # --- floors ------------------------------------------------------------------
@@ -295,7 +300,6 @@ def test_floor_of_integral_divisor_is_identity():
 def test_floor_of_negative_half():
     D = NamedDivisor.of({"l_1": Fraction(-1, 2)})
     assert floor_divisor(D) == NamedDivisor.of({"l_1": -1})
-    assert ceil_divisor(D).is_zero()
 
 
 def test_frac_of_pulled_back_family_divisor():
@@ -320,7 +324,6 @@ def test_floor_plus_frac_is_identity(terms):
     D = NamedDivisor.of(terms)
     assert floor_divisor(D) + frac_divisor(D) == D
     assert all(0 <= c < 1 for _, c in frac_divisor(D).entries)
-    assert ceil_divisor(-D) == -floor_divisor(D)
 
 
 # --- class_of ----------------------------------------------------------------
