@@ -16,6 +16,10 @@ from conekit.scenarios import (
 )
 
 
+# Python reprs that must never leak into a rendered certificate value
+REPRS = ("True", "False", "None", "Fraction(")
+
+
 def valid_plt_parameters(d_max):
     for d in range(3, d_max + 1):
         for q in range(2, d - 1):
@@ -63,6 +67,7 @@ def test_plt_verdict_true_on_all_valid_parameters_up_to_20():
         assert report.non_normal is True, (d, q)
         assert report.verdict is True, (d, q)
         assert all(c.value != "unknown" for c in report.certificates), (d, q)
+        assert not any(r in c.value for c in report.certificates for r in REPRS), (d, q)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +89,82 @@ def test_plt_verdict_includes_boundary_checks(monkeypatch, wrong):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["verify", "plt", "--d", "5", "--q", "3"]) == 1
     assert '"verdict": false' in out.getvalue()
+
+
+def _values(report):
+    return {c.claim: c.value for c in report.certificates}
+
+
+def _tail_fails(monkeypatch, name):
+    """Make the scenarios' uniform certificate `name` withdraw its tail claim."""
+    real = getattr(scenarios, name)
+    monkeypatch.setattr(
+        scenarios,
+        name,
+        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), holds=False),
+    )
+
+
+def _verify_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["verify", *argv])
+    return code, out.getvalue()
+
+
+def test_plt_unknown_when_h1_tail_fails(monkeypatch):
+    _tail_fails(monkeypatch, "uniform_h1_chain_zero")
+    report = verify_plt_nonnormal(5, 3)
+    values = _values(report)
+    for claim in ("h1(T,nA) for all n>=2", "R1g(O_Y)=0", "non_normal(E^Z)"):
+        assert values[claim] == "unknown", claim
+    assert values["R1g(O_Y(-E^Y))!=0"] == "true"
+    assert report.non_normal is None
+    assert report.verdict is None
+    code, out = _verify_cli("plt", "--d", "5", "--q", "3")
+    assert code == 1
+    assert '"verdict": null' in out
+
+
+def test_plt_unknown_when_h2_tail_fails(monkeypatch):
+    _tail_fails(monkeypatch, "uniform_h2_chain_zero")
+    report = verify_plt_nonnormal(5, 3)
+    values = _values(report)
+    for claim in ("h2(T,nA-E_5) for all n>=0", "R1g(O_Y(-E^Y))!=0", "non_normal(E^Z)"):
+        assert values[claim] == "unknown", claim
+    assert values["R1g(O_Y)=0"] == "true"
+    assert report.verdict is None
+
+
+def _h1_chain_replaced(monkeypatch, h1_at):
+    """Replace h1 of the unsubtracted h1(nA) reports at the n in `h1_at`."""
+    real = scenarios.cohomology_of_nA
+
+    def patched(fam, n, subtract=None):
+        report = real(fam, n, subtract=subtract)
+        if subtract is None and n in h1_at:
+            return dataclasses.replace(report, h1=h1_at[n])
+        return report
+
+    monkeypatch.setattr(scenarios, "cohomology_of_nA", patched)
+
+
+def test_plt_inexact_h1_entry_is_unknown_next_to_a_nonzero_one(monkeypatch):
+    _h1_chain_replaced(monkeypatch, {1: CohStatus.exact(1), 2: CohStatus.unknown()})
+    report = verify_plt_nonnormal(5, 3)
+    assert _values(report)["R1g(O_Y)=0"] == "unknown"
+    assert report.verdict is None
+
+
+def test_plt_nonzero_h1_entry_is_false_even_without_the_tail(monkeypatch):
+    _h1_chain_replaced(monkeypatch, {1: CohStatus.exact(1)})
+    _tail_fails(monkeypatch, "uniform_h1_chain_zero")
+    report = verify_plt_nonnormal(5, 3)
+    values = _values(report)
+    assert values["h1(T,1A)"] == "1"
+    assert values["h1(T,nA) for all n>=2"] == "unknown"
+    assert values["R1g(O_Y)=0"] == "false"
+    assert values["non_normal(E^Z)"] == "false"
+    assert report.verdict is False
 
 
 def test_plt_named_preconditions():
@@ -124,6 +205,20 @@ def test_fano_family(q):
     assert dict(report.m_table)["Gamma"] == 4
     assert report.picard.as_tuple() == (2 + 2 * report.d, 1, 3 + 2 * report.d, 2, 1)
     assert report.verdict is True
+    assert not any(r in c.value for c in report.certificates for r in REPRS), q
+
+
+def test_fano_unknown_when_tail_fails(monkeypatch):
+    _tail_fails(monkeypatch, "uniform_h1_chain_zero")
+    report = verify_bad_fano(2)
+    values = _values(report)
+    for claim in ("h1(T,nA) for all n>=2", "h2(Z,O_Z)", "not-cohen-macaulay(Z)"):
+        assert values[claim] == "unknown", claim
+    assert report.h2_z is None
+    assert report.verdict is None
+    code, out = _verify_cli("fano", "--q", "2")
+    assert code == 1
+    assert '"verdict": null' in out
 
 
 def test_fano_rejects_nonpositive_q():
