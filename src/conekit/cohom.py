@@ -156,9 +156,12 @@ def chi_rr(surface, D: NamedDivisor) -> int:
         raise CohomError(f"divisor is not integral: {D}")
     lat = surface.lattice
     cls = class_of(surface.registry, D)
-    value = lat.chi_structure_sheaf + Fraction(
-        intersect(lat, cls, cls - lat.canonical), 2
-    )
+    return _riemann_roch(lat, intersect(lat, cls, cls - lat.canonical))
+
+
+def _riemann_roch(lat, d_dot_d_minus_k: Rat) -> int:
+    """chi(O) + D.(D - K)/2, raising unless it is an integer."""
+    value = lat.chi_structure_sheaf + Fraction(d_dot_d_minus_k, 2)
     if value.denominator != 1:
         raise CohomError(f"Riemann-Roch value is not an integer: {value}")
     return int(value)
@@ -211,10 +214,13 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     rank-one family table.
     """
     d, q1, q2 = fam.d, fam.q1, fam.q2
-    psi = target_context(d)
     t = floor(Fraction(q1 - q2, 2 * d - 4))
     chi_closed = 1 - q2 + (q1 - q2 - d + 3) * t - t * t * (d - 2)
-    chi_lattice = chi_rr(psi.surface, floor_pullback_stats(fam).divisor)
+    # Riemann-Roch on the floor D: D.(D - K) = D.D + D.(-K)
+    stats = floor_pullback_stats(fam)
+    chi_lattice = _riemann_roch(
+        target_context(d).lattice, stats.square + stats.dot_minus_k
+    )
     if chi_closed != chi_lattice:
         raise ChiMismatchError(
             f"chi closed form {chi_closed} != Riemann-Roch {chi_lattice} at {fam}"
@@ -359,6 +365,8 @@ def cohomology_of_nA(
     """
     if n < 0:
         raise CohomError(f"n must be nonnegative, got {n}")
+    if n == 1 and subtract is None:
+        return km_family_cohomology(fam)
     divisor = family_divisor(fam).scale(n) + _minus_e(fam.d, subtract)
 
     psi = target_context(fam.d)
@@ -389,8 +397,6 @@ def cohomology_of_nA(
         )
 
     if n == 1:
-        if subtract is None:
-            return km_family_cohomology(fam)
         if subtract > fam.q1 + fam.q2:
             # fresh curve: A - E_j is the (q1, q2+1) family up to reindexing
             report = km_family_cohomology(
@@ -456,7 +462,8 @@ def cohomology_of_nA(
 
 @dataclass(frozen=True)
 class UniformChainCertificate:
-    """One certificate covering h1(nA [- E]) = 0 or h2(nA - E) = 0 for all n >= n0.
+    """One certificate covering h1(nA) = 0 for all n >= 2, or h2(nA - E) = 0
+    for all n >= 0; the verifier that prints it names the claim.
 
     Validity rests on a finite check plus monotonicity: feasibility of the
     pair-shift rewrite depends on the coefficient sum (strictly increasing in
@@ -466,32 +473,23 @@ class UniformChainCertificate:
     certifies its tail.
     """
 
-    claim: str
-    n_from: int
     tokens: tuple[str, ...]
     holds: bool
 
 
 def uniform_h1_chain_zero(
-    fam: FamilyDescriptor, subtract: int | None = None
+    fam: FamilyDescriptor, at_two: CohomReport
 ) -> UniformChainCertificate:
-    """Certify h1(nA - [E_subtract]) = 0 uniformly for all n >= 2."""
+    """Certify h1(nA) = 0 uniformly for all n >= 2, given the report
+    ``at_two = cohomology_of_nA(fam, 2)`` the caller already holds."""
     if fam.q1 <= fam.q2:
-        return UniformChainCertificate(
-            claim="h1(nA)=0 for n>=2", n_from=2,
-            tokens=("coverage:family-not-ample",), holds=False,
-        )
+        return UniformChainCertificate(("coverage:family-not-ample",), holds=False)
     for n in (2, 3):  # one even and one odd case; the sum grows with n
-        report = cohomology_of_nA(fam, n, subtract=subtract)
+        report = at_two if n == 2 else cohomology_of_nA(fam, n)
         if not report.h1.is_exact_zero:
-            return UniformChainCertificate(
-                claim="h1(nA)=0 for n>=2", n_from=2,
-                tokens=(f"coverage:gap-at-n={n}",), holds=False,
-            )
+            return UniformChainCertificate((f"coverage:gap-at-n={n}",), holds=False)
     return UniformChainCertificate(
-        claim="h1(nA)=0 for n>=2",
-        n_from=2,
-        tokens=(
+        (
             "rewrite:pair-shifts",
             "h1:vanishing-effective-nef-big",
             "uniform:even-odd-cases+monotone-coefficient-sum",
@@ -501,32 +499,22 @@ def uniform_h1_chain_zero(
 
 
 def uniform_h2_chain_zero(
-    fam: FamilyDescriptor, subtract: int, n_from: int = 0
+    fam: FamilyDescriptor, subtract: int
 ) -> UniformChainCertificate:
-    """Certify h2(nA - E_subtract) = 0 uniformly for all n >= n_from.
+    """Certify h2(nA - E_subtract) = 0 uniformly for all n >= 0.
 
     The Serre dual K - nA + E has degree strictly decreasing in n (the family
-    divisor has positive degree), so a negative degree at n_from certifies
+    divisor has positive degree), so a negative degree at n = 0 certifies
     every larger n.
     """
     psi = target_context(fam.d)
-    a = family_divisor(fam)
-    if psi.degree(a) <= 0:
-        return UniformChainCertificate(
-            claim=f"h2(nA-E_{subtract})=0 for n>={n_from}", n_from=n_from,
-            tokens=("coverage:family-not-ample",), holds=False,
-        )
-    start = a.scale(n_from) + _minus_e(fam.d, subtract)
-    status = h0_zero_by_degree(psi, serre_dual(psi, start))
+    if psi.degree(family_divisor(fam)) <= 0:
+        return UniformChainCertificate(("coverage:family-not-ample",), holds=False)
+    status = h0_zero_by_degree(psi, serre_dual(psi, _minus_e(fam.d, subtract)))
     holds = status.is_exact_zero
     tokens = (
         ("h2:duality+negative-degree", "uniform:degree-strictly-decreasing")
         if holds
         else ("coverage:degree-not-negative",)
     )
-    return UniformChainCertificate(
-        claim=f"h2(nA-E_{subtract})=0 for n>={n_from}",
-        n_from=n_from,
-        tokens=tokens,
-        holds=holds,
-    )
+    return UniformChainCertificate(tokens, holds)

@@ -15,7 +15,7 @@ polarization: each contracted curve must carry fractional coefficient 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -469,13 +469,7 @@ class PicardChain:
         return (self.rho_s, self.rho_t, self.rho_x, self.rho_y, self.rho_z)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rho_s": self.rho_s,
-            "rho_t": self.rho_t,
-            "rho_x": self.rho_x,
-            "rho_y": self.rho_y,
-            "rho_z": self.rho_z,
-        }
+        return asdict(self)
 
 
 def picard_chain(model: ConeModel) -> PicardChain:

@@ -3,14 +3,16 @@
 Each verifier assembles a report whose every numerical claim is a
 :class:`Certificate` carrying the rule that produced it and a provenance
 marker (``derived:*`` for numbers computed here, ``cited:*`` for the few
-facts consumed as external citations rather than recomputed).  The verdict
-logic is pure boolean combination of certified entries: if any entry needed
-by the verdict is Unknown, the verdict is None, never guessed.
+facts consumed as external citations rather than recomputed).  Every
+certificate is built by :func:`_certify`, the one place a value is rendered
+to text.  The verdict logic is pure boolean combination of certified
+entries: if any entry needed by the verdict is Unknown, the verdict is None,
+never guessed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cohom import (
@@ -29,7 +31,7 @@ from .cone3fold import (
     picard_chain,
     plt_coefficient_b,
 )
-from .qlattice import Rat, curve_sort_key, format_rat
+from .qlattice import Rat, curve_sort_key
 
 
 class ScenarioError(ValueError):
@@ -56,10 +58,19 @@ class Certificate:
         }
 
 
-def _fmt_bool(x: bool | None) -> str:
-    if x is None:
-        return "unknown"
-    return "true" if x else "false"
+def _certify(
+    certs: list[Certificate], claim: str, value: object, rule: str, provenance: str
+) -> None:
+    """Append one certificate, rendering its value from its type: None is
+    ``unknown``, a bool ``true``/``false``, anything else its ``str`` (``p/q``
+    for a Fraction, ``>=1`` or ``?`` for a CohStatus)."""
+    if value is None:
+        text = "unknown"
+    elif isinstance(value, bool):
+        text = "true" if value else "false"
+    else:
+        text = str(value)
+    certs.append(Certificate(claim, text, rule, provenance))
 
 
 def _certify_m_table(
@@ -68,26 +79,18 @@ def _certify_m_table(
     """The multiplicities m(C) in curve order, one certificate each."""
     m_table = tuple(sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])))
     for name, m in m_table:
-        certs.append(
-            Certificate(
-                claim=f"m({name})",
-                value=str(m),
-                rule="unit-fraction-extraction",
-                provenance="derived:pullback-fractional-part",
-            )
+        _certify(
+            certs, f"m({name})", m,
+            "unit-fraction-extraction", "derived:pullback-fractional-part",
         )
     return m_table
 
 
 def _certify_picard_chain(model: ConeModel, certs: list[Certificate]) -> PicardChain:
     chain = picard_chain(model)
-    certs.append(
-        Certificate(
-            claim="picard-chain",
-            value=",".join(str(r) for r in chain.as_tuple()),
-            rule="rank-bookkeeping",
-            provenance="derived:threefold-ledger",
-        )
+    _certify(
+        certs, "picard-chain", ",".join(str(r) for r in chain.as_tuple()),
+        "rank-bookkeeping", "derived:threefold-ledger",
     )
     return chain
 
@@ -99,15 +102,12 @@ class PltReport:
     d: int
     q: int
     m_table: tuple[tuple[str, int], ...]
-    h1_chain: tuple[tuple[int, CohomReport], ...]
     h1_a_minus_e: CohomReport
-    h2_chain: tuple[tuple[int, CohomReport], ...]
     b: Rat
     extension_coefficient: Rat
     plt: bool
     psi_classification: str
     min_discrepancy: Rat
-    picard: PicardChain
     non_normal: bool | None
     certificates: tuple[Certificate, ...]
 
@@ -155,123 +155,77 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
     a = family_divisor(fam)
     certs: list[Certificate] = []
 
-    ample = psi.is_ample_rho1(a)
-    certs.append(
-        Certificate(
-            claim="ample(A)",
-            value=_fmt_bool(ample),
-            rule="rank-one-positive-degree",
-            provenance="derived:intersection-lattice",
-        )
+    _certify(
+        certs, "ample(A)", psi.is_ample_rho1(a),
+        "rank-one-positive-degree", "derived:intersection-lattice",
     )
 
     model = ConeModel.build(psi, a)
     m_table = _certify_m_table(model, certs)
 
-    h1_chain: list[tuple[int, CohomReport]] = []
-    for n in (0, 1, 2):
-        report = cohomology_of_nA(fam, n)
-        h1_chain.append((n, report))
-        certs.append(
-            Certificate(
-                claim=f"h1(T,{n}A)",
-                value=str(report.h1),
-                rule=";".join(t for t in report.certificates if t.startswith("h1")),
-                provenance="derived:cohomology-rules",
-            )
+    h1_chain = [cohomology_of_nA(fam, n) for n in (0, 1, 2)]
+    for n, report in enumerate(h1_chain):
+        _certify(
+            certs, f"h1(T,{n}A)", report.h1,
+            ";".join(t for t in report.certificates if t.startswith("h1")),
+            "derived:cohomology-rules",
         )
-    uniform_h1 = uniform_h1_chain_zero(fam)
-    certs.append(
-        Certificate(
-            claim="h1(T,nA) for all n>=2",
-            value="0" if uniform_h1.holds else "unknown",
-            rule=";".join(uniform_h1.tokens),
-            provenance="derived:cohomology-rules",
-        )
+    uniform_h1 = uniform_h1_chain_zero(fam, h1_chain[2])
+    _certify(
+        certs, "h1(T,nA) for all n>=2", 0 if uniform_h1.holds else None,
+        ";".join(uniform_h1.tokens), "derived:cohomology-rules",
     )
 
     j = q + 2
     # n = 0 and 1 of the h2 chain also give h0(-E_j) and h1(A - E_j)
-    h2_chain = tuple((n, cohomology_of_nA(fam, n, subtract=j)) for n in (0, 1, 2))
-    h0_minus_e, h1_a_minus_e = h2_chain[0][1], h2_chain[1][1]
-    certs.append(
-        Certificate(
-            claim=f"h0(T,-E_{j})",
-            value=str(h0_minus_e.h0),
-            rule="negative-degree",
-            provenance="derived:intersection-lattice",
-        )
+    h2_chain = [cohomology_of_nA(fam, n, subtract=j) for n in (0, 1, 2)]
+    h0_minus_e, h1_a_minus_e = h2_chain[0], h2_chain[1]
+    _certify(
+        certs, f"h0(T,-E_{j})", h0_minus_e.h0,
+        "negative-degree", "derived:intersection-lattice",
     )
-    certs.append(
-        Certificate(
-            claim=f"h1(T,A-E_{j})",
-            value=str(h1_a_minus_e.h1),
-            rule="rank-one-family-table",
-            provenance="derived:cohomology-rules",
-        )
+    _certify(
+        certs, f"h1(T,A-E_{j})", h1_a_minus_e.h1,
+        "rank-one-family-table", "derived:cohomology-rules",
     )
-    for n, report in h2_chain:
-        certs.append(
-            Certificate(
-                claim=f"h2(T,{n}A-E_{j})",
-                value=str(report.h2),
-                rule="duality+negative-degree",
-                provenance="derived:cohomology-rules",
-            )
+    for n, report in enumerate(h2_chain):
+        _certify(
+            certs, f"h2(T,{n}A-E_{j})", report.h2,
+            "duality+negative-degree", "derived:cohomology-rules",
         )
-    uniform_h2 = uniform_h2_chain_zero(fam, subtract=j, n_from=0)
-    certs.append(
-        Certificate(
-            claim=f"h2(T,nA-E_{j}) for all n>=0",
-            value="0" if uniform_h2.holds else "unknown",
-            rule=";".join(uniform_h2.tokens),
-            provenance="derived:cohomology-rules",
-        )
+    uniform_h2 = uniform_h2_chain_zero(fam, subtract=j)
+    _certify(
+        certs, f"h2(T,nA-E_{j}) for all n>=0", 0 if uniform_h2.holds else None,
+        ";".join(uniform_h2.tokens), "derived:cohomology-rules",
     )
 
     coeff = plt_coefficient_b(model, j)
     extension_coefficient = Fraction(q - 2, q - 1)
-    certs.append(
-        Certificate(
-            claim="b",
-            value=format_rat(coeff.b),
-            rule="cone-boundary-coefficient",
-            provenance="derived:threefold-ledger",
-        )
+    _certify(
+        certs, "b", coeff.b, "cone-boundary-coefficient", "derived:threefold-ledger"
     )
-    certs.append(
-        Certificate(
-            claim="B-coefficient",
-            value=format_rat(extension_coefficient),
-            rule="closed-form-(q-2)/(q-1)"
-            + ("" if coeff.b == extension_coefficient else ";MISMATCH"),
-            provenance="derived:threefold-ledger",
-        )
+    _certify(
+        certs, "B-coefficient", extension_coefficient,
+        "closed-form-(q-2)/(q-1)"
+        + ("" if coeff.b == extension_coefficient else ";MISMATCH"),
+        "derived:threefold-ledger",
     )
 
     classification = psi.classify_singularities()
-    certs.append(
-        Certificate(
-            claim="classification(psi)",
-            value=classification.classification,
-            rule=classification.certificate,
-            provenance="derived:discrepancy-table",
-        )
+    _certify(
+        certs, "classification(psi)", classification.classification,
+        classification.certificate, "derived:discrepancy-table",
     )
-    certs.append(
-        Certificate(
-            claim="min-discrepancy(psi)",
-            value=format_rat(classification.min_discrepancy),
-            rule=classification.certificate,
-            provenance="derived:discrepancy-table",
-        )
+    _certify(
+        certs, "min-discrepancy(psi)", classification.min_discrepancy,
+        classification.certificate, "derived:discrepancy-table",
     )
 
-    chain = _certify_picard_chain(model, certs)
+    _certify_picard_chain(model, certs)
 
     # verdict logic over certified entries
     h1_all_zero: bool | None = True
-    for _, report in h1_chain:
+    for report in h1_chain:
         if not report.h1.is_exact:
             h1_all_zero = None
             break
@@ -279,28 +233,18 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
             h1_all_zero = False
     if h1_all_zero is True and not uniform_h1.holds:
         h1_all_zero = None
-    certs.append(
-        Certificate(
-            claim="R1g(O_Y)=0",
-            value=_fmt_bool(h1_all_zero),
-            rule="cokernel-chain",
-            provenance="cited:tail-by-serre-vanishing",
-        )
+    _certify(
+        certs, "R1g(O_Y)=0", h1_all_zero,
+        "cokernel-chain", "cited:tail-by-serre-vanishing",
     )
 
     twisted_nonzero: bool | None = None
-    h2_tail_zero = uniform_h2.holds and all(
-        rep.h2.is_exact_zero for n, rep in h2_chain if n >= 2
-    )
+    h2_tail_zero = uniform_h2.holds and h2_chain[2].h2.is_exact_zero
     if h0_minus_e.h0.is_exact_zero and h1_a_minus_e.h1.is_exact and h2_tail_zero:
         twisted_nonzero = h1_a_minus_e.h1.value > 0
-    certs.append(
-        Certificate(
-            claim="R1g(O_Y(-E^Y))!=0",
-            value=_fmt_bool(twisted_nonzero),
-            rule="cokernel-chain",
-            provenance="cited:tail-by-serre-vanishing",
-        )
+    _certify(
+        certs, "R1g(O_Y(-E^Y))!=0", twisted_nonzero,
+        "cokernel-chain", "cited:tail-by-serre-vanishing",
     )
 
     non_normal: bool | None
@@ -308,28 +252,21 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
         non_normal = None
     else:
         non_normal = h1_all_zero and twisted_nonzero
-    certs.append(
-        Certificate(
-            claim="non_normal(E^Z)",
-            value=_fmt_bool(non_normal),
-            rule="restriction-map-not-surjective",
-            provenance="derived:verdict-logic",
-        )
+    _certify(
+        certs, "non_normal(E^Z)", non_normal,
+        "restriction-map-not-surjective", "derived:verdict-logic",
     )
 
     return PltReport(
         d=d,
         q=q,
         m_table=m_table,
-        h1_chain=tuple(h1_chain),
         h1_a_minus_e=h1_a_minus_e,
-        h2_chain=h2_chain,
         b=coeff.b,
         extension_coefficient=extension_coefficient,
         plt=coeff.plt,
         psi_classification=classification.classification,
         min_discrepancy=classification.min_discrepancy,
-        picard=chain,
         non_normal=non_normal,
         certificates=tuple(certs),
     )
@@ -383,54 +320,33 @@ def verify_bad_fano(q: int) -> FanoReport:
     m_table = _certify_m_table(model, certs)
 
     h1_a = km_family_cohomology(fam)
-    certs.append(
-        Certificate(
-            claim="h1(T,A)",
-            value=str(h1_a.h1),
-            rule="rank-one-family-table",
-            provenance="derived:cohomology-rules",
-        )
+    _certify(
+        certs, "h1(T,A)", h1_a.h1, "rank-one-family-table", "derived:cohomology-rules"
     )
-    uniform = uniform_h1_chain_zero(fam)
-    certs.append(
-        Certificate(
-            claim="h1(T,nA) for all n>=2",
-            value="0" if uniform.holds else "unknown",
-            rule=";".join(uniform.tokens),
-            provenance="derived:cohomology-rules",
-        )
+    uniform = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
+    _certify(
+        certs, "h1(T,nA) for all n>=2", 0 if uniform.holds else None,
+        ";".join(uniform.tokens), "derived:cohomology-rules",
     )
 
     h2_z: int | None = None
     if h1_a.h1.is_exact and uniform.holds:
         h2_z = h1_a.h1.value
-    certs.append(
-        Certificate(
-            claim="h2(Z,O_Z)",
-            value="unknown" if h2_z is None else str(h2_z),
-            rule="cokernel-chain:sum-of-twists",
-            provenance="cited:tail-by-serre-vanishing",
-        )
+    _certify(
+        certs, "h2(Z,O_Z)", h2_z,
+        "cokernel-chain:sum-of-twists", "cited:tail-by-serre-vanishing",
     )
 
     not_cm: bool | None = None if h2_z is None else h2_z > 0
-    certs.append(
-        Certificate(
-            claim="not-cohen-macaulay(Z)",
-            value=_fmt_bool(not_cm),
-            rule="nonzero-intermediate-cohomology",
-            provenance="derived:verdict-logic",
-        )
+    _certify(
+        certs, "not-cohen-macaulay(Z)", not_cm,
+        "nonzero-intermediate-cohomology", "derived:verdict-logic",
     )
 
     chain = _certify_picard_chain(model, certs)
-    certs.append(
-        Certificate(
-            claim="ample(-K_Z)",
-            value="true",
-            rule="rank-one-and-big-anticanonical",
-            provenance="cited:cone-anticanonical-fact",
-        )
+    _certify(
+        certs, "ample(-K_Z)", True,
+        "rank-one-and-big-anticanonical", "cited:cone-anticanonical-fact",
     )
 
     return FanoReport(
@@ -454,14 +370,7 @@ class SweepRow:
     kvv_violation: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "q1": self.q1,
-            "q2": self.q2,
-            "ample": self.ample,
-            "h1": self.h1,
-            "kvv_violation": self.kvv_violation,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

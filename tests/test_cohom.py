@@ -260,15 +260,16 @@ def test_certified_entries_always_carry_tokens():
 
 
 def test_uniform_h1_certificate_holds_for_plt_family():
-    cert = uniform_h1_chain_zero(FAM531)
+    cert = uniform_h1_chain_zero(FAM531, cohomology_of_nA(FAM531, 2))
     assert cert.holds
     assert any(t.startswith("uniform") for t in cert.tokens)
 
 
 def test_uniform_h1_refuses_non_ample_family():
-    assert not uniform_h1_chain_zero(FamilyDescriptor(5, 2, 2)).holds
+    fam = FamilyDescriptor(5, 2, 2)
+    assert not uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2)).holds
 
 
 def test_uniform_h2_certificate_holds_from_zero():
-    cert = uniform_h2_chain_zero(FAM531, subtract=5, n_from=0)
+    cert = uniform_h2_chain_zero(FAM531, subtract=5)
     assert cert.holds

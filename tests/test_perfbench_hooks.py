@@ -83,11 +83,18 @@ def _traced_calls(argv):
 
 def test_deterministic_call_counts():
     # verify plt computes each h^i(nA - E_j) report once: 3 for the h1 chain,
-    # 2 for its uniform tail, 3 for the subtracted chain
+    # n = 3 for its uniform tail (which reuses n = 2), 3 for the subtracted
+    # chain
     calls = _traced_calls(["verify", "plt", "--d", "5", "--q", "3"])
-    assert calls["cohom.cohomology_of_nA"] == 8
+    assert calls["cohom.cohomology_of_nA"] == 7
     assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
     # contract shares the one cached contraction per d
     calls = _traced_calls(["contract", "--d", "5", "--pullback", "E_1"])
     assert calls["cohom.target_context"] == 1
     assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
+    # each family row converts its floored pullback to a class once, and
+    # h^i(A) with nothing subtracted goes straight to the family table
+    calls = _traced_calls(["sweep", "--d-min", "5", "--d-max", "5"])
+    assert calls["qlattice.class_of"] == 65
+    calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
+    assert calls["qlattice.class_of"] == 2
