@@ -27,9 +27,9 @@ from .km_surface import build_km_surface
 from .qlattice import (
     NamedDivisor,
     Rat,
-    class_of,
     floor_divisor,
-    intersect,
+    pair,
+    pair_canonical,
 )
 
 
@@ -154,9 +154,10 @@ def chi_rr(surface, D: NamedDivisor) -> int:
     """
     if not D.is_integral():
         raise CohomError(f"divisor is not integral: {D}")
-    lat = surface.lattice
-    cls = class_of(surface.registry, D)
-    return _riemann_roch(lat, intersect(lat, cls, cls - lat.canonical))
+    reg = surface.registry
+    return _riemann_roch(
+        surface.lattice, pair(reg, D, D) - pair_canonical(reg, D)
+    )
 
 
 def _riemann_roch(lat, d_dot_d_minus_k: Rat) -> int:
@@ -185,12 +186,9 @@ def floor_pullback_stats(fam: FamilyDescriptor) -> FloorStats:
     error.
     """
     psi = target_context(fam.d)
-    lat = psi.lattice
-    pulled = psi.pullback(family_divisor(fam))
-    floored = floor_divisor(pulled)
-    cls = class_of(psi.registry, floored)
-    square = intersect(lat, cls, cls)
-    dot = intersect(lat, cls, -lat.canonical)
+    floored = floor_divisor(psi.pullback(family_divisor(fam)))
+    square = pair(psi.registry, floored, floored)
+    dot = -pair_canonical(psi.registry, floored)
 
     d, q1, q2 = fam.d, fam.q1, fam.q2
     t = floor(Fraction(q1 - q2, 2 * d - 4))

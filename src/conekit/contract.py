@@ -5,7 +5,8 @@ Divisors on the target are written through proper transforms, i.e. as named
 divisors avoiding the contracted names; the numerical pullback is the unique
 extension orthogonal to every contracted curve.  Discrepancies, pair
 singularity classes, and all target intersection numbers derive from that one
-solve.
+solve.  Pullback is linear, so the solve runs once per curve name, on that
+curve's row of the registry's named pairing table.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .qlattice import (
     curve_sort_key,
     floor_divisor,
     format_rat,
-    gram_block,
     intersect,
+    pair,
 )
 
 
@@ -75,41 +76,63 @@ class Contraction:
         """Inverse of the contracted Gram block, computed once and reused by
         every pullback/discrepancy solve.
 
-        One elimination of [G | I], which also certifies the contraction
-        (read by construction): as in ``is_negative_definite``, G is negative
-        definite iff the elimination makes no row swap and all k pivots are
-        negative.  A linearly dependent set has a singular G and fails too.
+        The block is read from the registry's named pairing table.  One
+        elimination of [G | I] also certifies the contraction (read by
+        construction): as in ``is_negative_definite``, G is negative definite
+        iff the elimination makes no row swap and all k pivots are negative.
+        A linearly dependent set has a singular G and fails too.
         """
-        block = gram_block(self.lattice, self.contracted_classes)
-        k = len(block)
-        rows = [
-            row + [Fraction(int(i == j)) for j in range(k)]
-            for i, row in enumerate(block)
-        ]
+        k = len(self.contracted)
+        rows = []
+        for i, name in enumerate(self.contracted):
+            row = self.registry.pairing_row(name)
+            rows.append(
+                [row.get(other, Fraction(0)) for other in self.contracted]
+                + [Fraction(int(i == j)) for j in range(k)]
+            )
         pivots, swaps = _eliminate(rows, k)
         if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
             raise ContractionError("contracted Gram block is not negative definite")
         return tuple(tuple(row[k:]) for row in rows)
 
-    def _correction(self, cls: ClassVector) -> NamedDivisor:
-        """Exceptional part of the pullback of a class: orthogonalizing terms."""
-        rhs = [
-            -intersect(self.lattice, cls, c) for c in self.contracted_classes
-        ]
-        xs = [
-            sum(row[j] * rhs[j] for j in range(len(rhs)))
-            for row in self.gram_inverse
-        ]
-        return NamedDivisor.of(
-            {name: x for name, x in zip(self.contracted, xs)}
-        )
+    def _solve(self, dots: list[Rat]) -> NamedDivisor:
+        """The combination x of contracted curves with (D + x).C_j = 0 for
+        every contracted C_j, given dots[j] = D.C_j: x = -G^{-1}(D.C_j).
+
+        Zero right-hand-side entries are skipped, and so are zero entries of
+        the inverse (G^{-1} is symmetric, so its row j is its column j).
+        """
+        acc: dict[str, Rat] = {}
+        for dot, inverse_row in zip(dots, self.gram_inverse):
+            if dot:
+                for name, g in zip(self.contracted, inverse_row):
+                    if g:
+                        acc[name] = acc.get(name, 0) - g * dot
+        return NamedDivisor.of(acc)
+
+    @cached_property
+    def _corrections(self) -> dict[str, NamedDivisor]:
+        return {}
+
+    def _correction(self, name: str) -> NamedDivisor:
+        """Exceptional part of the pullback of one named curve, solved once
+        from that curve's row of the named pairing table."""
+        memo = self._corrections
+        hit = memo.get(name)
+        if hit is None:
+            row = self.registry.pairing_row(name)
+            hit = memo[name] = self._solve(
+                [row.get(other, 0) for other in self.contracted]
+            )
+        return hit
 
     @cached_property
     def _pullback_memo(self) -> dict:
         return {}
 
     def pullback(self, D: NamedDivisor) -> NamedDivisor:
-        """Numerical pullback of a target divisor given via proper transforms."""
+        """Numerical pullback of a target divisor given via proper transforms:
+        D plus the sum of c * (the correction of C) over the terms c*C of D."""
         memo = self._pullback_memo
         hit = memo.get(D)
         if hit is not None:
@@ -119,8 +142,10 @@ class Contraction:
             raise ContractionError(
                 f"divisor mentions contracted curves: {', '.join(bad)}"
             )
-        out = D + self._correction(class_of(self.registry, D))
-        memo[D] = out
+        terms = list(D.entries)
+        for name, c in D.entries:
+            terms.extend((other, c * x) for other, x in self._correction(name).entries)
+        out = memo[D] = NamedDivisor.of(terms)
         return out
 
     def pushforward(self, D: NamedDivisor) -> NamedDivisor:
@@ -140,9 +165,7 @@ class Contraction:
 
     def target_intersect(self, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
         """Intersection number on the target, computed as pullback . pullback."""
-        return intersect(
-            self.lattice, self.pullback_class(D1), self.pullback_class(D2)
-        )
+        return pair(self.registry, self.pullback(D1), self.pullback(D2))
 
     def target_canonical(self) -> NamedDivisor:
         """K of the target through proper transforms (needs K named on the source)."""
@@ -165,7 +188,10 @@ class Contraction:
 
     @cached_property
     def _canonical_correction(self) -> NamedDivisor:
-        return self._correction(self.lattice.canonical)
+        lat = self.lattice
+        return self._solve(
+            [intersect(lat, lat.canonical, c) for c in self.contracted_classes]
+        )
 
     def relative_canonical(self) -> "DiscrepancyTable":
         """Discrepancies a_C with K_source = pullback(K_target) + sum a_C C."""

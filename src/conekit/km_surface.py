@@ -77,6 +77,7 @@ def replay(
     class to the canonical divisor, and reduces every named curve through the
     centre by its multiplicity.
     """
+    zero = Fraction(0)  # one shared zero: most coordinates are zero
     names = list(base_names)
     squares = [Fraction(s) for s in base_squares]
     canonical = list(base_canonical.coeffs)
@@ -89,17 +90,17 @@ def replay(
         squares.append(Fraction(-1))
         canonical = canonical + [Fraction(1)]
         for coords in curves.values():
-            coords.append(Fraction(0))
+            coords.append(zero)
         for curve_name, mult in step.through:
             curves[curve_name][-1] = Fraction(-mult)
         if step.register is not None:
-            coords = [Fraction(0)] * len(names)
+            coords = [zero] * len(names)
             coords[-1] = Fraction(1)
             curves[step.register] = coords
 
     rank = len(names)
     gram = tuple(
-        tuple(squares[i] if i == j else Fraction(0) for j in range(rank))
+        tuple(squares[i] if i == j else zero for j in range(rank))
         for i in range(rank)
     )
     lattice = IntersectionLattice(

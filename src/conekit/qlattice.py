@@ -15,7 +15,13 @@ Two distinct representations of a divisor coexist:
   this representation only, because floors are basis-dependent and the
   geometry floors in the curve basis.
 
-A :class:`CurveRegistry` links the two: it maps curve names to their classes.
+A :class:`CurveRegistry` links the two.  It maps curve names to their classes
+(:func:`class_of` builds the class of a named divisor), and it holds the
+named pairing table: the nonzero C.C' over its curves plus a K.C column,
+built once as a sparse product.  :func:`pair` and :func:`pair_canonical` read
+intersection numbers of named divisors from that table without building a
+class vector; the dense route through :func:`class_of` and :func:`intersect`
+gives the same numbers.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ class IntersectionLattice:
         """Nonzero column indices per Gram row; the pairing loop skips the
         rest (the blow-up lattices here are diagonal)."""
         return tuple(
-            tuple(j for j, x in enumerate(row) if x != 0) for row in self.gram
+            tuple(j for j, x in enumerate(row) if x) for row in self.gram
         )
 
     def __post_init__(self):
@@ -156,9 +162,6 @@ class IntersectionLattice:
     @property
     def rank(self) -> int:
         return len(self.basis_names)
-
-    def basis_vector(self, name: str) -> ClassVector:
-        return ClassVector.unit(self.rank, self.basis_names.index(name))
 
     def check_rank(self, v: ClassVector) -> None:
         if len(v) != self.rank:
@@ -215,11 +218,13 @@ def _eliminate(rows: list[list[Rat]], n_cols: int) -> tuple[list[Rat], int]:
         pivot_value = rows[rank][col]
         pivots.append(pivot_value)
         inv = 1 / pivot_value
-        rows[rank] = [inv * x for x in rows[rank]]
+        rows[rank] = [inv * x if x else x for x in rows[rank]]
         for r in range(n_rows):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [
+                    x - factor * y if y else x for x, y in zip(rows[r], rows[rank])
+                ]
     return pivots, swaps
 
 
@@ -394,14 +399,63 @@ class CurveRegistry:
     def _by_name(self) -> dict[str, ClassVector]:
         return dict(self.entries)
 
+    @cached_property
+    def _pairing_rows(self) -> dict[str, dict[str, Rat]]:
+        """Nonzero C.C' per named curve C, keyed by the name of C'.
+
+        A sparse product: each nonzero coordinate of C is carried through the
+        Gram support to the coordinates it meets, and from there through an
+        index to the curves with a nonzero coefficient on them, so a pair of
+        curves that share no coordinate costs nothing.
+        """
+        lat = self.lattice
+        coords = {
+            name: [(i, a) for i, a in enumerate(cls.coeffs) if a]
+            for name, cls in self.entries
+        }
+        touching: dict[int, list[tuple[str, Rat]]] = {}
+        for name, nonzero in coords.items():
+            for j, b in nonzero:
+                touching.setdefault(j, []).append((name, b))
+        rows = {}
+        for name, nonzero in coords.items():
+            row: dict[str, Rat] = {}
+            for i, a in nonzero:
+                for j in lat._gram_support[i]:
+                    ag = a * lat.gram[i][j]
+                    for other, b in touching.get(j, ()):
+                        row[other] = row.get(other, 0) + ag * b
+            rows[name] = {other: x for other, x in row.items() if x}
+        return rows
+
+    @cached_property
+    def _canonical_dots(self) -> dict[str, Rat]:
+        """K.C per named curve C, read from the lattice's canonical class."""
+        lat = self.lattice
+        return {
+            name: intersect(lat, lat.canonical, cls) for name, cls in self.entries
+        }
+
+    @staticmethod
+    def _lookup(table: dict, name: str):
+        value = table.get(name)
+        if value is None:
+            raise UnknownCurveError(f"unknown curve name: {name!r}")
+        return value
+
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
 
     def class_vector(self, name: str) -> ClassVector:
-        cls = self._by_name.get(name)
-        if cls is None:
-            raise UnknownCurveError(f"unknown curve name: {name!r}")
-        return cls
+        return self._lookup(self._by_name, name)
+
+    def pairing_row(self, name: str) -> dict[str, Rat]:
+        """The nonzero C.C' of the named curve C, keyed by the name of C'."""
+        return self._lookup(self._pairing_rows, name)
+
+    def canonical_dot(self, name: str) -> Rat:
+        """K.C for the named curve C."""
+        return self._lookup(self._canonical_dots, name)
 
 
 def class_of(registry: CurveRegistry, D: NamedDivisor) -> ClassVector:
@@ -410,3 +464,30 @@ def class_of(registry: CurveRegistry, D: NamedDivisor) -> ClassVector:
     for name, coeff in D.entries:
         out = out + registry.class_vector(name).scale(coeff)
     return out
+
+
+def pair(registry: CurveRegistry, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
+    """Intersection number D1.D2 read from the named pairing table, exact.
+
+    Equal to ``intersect(lattice, class_of(registry, D1), class_of(registry,
+    D2))`` without building either class vector; an unknown curve name
+    raises as in :func:`class_of`.
+    """
+    rows = [(c, registry.pairing_row(name)) for name, c in D1.entries]
+    for name, _ in D2.entries:
+        registry.pairing_row(name)
+    coeffs = D2.terms
+    total = Fraction(0)
+    for c, row in rows:
+        for name, x in row.items():
+            b = coeffs.get(name)
+            if b:
+                total += c * b * x
+    return total
+
+
+def pair_canonical(registry: CurveRegistry, D: NamedDivisor) -> Rat:
+    """K.D read from the K.C column of the named pairing table, exact."""
+    return sum(
+        (c * registry.canonical_dot(name) for name, c in D.entries), Fraction(0)
+    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit.cli import main as cli_main
 from conekit.contract import Contraction, ContractionError, km_psi
 from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupPlan, BlowupStep
 from conekit.qlattice import (
@@ -14,8 +15,10 @@ from conekit.qlattice import (
     IntersectionLattice,
     NamedDivisor,
     class_of,
+    gram_block,
     intersect,
     is_negative_definite,
+    solve_linear,
 )
 
 S5 = build_km_surface(5)
@@ -65,6 +68,61 @@ def test_pullback_orthogonal_to_contracted(terms):
     pulled = class_of(PSI5.registry, PSI5.pullback(D))
     for name in PSI5.contracted:
         assert intersect(PSI5.lattice, pulled, PSI5.registry.class_vector(name)) == 0
+
+
+def _dense_pullback(ctr, D):
+    """D + sum_i x_i C_i with x = G^{-1}(-D.C_j), solved from class vectors
+    and the dense Gram block: the oracle for the per-curve correction cache."""
+    lat, reg = ctr.lattice, ctr.registry
+    classes = [reg.class_vector(n) for n in ctr.contracted]
+    cls = class_of(reg, D)
+    xs = solve_linear(gram_block(lat, classes), [-intersect(lat, cls, c) for c in classes])
+    return D + NamedDivisor.of(dict(zip(ctr.contracted, xs)))
+
+
+@st.composite
+def contractions_with_divisors(draw):
+    """A contraction of S(d) (all of Gamma, l_i, lp_i; or the non-orthogonal
+    pair E_1, l_1) or of the A_2 chain, with two divisors on its target."""
+    d = draw(st.sampled_from([3, 5, 8]))
+    ctr = draw(
+        st.sampled_from(
+            [
+                km_psi(build_km_surface(d)),
+                Contraction(build_km_surface(d), ("E_1", "l_1")),
+                _a2_chain(),
+            ]
+        )
+    )
+    names = [n for n in ctr.registry.names() if n not in ctr.contracted]
+    D1, D2 = (
+        NamedDivisor.of(draw(st.dictionaries(st.sampled_from(names), small_rats, max_size=4)))
+        for _ in range(2)
+    )
+    return ctr, D1, D2
+
+
+@given(contractions_with_divisors())
+@settings(max_examples=80)
+def test_pullback_matches_dense_solve(case):
+    ctr, D1, D2 = case
+    P1, P2 = _dense_pullback(ctr, D1), _dense_pullback(ctr, D2)
+    assert ctr.pullback(D1) == P1
+    assert ctr.target_intersect(D1, D2) == intersect(
+        ctr.lattice, class_of(ctr.registry, P1), class_of(ctr.registry, P2)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--pullback", "X_9"], ["--target-intersect", "X_9", "E_1"]],
+    ids=["pullback", "target-intersect"],
+)
+def test_unknown_curve_name_at_the_cli(argv, capsys):
+    assert cli_main(["contract", "--d", "5", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown curve name: 'X_9'\n"
 
 
 # --- pushforward -------------------------------------------------------------
@@ -185,7 +243,7 @@ def _swap_block_surface():
         gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
         canonical=ClassVector.zero(2),
     )
-    registry = CurveRegistry.of(lat, {n: lat.basis_vector(n) for n in ("b0", "b1")})
+    registry = CurveRegistry.of(lat, {"b0": ClassVector.unit(2, 0), "b1": ClassVector.unit(2, 1)})
     return SimpleNamespace(lattice=lat, registry=registry)
 
 

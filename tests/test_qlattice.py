@@ -8,11 +8,13 @@ from conekit.contract import Contraction
 from conekit.km_surface import build_km_surface
 from conekit.qlattice import (
     ClassVector,
+    CurveRegistry,
     DependentSubsetError,
     IntersectionLattice,
     NamedDivisor,
     RankMismatchError,
     SingularBlockError,
+    UnknownCurveError,
     class_of,
     determinant,
     floor_divisor,
@@ -20,6 +22,8 @@ from conekit.qlattice import (
     frac_divisor,
     intersect,
     is_negative_definite,
+    pair,
+    pair_canonical,
     parse_rat,
     solve_linear,
 )
@@ -222,7 +226,7 @@ def test_negative_definite_rejects_swap_with_negative_pivots():
         gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
         canonical=ClassVector.zero(2),
     )
-    subset = [lat.basis_vector("b0"), lat.basis_vector("b1")]
+    subset = [ClassVector.unit(2, 0), ClassVector.unit(2, 1)]
     assert not is_negative_definite(lat, subset)
     assert not _oracle_negative_definite(lat, subset)
 
@@ -347,10 +351,92 @@ def test_anticanonical_class():
 
 
 def test_unknown_curve_name():
-    from conekit.qlattice import UnknownCurveError
+    reg, known = S5.registry, NamedDivisor.of({"E_1": 1})
+    unknown = NamedDivisor.of({"E_1": 1, "nope": 1})
+    for route in (
+        lambda: class_of(reg, unknown),
+        lambda: pair(reg, unknown, known),
+        lambda: pair(reg, known, unknown),
+        lambda: pair_canonical(reg, unknown),
+    ):
+        with pytest.raises(UnknownCurveError, match=r"^unknown curve name: 'nope'$"):
+            route()
 
-    with pytest.raises(UnknownCurveError):
-        class_of(S5.registry, NamedDivisor.of({"nope": 1}))
+
+# --- the named pairing table (dense route as the oracle) ---------------------
+
+SURFACES = {d: build_km_surface(d) for d in (3, 5, 8)}
+
+
+def _divisors(draw, names, count):
+    return [
+        NamedDivisor.of(draw(st.dictionaries(st.sampled_from(names), small_rats, max_size=6)))
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def km_divisor_pairs(draw):
+    s = SURFACES[draw(st.sampled_from(sorted(SURFACES)))]
+    return (s.registry, *_divisors(draw, s.curve_names(), 2))
+
+
+@st.composite
+def non_diagonal_divisor_pairs(draw):
+    """A registry over a random symmetric, mostly non-diagonal Gram matrix,
+    with a random canonical class and up to six sparse curve classes that
+    share coordinates, plus two named divisors over its curves."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = draw(entries)
+    lat = IntersectionLattice(
+        basis_names=tuple(f"b{i}" for i in range(n)),
+        gram=tuple(tuple(Fraction(x) for x in row) for row in gram),
+        canonical=ClassVector.of(draw(st.lists(entries, min_size=n, max_size=n))),
+    )
+    k = draw(st.integers(min_value=1, max_value=6))
+    reg = CurveRegistry.of(
+        lat,
+        {
+            f"c_{i}": ClassVector.of(draw(st.lists(entries, min_size=n, max_size=n)))
+            for i in range(k)
+        },
+    )
+    return (reg, *_divisors(draw, reg.names(), 2))
+
+
+def _check_pair_against_dense_route(reg, D1, D2):
+    lat = reg.lattice
+    v1, v2 = class_of(reg, D1), class_of(reg, D2)
+    assert pair(reg, D1, D2) == intersect(lat, v1, v2)
+    assert pair_canonical(reg, D1) == intersect(lat, lat.canonical, v1)
+
+
+@given(km_divisor_pairs())
+@settings(max_examples=80)
+def test_pair_matches_dense_route_on_km_surfaces(case):
+    _check_pair_against_dense_route(*case)
+
+
+@given(non_diagonal_divisor_pairs())
+@settings(max_examples=150)
+def test_pair_matches_dense_route_on_random_lattices(case):
+    _check_pair_against_dense_route(*case)
+
+
+def test_pairing_rows_keep_only_nonzero_entries():
+    reg = SURFACES[5].registry
+    for name in reg.names():
+        row = reg.pairing_row(name)
+        assert all(x != 0 for x in row.values())
+        for other in reg.names():
+            expected = intersect(
+                reg.lattice, reg.class_vector(name), reg.class_vector(other)
+            )
+            assert row.get(other, 0) == expected
 
 
 # --- serialization -----------------------------------------------------------
