@@ -265,15 +265,12 @@ def serre_dual(psi: Contraction, D: NamedDivisor) -> NamedDivisor:
 def h0_zero_by_degree(psi: Contraction, D: NamedDivisor) -> CohStatus:
     """No-sections test by degree sign on the rank-one target.
 
-    Negative degree has no sections; zero degree has none either unless the
-    divisor is numerically trivial, in which case nothing is concluded.
+    Negative degree has no sections.  Zero degree concludes nothing: the
+    pullback of D is orthogonal to every contracted curve, so on the
+    nondegenerate lattice it lies on the line of pullback(-K), whose square
+    is positive, and degree zero makes it numerically trivial.
     """
-    deg = psi.degree(D)
-    if deg < 0:
-        return CohStatus.zero()
-    if deg == 0 and not psi.pullback_class(D).is_zero():
-        return CohStatus.zero()
-    return CohStatus.unknown()
+    return CohStatus.zero() if psi.degree(D) < 0 else CohStatus.unknown()
 
 
 def _e_index(name: str) -> int:

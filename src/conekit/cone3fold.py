@@ -24,11 +24,11 @@ from .km_surface import KMSurface
 from .qlattice import (
     NamedDivisor,
     Rat,
-    class_of,
     curve_sort_key,
     format_rat,
     frac_divisor,
-    intersect,
+    pair,
+    pair_canonical,
 )
 
 
@@ -103,23 +103,15 @@ class ConeModel:
     def mc(self) -> dict[str, int]:
         return validate_assumption_a(self.psi, self.polarization)
 
-    @cached_property
-    def _curve_squares(self) -> dict[str, Rat]:
-        lat = self.surface.lattice
-        return {
-            name: intersect(lat, cls, cls)
-            for name, cls in self.surface.registry.entries
-        }
-
     def curve_square(self, name: str) -> Rat:
-        return self._curve_squares[name]
+        return self.surface.registry.pairing_row(name).get(name, Fraction(0))
 
     def polarization_dot_e(self, i: int) -> Rat:
         """pullback(A) . E_i on the source surface."""
-        return intersect(
-            self.surface.lattice,
-            self.psi.pullback_class(self.polarization),
-            self.surface.class_vector(f"E_{i}"),
+        return pair(
+            self.surface.registry,
+            NamedDivisor.of({f"E_{i}": 1}),
+            self.psi.pullback(self.polarization),
         )
 
     @cached_property
@@ -236,14 +228,11 @@ def section_numbers(model: ConeModel, i: int, j: int) -> SectionRecord:
     k_x_minus = unit_defect(m_gamma) + unit_defect(m_l) + unit_defect(m_lp) - 1 + a_dot_ei
 
     # uniform crepant sum: sum over contracted C of c_C (C.E_i)/m_C
-    lat = model.surface.lattice
-    e_cls = model.surface.class_vector(f"E_{i}")
     crepant = model.crepant_coefficients
     crepant_sum = Fraction(0)
-    for name, c in crepant.items():
-        dot = intersect(lat, model.surface.class_vector(name), e_cls)
-        if dot:
-            crepant_sum += c * Fraction(dot, model.mc[name])
+    for name, dot in model.surface.registry.pairing_row(f"E_{i}").items():
+        if name in crepant:
+            crepant_sum += crepant[name] * Fraction(dot, model.mc[name])
 
     # printed form of the same sum: Gamma term plus (1-m)/m for the two
     # (-2)-curves of the i-th fibre
@@ -267,10 +256,10 @@ def section_numbers(model: ConeModel, i: int, j: int) -> SectionRecord:
     if k_y_plus != closed_plus or k_y_minus != closed_minus:
         raise ConeError(f"K_Y section numbers disagree at i={i}")
 
-    e_y_dot = intersect(
-        lat,
-        model.psi.pullback_class(NamedDivisor.of({f"E_{i}": 1})),
-        model.surface.class_vector(f"E_{j}"),
+    e_y_dot = pair(
+        model.surface.registry,
+        NamedDivisor.of({f"E_{j}": 1}),
+        model.psi.pullback(NamedDivisor.of({f"E_{i}": 1})),
     )
     if e_y_dot != Fraction(1, 2 * d - 4):
         raise ConeError(
@@ -432,18 +421,19 @@ def adjunction_consistency(model: ConeModel) -> AdjunctionReport:
     same adjoint divisor paired with C.  Both sides come from independent
     code paths.
     """
-    lat = model.surface.lattice
     reg = model.surface.registry
-    adjoint_cls = lat.canonical + class_of(
-        reg,
-        NamedDivisor.of(
-            {name: Fraction(m - 1, m) for name, m in model.mc.items()}
-        ),
+    boundary = NamedDivisor.of(
+        {name: Fraction(m - 1, m) for name, m in model.mc.items()}
     )
+
+    def adjoint_dot(name: str) -> Rat:
+        C = NamedDivisor.of({name: 1})
+        return pair_canonical(reg, C) + pair(reg, C, boundary)
+
     checks: list[AdjunctionCheck] = []
     for i in range(1, model.d + 1):
         rec = section_numbers(model, i, i)
-        rhs = intersect(lat, adjoint_cls, model.surface.class_vector(f"E_{i}"))
+        rhs = adjoint_dot(f"E_{i}")
         # S^+ . E_i^+ = pol.E_i and S^- . E_i^+ = 0 (sections are disjoint)
         lhs_plus = rec.k_x_dot_e_plus + rec.polarization_dot_e_i
         lhs_minus = rec.k_x_dot_e_minus - rec.polarization_dot_e_i
@@ -452,7 +442,7 @@ def adjunction_consistency(model: ConeModel) -> AdjunctionReport:
     for name in sorted(model.psi.contracted, key=curve_sort_key):
         rec = cone_curve_numbers(model, name)
         lhs = rec.k_dot_section_curve  # S+. C+ = S-.C- = 0 and cross terms vanish
-        rhs = intersect(lat, adjoint_cls, model.surface.class_vector(name))
+        rhs = adjoint_dot(name)
         checks.append(AdjunctionCheck(f"curve:{name}", lhs, rhs))
     return AdjunctionReport(tuple(checks))
 

@@ -188,10 +188,7 @@ class Contraction:
 
     @cached_property
     def _canonical_correction(self) -> NamedDivisor:
-        lat = self.lattice
-        return self._solve(
-            [intersect(lat, lat.canonical, c) for c in self.contracted_classes]
-        )
+        return self._solve([self.registry.canonical_dot(n) for n in self.contracted])
 
     def relative_canonical(self) -> "DiscrepancyTable":
         """Discrepancies a_C with K_source = pullback(K_target) + sum a_C C."""
@@ -280,11 +277,11 @@ class DiscrepancyTable:
 
 @dataclass(frozen=True)
 class SingularityClassification:
-    """Finest singularity label plus the membership ladder it sits in.
+    """Finest singularity label of a pair, with its klt membership.
 
     ``classification`` is the finest class (terminal < canonical < klt < plt
-    < lc); the ``is_*`` properties give the coarser memberships, e.g. a
-    crepant contraction is canonical, hence also klt.
+    < lc); ``is_klt`` is the coarser membership, e.g. a crepant contraction
+    is canonical, hence also klt.
     """
 
     classification: str
@@ -294,24 +291,8 @@ class SingularityClassification:
     certificate: str
 
     @property
-    def is_terminal(self) -> bool:
-        return self.min_discrepancy > 0
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.min_discrepancy >= 0
-
-    @property
-    def is_plt(self) -> bool:
-        return self.min_discrepancy > -1
-
-    @property
     def is_klt(self) -> bool:
-        return self.is_plt and self.boundary_floor_zero
-
-    @property
-    def is_lc(self) -> bool:
-        return self.min_discrepancy >= -1
+        return self.min_discrepancy > -1 and self.boundary_floor_zero
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,7 +30,6 @@ from .qlattice import (
     NamedDivisor,
     class_of,
     format_rat,
-    intersect,
 )
 
 MIN_D = 3  # below this Gamma^2 >= 0 and the contraction of Gamma is unavailable
@@ -152,13 +151,10 @@ class KMSurface:
             + [f"lp_{i}" for i in range(1, self.d + 1)]
         )
 
-    def class_vector(self, name: str) -> ClassVector:
-        return self.registry.class_vector(name)
-
     def pairing(self, a: str, b: str):
-        return intersect(
-            self.lattice, self.class_vector(a), self.class_vector(b)
-        )
+        row = self.registry.pairing_row(a)
+        self.registry.pairing_row(b)  # an unknown name on either side raises
+        return row.get(b, Fraction(0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,6 +251,10 @@ def km_sanity(s: KMSurface) -> SanityReport:
     (c) E_i.Gamma = E_i.l_i = E_i.lp_i = 1
     (d) -K = Gamma + F
     (e) Gamma.F = 2
+
+    (a) and (d) are class identities, compared as dense class vectors; (b),
+    (c) and (e) read the registry's named pairing table, so (b) costs one
+    table row per exceptional curve.
     """
     items: list[SanityItem] = []
     lat, reg = s.lattice, s.registry
@@ -271,12 +271,12 @@ def km_sanity(s: KMSurface) -> SanityReport:
         SanityItem("fibre_decomposition", ok, "F = 2E_i + l_i + lp_i for all i")
     )
 
-    exceptional = s.exceptional_names()
-    ok = True
-    for a_idx, a in enumerate(exceptional):
-        for b in exceptional[a_idx + 1 :]:
-            if s.pairing(a, b) != 0:
-                ok = False
+    exceptional = set(s.exceptional_names())
+    ok = all(
+        other == a or other not in exceptional
+        for a in exceptional
+        for other in reg.pairing_row(a)
+    )
     items.append(
         SanityItem(
             "exceptional_orthogonal",

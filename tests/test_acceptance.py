@@ -136,7 +136,7 @@ def _ledger_models(d_max: int):
 
 def test_criterion_05_threefold_ledger_identities():
     ok = True
-    for model in _ledger_models(12):
+    for model in _ledger_models(20):
         d = model.d
         for i in range(1, d + 1):
             for j in range(1, d + 1):
@@ -151,7 +151,7 @@ def test_criterion_05_threefold_ledger_identities():
         adj = adjunction_consistency(model)
         ok &= adj.all_pass
         ok &= len(adj.checks) == 2 * d + len(model.psi.contracted)
-    report(5, "threefold ledger identities, exhaustive for d <= 12", ok)
+    report(5, "threefold ledger identities, exhaustive for d <= 20", ok)
 
 
 def test_criterion_06_resolution_ledger():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit.cohom import (
     ChiMismatchError,
@@ -142,6 +144,25 @@ def test_h0_rule_on_trivial_divisor_is_unknown():
 
 def test_h0_rule_on_negative_curve():
     assert h0_zero_by_degree(PSI5, NamedDivisor.of({"E_1": -1})) == CohStatus.zero()
+
+
+@given(st.sampled_from((3, 5, 8)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_degree_zero_divisors_pull_back_to_zero(d, data):
+    # the dense pullback class is the oracle for the rank-one argument behind
+    # h0_zero_by_degree: degree zero on T(d) forces a trivial pullback
+    psi = target_context(d)
+    names = [f"E_{i}" for i in range(1, d + 1)] + ["F"]
+    coeffs = data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names))
+    )
+    D = NamedDivisor.of(zip(names, coeffs))
+    # move the degree onto E_1 so that D has degree zero
+    e_1 = NamedDivisor.of({"E_1": 1})
+    D = D - e_1.scale(psi.degree(D) / psi.degree(e_1))
+    assert psi.degree(D) == 0
+    assert psi.pullback_class(D).is_zero()
+    assert h0_zero_by_degree(psi, D) == CohStatus.unknown()
 
 
 # --- pair-shift rewriting -------------------------------------------------------

@@ -16,7 +16,7 @@ from conekit.cone3fold import (
     section_numbers,
     validate_assumption_a,
 )
-from conekit.qlattice import NamedDivisor
+from conekit.qlattice import NamedDivisor, class_of, intersect
 
 
 def plt_model(d: int, q: int) -> ConeModel:
@@ -223,6 +223,37 @@ def test_adjunction_consistency_plt_and_fano():
         report = adjunction_consistency(model)
         assert report.all_pass, report.failures()
         assert len(report.checks) == 2 * model.d + len(model.psi.contracted)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: plt_model(25, 3), lambda: plt_model(45, 3), lambda: fano_model(8)],
+    ids=["plt-25-3", "plt-45-3", "fano-8"],
+)
+def test_ledger_pairings_match_dense_route(build):
+    # the ledger reads the named pairing table; the dense class vectors of the
+    # pulled-back divisors are the oracle
+    model = build()
+    psi, reg = model.psi, model.surface.registry
+    lat = reg.lattice
+
+    def dense(D, name):
+        return intersect(lat, psi.pullback_class(D), reg.class_vector(name))
+
+    for i in range(1, model.d + 1):
+        e_i = NamedDivisor.of({f"E_{i}": 1})
+        assert model.polarization_dot_e(i) == dense(model.polarization, f"E_{i}")
+        assert section_numbers(model, i, i).e_y_dot_f_e == dense(e_i, f"E_{i}")
+    for name in psi.contracted:
+        cls = reg.class_vector(name)
+        assert model.curve_square(name) == intersect(lat, cls, cls)
+    boundary = NamedDivisor.of({n: Fraction(m - 1, m) for n, m in model.mc.items()})
+    adjoint = lat.canonical + class_of(reg, boundary)
+    report = adjunction_consistency(model)
+    assert len(report.checks) == 2 * model.d + len(psi.contracted)
+    for check in report.checks:
+        curve = check.name.split(":")[1].split("^")[0]
+        assert check.rhs == intersect(lat, adjoint, reg.class_vector(curve))
 
 
 def test_picard_chain_values():

@@ -1,9 +1,10 @@
 import json
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conekit.km_surface import build_km_surface, km_sanity
-from conekit.qlattice import intersect
+from conekit.km_surface import KMSurface, build_km_surface, km_sanity
+from conekit.qlattice import CurveRegistry, UnknownCurveError, intersect
 
 
 def test_rank_and_gamma_square_d5():
@@ -58,3 +59,60 @@ def test_registry_names():
     for i in range(1, 5):
         expected |= {f"E_{i}", f"l_{i}", f"lp_{i}"}
     assert names == expected
+
+
+def _dense_sanity(s):
+    """km_sanity's items recomputed from dense class vectors, all pairs."""
+    lat, cls = s.lattice, s.registry.class_vector
+    idx = range(1, s.d + 1)
+
+    def dot(a, b):
+        return intersect(lat, cls(a), cls(b))
+
+    return {
+        "fibre_decomposition": all(
+            2 * cls(f"E_{i}") + cls(f"l_{i}") + cls(f"lp_{i}") == cls("F")
+            for i in idx
+        ),
+        "exceptional_orthogonal": all(
+            dot(a, b) == 0 for a, b in combinations(s.exceptional_names(), 2)
+        ),
+        "minus_one_meets": all(
+            dot(f"E_{i}", other) == 1
+            for i in idx
+            for other in ("Gamma", f"l_{i}", f"lp_{i}")
+        ),
+        "anticanonical": cls("Gamma") + cls("F") == -lat.canonical,
+        "gamma_dot_fibre": dot("Gamma", "F") == 2,
+    }
+
+
+def _with_lp1_moved(s):
+    """S(d) with lp_1 re-registered as lp_1 + E_1, which breaks the fibre
+    decomposition, the orthogonality and the meets of E_1."""
+    reg = s.registry
+    entries = dict(reg.entries)
+    entries["lp_1"] = entries["lp_1"] + entries["E_1"]
+    return KMSurface(s.d, s.lattice, CurveRegistry.of(s.lattice, entries))
+
+
+@pytest.mark.parametrize("d", (3, 5, 8))
+@pytest.mark.parametrize("moved", (False, True), ids=("surface", "lp1-moved"))
+def test_sanity_matches_dense_all_pairs(d, moved):
+    s = build_km_surface(d)
+    if moved:
+        s = _with_lp1_moved(s)
+    report = km_sanity(s)
+    assert {item.name: item.passed for item in report.items} == _dense_sanity(s)
+    assert report.all_pass != moved
+    for a, b in combinations_with_replacement(s.curve_names(), 2):
+        assert s.pairing(a, b) == intersect(
+            s.lattice, s.registry.class_vector(a), s.registry.class_vector(b)
+        )
+
+
+def test_pairing_unknown_name_raises_on_either_side():
+    s = build_km_surface(5)
+    for a, b in (("X", "Gamma"), ("Gamma", "X"), ("X", "Y")):
+        with pytest.raises(UnknownCurveError, match="unknown curve name: 'X'"):
+            s.pairing(a, b)

@@ -100,3 +100,13 @@ def test_deterministic_call_counts():
     assert calls["qlattice.intersect"] == 17
     calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
     assert calls.get("qlattice.class_of", 0) == 0
+    # the cone ledger, the surface sanity check and the discrepancy solve read
+    # the pairing table; the only dense pairings left are the K.C column
+    calls = _traced_calls(["cone", "--d", "5", "--q", "3", "--ledger", "adjunction"])
+    assert calls.get("qlattice.intersect", 0) == 17
+    assert calls.get("qlattice.class_of", 0) == 0
+    assert calls.get("contract.pullback_class", 0) == 0
+    calls = _traced_calls(["km-surface", "--d", "5", "--check"])
+    assert calls.get("qlattice.intersect", 0) == 0
+    calls = _traced_calls(["verify", "plt", "--d", "5", "--q", "3"])
+    assert calls.get("contract.pullback_class", 0) == 0

@@ -155,21 +155,21 @@ def _oracle_negative_definite(lat, subset):
 
 
 def test_exceptional_set_negative_definite():
-    subset = [S5.class_vector(n) for n in S5.exceptional_names()]
+    subset = [S5.registry.class_vector(n) for n in S5.exceptional_names()]
     assert is_negative_definite(S5.lattice, subset)
     assert _oracle_negative_definite(S5.lattice, subset)
 
 
 def test_fibre_not_negative_definite():
-    assert not is_negative_definite(S5.lattice, [S5.class_vector("F")])
+    assert not is_negative_definite(S5.lattice, [S5.registry.class_vector("F")])
 
 
 def test_minus_one_curve_negative_definite():
-    assert is_negative_definite(S5.lattice, [S5.class_vector("E_1")])
+    assert is_negative_definite(S5.lattice, [S5.registry.class_vector("E_1")])
 
 
 def test_dependent_subset_reported():
-    gamma = S5.class_vector("Gamma")
+    gamma = S5.registry.class_vector("Gamma")
     with pytest.raises(DependentSubsetError):
         is_negative_definite(S5.lattice, [gamma, gamma.scale(2)])
 
@@ -177,7 +177,7 @@ def test_dependent_subset_reported():
 @given(st.lists(st.sampled_from(S5.exceptional_names()), min_size=1, max_size=6, unique=True))
 @settings(max_examples=40)
 def test_negative_definite_matches_ldl_oracle(names):
-    subset = [S5.class_vector(n) for n in names]
+    subset = [S5.registry.class_vector(n) for n in names]
     assert is_negative_definite(S5.lattice, subset) == _oracle_negative_definite(
         S5.lattice, subset
     )
@@ -338,7 +338,7 @@ def test_singular_fibre_class():
         combo = class_of(
             S5.registry, NamedDivisor.of({f"E_{i}": 2, f"l_{i}": 1, f"lp_{i}": 1})
         )
-        assert combo == S5.class_vector("F")
+        assert combo == S5.registry.class_vector("F")
 
 
 def test_empty_divisor_class_is_zero():
