@@ -15,9 +15,11 @@ polarization: each contracted curve must carry fractional coefficient 0
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import ceil, gcd, lcm
 
 from .contract import Contraction
 from .km_surface import KMSurface
@@ -480,22 +482,48 @@ def picard_chain(model: ConeModel) -> PicardChain:
     return PicardChain(rho_s, rho_t, rho_x, rho_y, rho_z)
 
 
+# A schedule longer than this is refused before its first step: at this size
+# its JSON trace is already 125 to 180 MB (one to four multiplicities).
+KVV_MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class KvvStep:
-    j: int
-    mu: Rat
-    chosen: int  # 1-based index of the divisor whose coefficient reached one
-    lam: Rat
-    delta: tuple[Rat, ...]
+    """One schedule step; its rationals are integer numerators over ``den``,
+    the denominator every step of the trace shares."""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "mu": format_rat(self.mu),
-            "chosen": self.chosen,
-            "lambda": format_rat(self.lam),
-            "delta": [format_rat(x) for x in self.delta],
-        }
+    j: int
+    chosen: int  # 1-based index of the divisor whose coefficient reached one
+    den: int
+    mu_num: int
+    lam_num: int
+    delta_num: tuple[int, ...]
+
+    @property
+    def mu(self) -> Rat:
+        return Fraction(self.mu_num, self.den)
+
+    @property
+    def lam(self) -> Rat:
+        return Fraction(self.lam_num, self.den)
+
+    @property
+    def delta(self) -> tuple[Rat, ...]:
+        return tuple(Fraction(x, self.den) for x in self.delta_num)
+
+
+class _RatText(dict):
+    """``format_rat(n / den)`` keyed on the numerator n, each rendered once."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, n: int) -> str:
+        g = gcd(n, self.den)
+        text = str(n // g) if g == self.den else f"{n // g}/{self.den // g}"
+        self[n] = text
+        return text
 
 
 @dataclass(frozen=True)
@@ -503,6 +531,7 @@ class KvvTrace:
     multiplicities: tuple[int, ...]
     delta0: tuple[Rat, ...]
     target: Rat
+    den: int
     steps: tuple[KvvStep, ...]
 
     @property
@@ -510,11 +539,21 @@ class KvvTrace:
         return self.steps[-1].lam if self.steps else Fraction(0)
 
     def to_json_dict(self) -> dict:
+        text = _RatText(self.den)
         return {
             "multiplicities": list(self.multiplicities),
             "delta0": [format_rat(x) for x in self.delta0],
             "target": format_rat(self.target),
-            "steps": [s.to_json_dict() for s in self.steps],
+            "steps": [
+                {
+                    "j": s.j,
+                    "mu": text[s.mu_num],
+                    "chosen": s.chosen,
+                    "lambda": text[s.lam_num],
+                    "delta": [text[x] for x in s.delta_num],
+                }
+                for s in self.steps
+            ],
         }
 
 
@@ -530,40 +569,57 @@ def kvv_schedule(
     the lowest index), then drop that coefficient by one and advance lambda
     by mu_j.  lambda diverges (each index recurs, contributing 1/e_i between
     recurrences), so any target is reached in finitely many steps.
+
+    Computed in closed form: index i reaches 1 at lambda = (k - delta_i)/e_i
+    for k >= 1, so the steps are a merge of these progressions, taken in
+    integer numerators over D = lcm(e_i * den(delta_i)) by a heap keyed on
+    (numerator, index).  After a step at lambda = N/D, coefficient j has
+    numerator delta_j*D + e_j*N - (times j has fired)*D.  The steps are those
+    at lambda below the target and the first at or above it, so their number,
+    1 + sum_i (ceil(target*e_i + delta_i) - 1) for a positive target, is
+    checked against ``KVV_MAX_STEPS`` before the first step.
     """
-    e = tuple(int(x) for x in multiplicities)
-    if not e or any(x < 1 for x in e):
+    e = tuple(multiplicities)
+    if not e or not all(isinstance(x, int) and x >= 1 for x in e):
         raise ConeError(f"multiplicities must be positive integers: {e}")
-    delta = [Fraction(x) for x in delta0]
+    delta = tuple(Fraction(x) for x in delta0)
     if len(delta) != len(e):
         raise ConeError("delta0 and multiplicities must have equal length")
     if any(x < 0 or x >= 1 for x in delta):
-        raise ConeError(f"initial coefficients must lie in [0,1): {delta}")
+        raise ConeError(f"initial coefficients must lie in [0,1): {list(delta)}")
     target = Fraction(lambda_target)
     if target < 0:
         raise ConeError(f"target must be nonnegative: {target}")
+    count = 0
+    if target:
+        count = 1 + sum(ceil(target * ev + dv) - 1 for ev, dv in zip(e, delta))
+    if count > KVV_MAX_STEPS:
+        raise ConeError(
+            f"schedule needs {count} steps, above the limit of {KVV_MAX_STEPS}"
+        )
 
-    lam = Fraction(0)
+    den = lcm(*(ev * dv.denominator for ev, dv in zip(e, delta)))
+    start = [dv.numerator * (den // dv.denominator) for dv in delta]
+    period = [den // ev for ev in e]
+    heap = [((den - s) // ev, i) for i, (s, ev) in enumerate(zip(start, e))]
+    heapq.heapify(heap)
+    stop = ceil(target * den)  # lambda < target  <=>  numerator < stop
+    fired = [0] * len(e)
     steps: list[KvvStep] = []
-    j = 0
-    while lam < target:
-        mu = min((1 - dv) / ev for dv, ev in zip(delta, e))
-        chosen = next(
-            idx for idx, (dv, ev) in enumerate(zip(delta, e))
-            if (1 - dv) / ev == mu
-        )
-        delta = [dv + mu * ev for dv, ev in zip(delta, e)]
-        if any(dv < 0 or dv > 1 for dv in delta):
-            raise ConeError(f"coefficient left [0,1] at step {j}: {delta}")
-        delta[chosen] -= 1
-        lam += mu
-        steps.append(
-            KvvStep(j=j, mu=mu, chosen=chosen + 1, lam=lam, delta=tuple(delta))
-        )
-        j += 1
+    lam = 0
+    while lam < stop:
+        n, i = heap[0]
+        heapq.heapreplace(heap, (n + period[i], i))
+        raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
+        if not all(0 <= x <= den for x in raised):
+            raised = [Fraction(x, den) for x in raised]
+            raise ConeError(f"coefficient left [0,1] at step {len(steps)}: {raised}")
+        raised[i] -= den
+        fired[i] += 1
+        steps.append(KvvStep(len(steps), i + 1, den, n - lam, n, tuple(raised)))
+        lam = n
+    if len(steps) != count:
+        raise ConeError(f"schedule took {len(steps)} steps, its closed form {count}")
     return KvvTrace(
-        multiplicities=e,
-        delta0=tuple(Fraction(x) for x in delta0),
-        target=target,
-        steps=tuple(steps),
+        multiplicities=e, delta0=delta, target=target, den=den, steps=tuple(steps)
     )

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 Rat = Fraction
 
@@ -310,7 +310,7 @@ class NamedDivisor:
     def zero() -> "NamedDivisor":
         return NamedDivisor(())
 
-    @property
+    @cached_property
     def terms(self) -> dict[str, Rat]:
         return dict(self.entries)
 
@@ -457,6 +457,12 @@ class CurveRegistry:
         """The nonzero C.C' of the named curve C, keyed by the name of C'."""
         return self._lookup(self._pairing_rows, name)
 
+    def check_names(self, names: KeysView[str]) -> None:
+        """Raise on the first of ``names`` the registry does not know."""
+        known = self._pairing_rows
+        if not names <= known.keys():
+            self._lookup(known, next(n for n in names if n not in known))
+
     def canonical_dot(self, name: str) -> Rat:
         """K.C for the named curve C."""
         return self._lookup(self._canonical_dots, name)
@@ -478,9 +484,8 @@ def pair(registry: CurveRegistry, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
     raises as in :func:`class_of`.
     """
     rows = [(c, registry.pairing_row(name)) for name, c in D1.entries]
-    for name, _ in D2.entries:
-        registry.pairing_row(name)
     coeffs = D2.terms
+    registry.check_names(coeffs.keys())
     total = Fraction(0)
     for c, row in rows:
         for name, x in row.items():

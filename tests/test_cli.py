@@ -9,6 +9,7 @@ import argparse
 import pytest
 
 from conekit.cli import build_parser, main, parse_divisor
+from conekit.cone3fold import KVV_MAX_STEPS
 from conekit.qlattice import NamedDivisor
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -145,6 +146,16 @@ def test_usage_error_exit_code_from_preconditions():
     assert code == 2
     code, _ = run_cli(["cone", "--d", "6", "--q", "4"])  # unit-fraction failure
     assert code == 2
+
+
+def test_kvv_schedule_over_the_step_budget_is_a_usage_error(capsys):
+    assert main(["kvv-schedule", "--e", "1", "--target", "10000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: schedule needs 10000000 steps, above the limit of "
+        f"{KVV_MAX_STEPS}\n"
+    )
 
 
 def test_argparse_usage_error():

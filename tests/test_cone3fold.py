@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from conekit.cohom import FamilyDescriptor, family_divisor, target_context
+from conekit import cone3fold
 from conekit.cone3fold import (
+    KVV_MAX_STEPS,
     AssumptionError,
     ConeError,
     ConeModel,
@@ -16,7 +19,7 @@ from conekit.cone3fold import (
     section_numbers,
     validate_assumption_a,
 )
-from conekit.qlattice import NamedDivisor, class_of, intersect
+from conekit.qlattice import NamedDivisor, class_of, format_rat, intersect
 
 
 def plt_model(d: int, q: int) -> ConeModel:
@@ -331,6 +334,26 @@ def test_schedule_rejects_bad_inputs():
         kvv_schedule([1], [1], 1)
     with pytest.raises(ConeError):
         kvv_schedule([1, 2], [0], 1)
+    # a non-integral multiplicity is refused, not truncated to an integer
+    for e in ([Fraction(3, 2)], [1.5], [2, Fraction(7, 3)]):
+        with pytest.raises(ConeError, match="multiplicities must be positive integers"):
+            kvv_schedule(e, [0] * len(e), 1)
+
+
+def test_schedule_refuses_an_over_budget_request_before_its_first_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step was built")
+
+    monkeypatch.setattr(cone3fold, "KvvStep", no_step)
+    # e = (1,) and target T take 1 + (ceil(T) - 1) = T steps
+    with pytest.raises(ConeError) as err:
+        kvv_schedule([1], [0], KVV_MAX_STEPS + 1)
+    assert str(err.value) == (
+        f"schedule needs {KVV_MAX_STEPS + 1} steps, above the limit of {KVV_MAX_STEPS}"
+    )
+    # at the limit the request is accepted and runs
+    with pytest.raises(AssertionError, match="a step was built"):
+        kvv_schedule([1], [0], KVV_MAX_STEPS)
 
 
 def test_schedule_tiny_first_step_still_diverges():
@@ -363,3 +386,81 @@ def test_schedule_invariants_on_random_inputs(e, data):
         lam = s.lam
         assert all(0 <= x <= 1 for x in s.delta)
         assert s.delta[s.chosen - 1] == 0  # the chosen coefficient resets
+
+
+# --- schedule oracle ------------------------------------------------------------
+
+
+def _stepwise_schedule(e, delta0, target):
+    """The schedule by direct iteration in ``Fraction``s, independent of the
+    closed form: raise every coefficient at rate e_i until one reaches 1 (the
+    lowest index on ties), drop it by one, and stop once lambda >= target.
+    Returns the (mu, chosen, lambda, delta) of every step."""
+    delta = [Fraction(x) for x in delta0]
+    lam = Fraction(0)
+    steps = []
+    while lam < target:
+        mu = min((1 - dv) / ev for dv, ev in zip(delta, e))
+        chosen = next(
+            idx for idx, (dv, ev) in enumerate(zip(delta, e)) if (1 - dv) / ev == mu
+        )
+        delta = [dv + mu * ev for dv, ev in zip(delta, e)]
+        assert all(0 <= dv <= 1 for dv in delta)
+        delta[chosen] -= 1
+        lam += mu
+        steps.append((mu, chosen + 1, lam, tuple(delta)))
+    return steps
+
+
+def _stepwise_json(e, delta0, target, steps):
+    return {
+        "multiplicities": list(e),
+        "delta0": [format_rat(Fraction(x)) for x in delta0],
+        "target": format_rat(target),
+        "steps": [
+            {
+                "j": j,
+                "mu": format_rat(mu),
+                "chosen": chosen,
+                "lambda": format_rat(lam),
+                "delta": [format_rat(x) for x in delta],
+            }
+            for j, (mu, chosen, lam, delta) in enumerate(steps)
+        ],
+    }
+
+
+def _closed_form_count(e, delta0, target):
+    if target == 0:
+        return 0
+    return 1 + sum(ceil(target * ev + Fraction(dv)) - 1 for ev, dv in zip(e, delta0))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=13), min_size=1, max_size=5),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_schedule_matches_stepwise_oracle(e, data):
+    # small denominators make coefficients reach 1 together (mu = 0 steps)
+    delta0 = []
+    for _ in e:
+        p = data.draw(st.integers(min_value=1, max_value=6))
+        delta0.append(Fraction(data.draw(st.integers(min_value=0, max_value=p - 1)), p))
+    target = data.draw(
+        st.fractions(min_value=0, max_value=12, max_denominator=6), label="target"
+    )
+    trace = kvv_schedule(e, delta0, target)
+    expected = _stepwise_schedule(e, delta0, target)
+    assert [(s.mu, s.chosen, s.lam, s.delta) for s in trace.steps] == expected
+    assert trace.to_json_dict() == _stepwise_json(e, delta0, target, expected)
+    assert len(trace.steps) == _closed_form_count(e, delta0, target)
+
+
+def test_schedule_step_count_is_the_closed_form():
+    # the golden request: 1 + (ceil(3*1) - 1) + (ceil(3*2) - 1)
+    assert len(kvv_schedule([1, 2], [0, 0], 3).steps) == 8
+    assert len(kvv_schedule([1], [0], 0).steps) == 0
+    e, delta0 = [9, 9, 12, 6], [Fraction(2, 5), Fraction(1, 3), Fraction(4, 5), Fraction(4, 5)]
+    trace = kvv_schedule(e, delta0, 7)
+    assert len(trace.steps) == _closed_form_count(e, delta0, 7)

@@ -110,3 +110,22 @@ def test_deterministic_call_counts():
     assert calls.get("qlattice.intersect", 0) == 0
     calls = _traced_calls(["verify", "plt", "--d", "5", "--q", "3"])
     assert calls.get("contract.pullback_class", 0) == 0
+
+
+def test_traced_schedule_counts_its_closed_form_steps():
+    # the benchmark's cone3fold.kvv_schedule.steps metric is the length of the
+    # traced call's result; 8 is the closed-form count
+    # 1 + (ceil(3*1) - 1) + (ceil(3*2) - 1) of this request
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.start_request(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = conekit.cli.main(
+                ["kvv-schedule", "--e", "1,2", "--delta", "0,0", "--target", "3"]
+            )
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert tracer.totals()["cone3fold.kvv_schedule"][0] == 1
+    assert tracer.kvv_steps == 8

@@ -427,6 +427,24 @@ def test_pair_matches_dense_route_on_random_lattices(case):
     _check_pair_against_dense_route(*case)
 
 
+@pytest.mark.parametrize(
+    "d1,d2",
+    [
+        ({"X_9": 1}, {"E_1": 1}),
+        ({"E_1": 1}, {"X_9": 1}),
+        ({"E_1": 1, "Gamma": 2}, {"Gamma": 1, "X_9": 1, "l_1": 1, "Y_9": 1}),
+        ({"X_9": 1}, {"Y_9": 1}),
+    ],
+    ids=["left", "right", "right-among-known", "both"],
+)
+def test_pair_rejects_an_unknown_name_on_either_side(d1, d2):
+    # the first unknown name is reported, left divisor before right
+    D1, D2 = NamedDivisor.of(d1), NamedDivisor.of(d2)
+    with pytest.raises(UnknownCurveError) as err:
+        pair(S5.registry, D1, D2)
+    assert str(err.value) == "unknown curve name: 'X_9'"
+
+
 def test_pairing_rows_keep_only_nonzero_entries():
     reg = SURFACES[5].registry
     for name in reg.names():
