@@ -293,7 +293,10 @@ def cmd_cone(args) -> int:
 
 
 def cmd_kvv_schedule(args) -> int:
-    e = [int(x) for x in args.e.split(",") if x]
+    try:
+        e = [int(x) for x in args.e.split(",") if x]
+    except ValueError:
+        raise ValueError(f"multiplicities must be positive integers: {args.e}")
     delta = (
         [Fraction(x) for x in args.delta.split(",") if x]
         if args.delta

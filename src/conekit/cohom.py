@@ -17,7 +17,7 @@ certified lower bound, or ``Unknown``.  The rules implemented are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
@@ -310,36 +310,13 @@ def effective_ample_rewrite(
     return NamedDivisor.of(rep)
 
 
-@dataclass(frozen=True)
-class VanishingCertificate:
-    """Record of one application of the effective-nef-big vanishing rule.
-
-    Certifies h1(-D) = 0 and h1(K + D) = 0 for the input divisor D, which was
-    rewritten to the stated effective representative and has positive degree.
-    """
-
-    divisor: NamedDivisor
-    effective_representative: NamedDivisor
-    degree: Rat
-    tokens: tuple[str, ...] = field(
-        default=("rewrite:pair-shifts", "h1:vanishing-effective-nef-big")
-    )
-
-
-def h1_vanish_eff_nef_big(
-    psi: Contraction, D: NamedDivisor
-) -> VanishingCertificate | None:
+def h1_vanish_eff_nef_big(psi: Contraction, D: NamedDivisor) -> bool:
     """Vanishing rule for divisors with an effective representative and
-    positive degree: h1(-D) = 0 and h1(K+D) = 0.  None when not applicable."""
+    positive degree: True when it certifies h1(-D) = 0 and h1(K+D) = 0,
+    through the pair-shift rewrite and the vanishing for effective nef and
+    big divisors."""
     rep = effective_ample_rewrite(psi, D)
-    if rep is None or rep.is_zero():
-        return None
-    deg = psi.degree(D)
-    if deg <= 0:
-        return None
-    return VanishingCertificate(
-        divisor=D, effective_representative=rep, degree=deg
-    )
+    return rep is not None and not rep.is_zero() and psi.degree(D) > 0
 
 
 def _minus_k_as_e(d: int) -> NamedDivisor:
@@ -429,12 +406,14 @@ def cohomology_of_nA(
 
     h1 = CohStatus.unknown()
     shifted = divisor + _minus_k_as_e(fam.d)  # divisor - K, with -K ~ 2 E_d
-    cert = h1_vanish_eff_nef_big(psi, shifted)
-    if cert is not None:
+    if h1_vanish_eff_nef_big(psi, shifted):
         # h1(K + (divisor - K)) = h1(divisor) = 0
         h1 = CohStatus.zero()
-        certs.extend(cert.tokens)
-        certs.append("h1:applied-to-divisor-minus-canonical")
+        certs += [
+            "rewrite:pair-shifts",
+            "h1:vanishing-effective-nef-big",
+            "h1:applied-to-divisor-minus-canonical",
+        ]
 
     dual = serre_dual(psi, divisor)
     h2 = h0_zero_by_degree(psi, dual)
@@ -494,19 +473,19 @@ def uniform_h1_chain_zero(
 
 
 def uniform_h2_chain_zero(
-    fam: FamilyDescriptor, subtract: int
+    fam: FamilyDescriptor, at_zero: CohomReport
 ) -> UniformChainCertificate:
-    """Certify h2(nA - E_subtract) = 0 uniformly for all n >= 0.
+    """Certify h2(nA - E) = 0 uniformly for all n >= 0, given the report
+    ``at_zero = cohomology_of_nA(fam, 0, subtract=j)`` the caller already
+    holds, E = E_j.
 
     The Serre dual K - nA + E has degree strictly decreasing in n (the family
-    divisor has positive degree), so a negative degree at n = 0 certifies
-    every larger n.
+    divisor has positive degree), so the negative degree that certifies
+    h2(-E) = 0 at n = 0 certifies every larger n.
     """
-    psi = target_context(fam.d)
-    if psi.degree(family_divisor(fam)) <= 0:
+    if target_context(fam.d).degree(family_divisor(fam)) <= 0:
         return UniformChainCertificate(("coverage:family-not-ample",), holds=False)
-    status = h0_zero_by_degree(psi, serre_dual(psi, _minus_e(fam.d, subtract)))
-    holds = status.is_exact_zero
+    holds = at_zero.h2.is_exact_zero
     tokens = (
         ("h2:duality+negative-degree", "uniform:degree-strictly-decreasing")
         if holds

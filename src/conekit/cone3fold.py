@@ -108,13 +108,20 @@ class ConeModel:
     def curve_square(self, name: str) -> Rat:
         return self.surface.registry.pairing_row(name).get(name, Fraction(0))
 
+    @cached_property
+    def _dot_e_memo(self) -> dict[int, Rat]:
+        return {}
+
     def polarization_dot_e(self, i: int) -> Rat:
-        """pullback(A) . E_i on the source surface."""
-        return pair(
-            self.surface.registry,
-            NamedDivisor.of({f"E_{i}": 1}),
-            self.psi.pullback(self.polarization),
-        )
+        """pullback(A) . E_i on the source surface, paired once per i."""
+        memo = self._dot_e_memo
+        if i not in memo:
+            memo[i] = pair(
+                self.surface.registry,
+                NamedDivisor.of({f"E_{i}": 1}),
+                self.psi.pullback(self.polarization),
+            )
+        return memo[i]
 
     @cached_property
     def crepant_coefficients(self) -> dict[str, Rat]:
@@ -192,7 +199,6 @@ class SectionRecord:
     s_minus_dot_e_minus_j: Rat
     k_x_dot_e_plus: Rat
     k_x_dot_e_minus: Rat
-    crepant_sum: Rat  # (sum c_C R_C) . E_i^{+/-}
     k_y_dot_f_e_plus: Rat
     k_y_dot_f_e_minus: Rat
     e_y_dot_f_e: Rat  # E_i^Y . f(E_j^{+/-}), expected 1/(2d-4)
@@ -276,7 +282,6 @@ def section_numbers(model: ConeModel, i: int, j: int) -> SectionRecord:
         s_minus_dot_e_minus_j=-a_dot_ej,
         k_x_dot_e_plus=k_x_plus,
         k_x_dot_e_minus=k_x_minus,
-        crepant_sum=crepant_sum,
         k_y_dot_f_e_plus=k_y_plus,
         k_y_dot_f_e_minus=k_y_minus,
         e_y_dot_f_e=e_y_dot,
@@ -395,9 +400,6 @@ class AdjunctionReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[AdjunctionCheck]:
-        return [c for c in self.checks if not c.passed]
 
     def to_json_dict(self) -> dict:
         return {
@@ -533,10 +535,6 @@ class KvvTrace:
     target: Rat
     den: int
     steps: tuple[KvvStep, ...]
-
-    @property
-    def final_lambda(self) -> Rat:
-        return self.steps[-1].lam if self.steps else Fraction(0)
 
     def to_json_dict(self) -> dict:
         text = _RatText(self.den)

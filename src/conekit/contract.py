@@ -152,16 +152,8 @@ class Contraction:
         """Drop the contracted-curve terms."""
         return D.drop(self.contracted)
 
-    @cached_property
-    def _pullback_class_memo(self) -> dict:
-        return {}
-
     def pullback_class(self, D: NamedDivisor) -> ClassVector:
-        memo = self._pullback_class_memo
-        hit = memo.get(D)
-        if hit is None:
-            hit = memo[D] = class_of(self.registry, self.pullback(D))
-        return hit
+        return class_of(self.registry, self.pullback(D))
 
     def target_intersect(self, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
         """Intersection number on the target, computed as pullback . pullback."""

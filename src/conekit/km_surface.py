@@ -140,9 +140,6 @@ class KMSurface:
         """K expressed in registered curves: K = -(Gamma + F)."""
         return NamedDivisor.of({"Gamma": -1, "F": -1})
 
-    def curve_names(self) -> tuple[str, ...]:
-        return self.registry.names()
-
     def exceptional_names(self) -> tuple[str, ...]:
         """The 2d+1 curves contracted by the map to the rank-one surface."""
         return tuple(

@@ -65,10 +65,6 @@ def format_rat(x: Rat) -> str:
     return str(Fraction(x))
 
 
-def parse_rat(text: str) -> Rat:
-    return Fraction(text.strip())
-
-
 _NAME_SPLIT = re.compile(r"(\d+)")
 
 

@@ -1,13 +1,14 @@
 """End-to-end verifiers for the two counterexample families, plus the sweep.
 
-Each verifier assembles a report whose every numerical claim is a
-:class:`Certificate` carrying the rule that produced it and a provenance
-marker (``derived:*`` for numbers computed here, ``cited:*`` for the few
-facts consumed as external citations rather than recomputed).  Every
-certificate is built by :func:`_certify`, the one place a value is rendered
-to text.  The verdict logic is pure boolean combination of certified
-entries: if any entry needed by the verdict is Unknown, the verdict is None,
-never guessed.
+Each verifier returns a :class:`Report`, which holds exactly what it
+prints: the scenario, its parameters, the certificates and the verdict.
+Every numerical claim is a :class:`Certificate` carrying the rule that
+produced it and a provenance marker (``derived:*`` for numbers computed
+here, ``cited:*`` for the few facts consumed as external citations rather
+than recomputed).  Every certificate is built by :func:`_certify`, the one
+place a value is rendered to text.  The verdict is computed inline from the
+values just certified, as a pure boolean combination: if any entry it needs
+is Unknown, the verdict is None, never guessed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cohom import (
-    CohomReport,
     FamilyDescriptor,
     cohomology_of_nA,
     family_divisor,
@@ -25,13 +25,8 @@ from .cohom import (
     uniform_h1_chain_zero,
     uniform_h2_chain_zero,
 )
-from .cone3fold import (
-    ConeModel,
-    PicardChain,
-    picard_chain,
-    plt_coefficient_b,
-)
-from .qlattice import Rat, curve_sort_key
+from .cone3fold import ConeModel, picard_chain, plt_coefficient_b
+from .qlattice import curve_sort_key
 
 
 class ScenarioError(ValueError):
@@ -73,64 +68,41 @@ def _certify(
     certs.append(Certificate(claim, text, rule, provenance))
 
 
-def _certify_m_table(
-    model: ConeModel, certs: list[Certificate]
-) -> tuple[tuple[str, int], ...]:
+def _certify_m_table(model: ConeModel, certs: list[Certificate]) -> None:
     """The multiplicities m(C) in curve order, one certificate each."""
-    m_table = tuple(sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])))
-    for name, m in m_table:
+    for name, m in sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])):
         _certify(
             certs, f"m({name})", m,
             "unit-fraction-extraction", "derived:pullback-fractional-part",
         )
-    return m_table
 
 
-def _certify_picard_chain(model: ConeModel, certs: list[Certificate]) -> PicardChain:
-    chain = picard_chain(model)
+def _certify_picard_chain(model: ConeModel, certs: list[Certificate]) -> None:
+    ranks = ",".join(str(r) for r in picard_chain(model).as_tuple())
     _certify(
-        certs, "picard-chain", ",".join(str(r) for r in chain.as_tuple()),
-        "rank-bookkeeping", "derived:threefold-ledger",
+        certs, "picard-chain", ranks, "rank-bookkeeping", "derived:threefold-ledger"
     )
-    return chain
 
 
 @dataclass(frozen=True)
-class PltReport:
-    """Verification record for the non-normal divisor over the cone point."""
+class Report:
+    """A verifier's output: its certificates and the verdict they support."""
 
-    d: int
-    q: int
-    m_table: tuple[tuple[str, int], ...]
-    h1_a_minus_e: CohomReport
-    b: Rat
-    extension_coefficient: Rat
-    plt: bool
-    psi_classification: str
-    min_discrepancy: Rat
-    non_normal: bool | None
+    scenario: str
+    params: dict
     certificates: tuple[Certificate, ...]
-
-    @property
-    def verdict(self) -> bool | None:
-        """Non-normal, plt (b < 1 over a klt surface contraction) and b equal
-        to its closed form (q-2)/(q-1); None while non-normality is unknown."""
-        if self.non_normal is None:
-            return None
-        return (
-            self.non_normal and self.plt and self.b == self.extension_coefficient
-        )
+    verdict: bool | None
 
     def to_json_dict(self) -> dict:
         return {
-            "scenario": "plt-nonnormal",
-            "params": {"d": self.d, "q": self.q},
+            "scenario": self.scenario,
+            "params": dict(self.params),
             "certificates": [c.to_json_dict() for c in self.certificates],
             "verdict": self.verdict,
         }
 
 
-def verify_plt_nonnormal(d: int, q: int) -> PltReport:
+def verify_plt_nonnormal(d: int, q: int) -> Report:
     """Certify that the distinguished divisor over the cone point is non-normal.
 
     Pipeline: ampleness and the unit-fraction assumption for the polarization
@@ -140,6 +112,8 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
     combines the chain exactly as the direct-image argument does: the
     structure sheaf has vanishing first direct image while its twist by the
     distinguished divisor does not, so the restriction map cannot surject.
+    The verdict also needs the pair to be plt and b to equal its closed form
+    (q-2)/(q-1); it is None while non-normality is unknown.
     """
     if q < 2:
         raise ScenarioError("q>=2", f"q = {q}")
@@ -161,7 +135,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
     )
 
     model = ConeModel.build(psi, a)
-    m_table = _certify_m_table(model, certs)
+    _certify_m_table(model, certs)
 
     h1_chain = [cohomology_of_nA(fam, n) for n in (0, 1, 2)]
     for n, report in enumerate(h1_chain):
@@ -193,7 +167,7 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
             certs, f"h2(T,{n}A-E_{j})", report.h2,
             "duality+negative-degree", "derived:cohomology-rules",
         )
-    uniform_h2 = uniform_h2_chain_zero(fam, subtract=j)
+    uniform_h2 = uniform_h2_chain_zero(fam, h0_minus_e)
     _certify(
         certs, f"h2(T,nA-E_{j}) for all n>=0", 0 if uniform_h2.holds else None,
         ";".join(uniform_h2.tokens), "derived:cohomology-rules",
@@ -257,56 +231,20 @@ def verify_plt_nonnormal(d: int, q: int) -> PltReport:
         "restriction-map-not-surjective", "derived:verdict-logic",
     )
 
-    return PltReport(
-        d=d,
-        q=q,
-        m_table=m_table,
-        h1_a_minus_e=h1_a_minus_e,
-        b=coeff.b,
-        extension_coefficient=extension_coefficient,
-        plt=coeff.plt,
-        psi_classification=classification.classification,
-        min_discrepancy=classification.min_discrepancy,
-        non_normal=non_normal,
-        certificates=tuple(certs),
-    )
+    verdict = None
+    if non_normal is not None:
+        verdict = non_normal and coeff.plt and coeff.b == extension_coefficient
+    return Report("plt-nonnormal", {"d": d, "q": q}, tuple(certs), verdict)
 
 
-@dataclass(frozen=True)
-class FanoReport:
-    """Verification record for the anticanonically polarized cone with
-    nonvanishing intermediate cohomology."""
-
-    q: int
-    d: int
-    m_table: tuple[tuple[str, int], ...]
-    h2_z: int | None
-    not_cohen_macaulay: bool | None
-    picard: PicardChain
-    certificates: tuple[Certificate, ...]
-
-    @property
-    def verdict(self) -> bool | None:
-        if self.h2_z is None or self.not_cohen_macaulay is None:
-            return None
-        return self.h2_z == self.q - 1 and self.not_cohen_macaulay == (self.q >= 2)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": "fano-intermediate-cohomology",
-            "params": {"q": self.q, "d": self.d},
-            "certificates": [c.to_json_dict() for c in self.certificates],
-            "verdict": self.verdict,
-        }
-
-
-def verify_bad_fano(q: int) -> FanoReport:
+def verify_bad_fano(q: int) -> Report:
     """Certify the intermediate cohomology of the cone for the d = 4q+2 family.
 
     The polarization is sum E_1..E_{3q} - sum E_{3q+1}..E_{4q}; its first
     cohomology is q-1 and all higher twists vanish, so the cone's h2 of the
     structure sheaf equals q-1 and the cone fails to be Cohen-Macaulay
-    exactly when q >= 2.
+    exactly when q >= 2.  The verdict checks both; it is None while h2 is
+    unknown.
     """
     if q < 1:
         raise ScenarioError("q>=1", f"q = {q}")
@@ -317,7 +255,7 @@ def verify_bad_fano(q: int) -> FanoReport:
     certs: list[Certificate] = []
 
     model = ConeModel.build(psi, a)
-    m_table = _certify_m_table(model, certs)
+    _certify_m_table(model, certs)
 
     h1_a = km_family_cohomology(fam)
     _certify(
@@ -343,20 +281,15 @@ def verify_bad_fano(q: int) -> FanoReport:
         "nonzero-intermediate-cohomology", "derived:verdict-logic",
     )
 
-    chain = _certify_picard_chain(model, certs)
+    _certify_picard_chain(model, certs)
     _certify(
         certs, "ample(-K_Z)", True,
         "rank-one-and-big-anticanonical", "cited:cone-anticanonical-fact",
     )
 
-    return FanoReport(
-        q=q,
-        d=d,
-        m_table=m_table,
-        h2_z=h2_z,
-        not_cohen_macaulay=not_cm,
-        picard=chain,
-        certificates=tuple(certs),
+    verdict = None if h2_z is None else h2_z == q - 1 and not_cm == (q >= 2)
+    return Report(
+        "fano-intermediate-cohomology", {"q": q, "d": d}, tuple(certs), verdict
     )
 
 

@@ -102,13 +102,13 @@ def test_criterion_02_h1_table():
 
 def test_criterion_03_plt_counterexample_d5_q3():
     rep = verify_plt_nonnormal(5, 3)
-    table = dict(rep.m_table)
-    ok = table["Gamma"] == 3
-    ok &= all(table[f"l_{i}"] == 2 and table[f"lp_{i}"] == 2 for i in range(1, 5))
-    ok &= table["l_5"] == 1 and table["lp_5"] == 1
-    ok &= rep.b == Fraction(1, 2)
-    ok &= rep.h1_a_minus_e.h1 == CohStatus.exact(1)
-    ok &= rep.non_normal is True
+    values = {c.claim: c.value for c in rep.certificates}
+    ok = values["m(Gamma)"] == "3"
+    ok &= all(values[f"m(l_{i})"] == "2" == values[f"m(lp_{i})"] for i in range(1, 5))
+    ok &= values["m(l_5)"] == "1" and values["m(lp_5)"] == "1"
+    ok &= values["b"] == "1/2"
+    ok &= values["h1(T,A-E_5)"] == "1"
+    ok &= values["non_normal(E^Z)"] == "true"
     ok &= all(c.value != "unknown" for c in rep.certificates)
     report(3, "plt counterexample (d=5, q=3): m-table, b, h1 twist, verdict", ok)
 
@@ -116,10 +116,10 @@ def test_criterion_03_plt_counterexample_d5_q3():
 def test_criterion_04_fano_family():
     ok = True
     for q in range(1, 6):
-        rep = verify_bad_fano(q)
-        ok &= rep.h2_z == q - 1
-        ok &= rep.not_cohen_macaulay == (q >= 2)
-        ok &= dict(rep.m_table)["Gamma"] == 4
+        values = {c.claim: c.value for c in verify_bad_fano(q).certificates}
+        ok &= values["h2(Z,O_Z)"] == str(q - 1)
+        ok &= values["not-cohen-macaulay(Z)"] == ("true" if q >= 2 else "false")
+        ok &= values["m(Gamma)"] == "4"
     report(4, "Fano family q=1..5: h2 = q-1, CM flag, m(Gamma) = 4", ok)
 
 
@@ -196,7 +196,7 @@ def test_criterion_09_kvv_schedule():
         first = kvv_schedule(e, [0] * len(e), 10)
         second = kvv_schedule(e, [0] * len(e), 10)
         ok &= first == second
-        ok &= first.final_lambda >= 10
+        ok &= first.steps[-1].lam >= 10
         ok &= all(0 <= x <= 1 for s in first.steps for x in s.delta)
     report(9, "schedule reaches lambda = 10, coefficients stay in [0,1]", ok)
 

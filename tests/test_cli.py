@@ -158,6 +158,18 @@ def test_kvv_schedule_over_the_step_budget_is_a_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "e, shown", [("1.5", "1.5"), ("x", "x"), ("1,2.5", "1,2.5"), ("0", "(0,)")]
+)
+def test_kvv_schedule_bad_multiplicity_is_a_usage_error(capsys, e, shown):
+    assert main(["kvv-schedule", "--e", e, "--target", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: multiplicities must be positive integers: {shown}\n"
+    assert "invalid literal" not in captured.err
+    assert "Fraction(" not in captured.err
+
+
 def test_argparse_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "plt", "--d", "5"])

@@ -213,13 +213,13 @@ def test_vanishing_rule_on_family_multiples():
     a = family_divisor(FAM531)
     minus_k = NamedDivisor.of({"E_5": 2})
     for n in (2, 3, 5):
-        cert = h1_vanish_eff_nef_big(PSI5, a.scale(n) + minus_k)
-        assert cert is not None
-        assert cert.degree > 0
+        shifted = a.scale(n) + minus_k
+        assert h1_vanish_eff_nef_big(PSI5, shifted) is True
+        assert PSI5.degree(shifted) > 0
 
 
 def test_vanishing_rule_not_applicable_to_zero():
-    assert h1_vanish_eff_nef_big(PSI5, NamedDivisor.zero()) is None
+    assert h1_vanish_eff_nef_big(PSI5, NamedDivisor.zero()) is False
 
 
 # --- dispatch -------------------------------------------------------------------
@@ -292,5 +292,5 @@ def test_uniform_h1_refuses_non_ample_family():
 
 
 def test_uniform_h2_certificate_holds_from_zero():
-    cert = uniform_h2_chain_zero(FAM531, subtract=5)
+    cert = uniform_h2_chain_zero(FAM531, cohomology_of_nA(FAM531, 0, subtract=5))
     assert cert.holds

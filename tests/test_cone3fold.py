@@ -19,7 +19,13 @@ from conekit.cone3fold import (
     section_numbers,
     validate_assumption_a,
 )
-from conekit.qlattice import NamedDivisor, class_of, format_rat, intersect
+from conekit.qlattice import (
+    NamedDivisor,
+    UnknownCurveError,
+    class_of,
+    format_rat,
+    intersect,
+)
 
 
 def plt_model(d: int, q: int) -> ConeModel:
@@ -152,6 +158,30 @@ def test_k_x_section_sum_rule():
         assert rec.k_x_dot_e_plus + rec.k_x_dot_e_minus == 2 * (defects - 1)
 
 
+def test_polarization_dot_e_pairs_once_per_index(monkeypatch):
+    model = plt_model(8, 3)
+    pulled = model.psi.pullback(model.polarization)
+    paired = []
+    real = cone3fold.pair
+
+    def spy(reg, D1, D2):
+        if D2 == pulled:
+            paired.append(D1)
+        return real(reg, D1, D2)
+
+    monkeypatch.setattr(cone3fold, "pair", spy)
+    adjunction_consistency(model)
+    for i in range(1, model.d + 1):
+        section_numbers(model, i, i)
+        plt_coefficient_b(model, i)
+    expected = [NamedDivisor.of({f"E_{i}": 1}) for i in range(1, model.d + 1)]
+    assert paired == expected
+    # an index outside 1..d raises on every call; nothing is cached for it
+    for _ in range(2):
+        with pytest.raises(UnknownCurveError):
+            model.polarization_dot_e(model.d + 1)
+
+
 def test_section_index_out_of_range():
     with pytest.raises(ConeError):
         section_numbers(M53, 0, 1)
@@ -224,7 +254,7 @@ def test_resolution_skips_multiplicity_one():
 def test_adjunction_consistency_plt_and_fano():
     for model in (M53, plt_model(8, 3), plt_model(12, 3), fano_model(1), fano_model(2)):
         report = adjunction_consistency(model)
-        assert report.all_pass, report.failures()
+        assert report.all_pass, [c for c in report.checks if not c.passed]
         assert len(report.checks) == 2 * model.d + len(model.psi.contracted)
 
 
@@ -308,7 +338,7 @@ def test_schedule_periodic_state_advances_lambda():
 def test_schedule_near_saturated_start():
     trace = kvv_schedule([2, 3], [Fraction(9, 10), Fraction(0)], 2)
     assert trace.steps[0].mu == Fraction(1, 20)
-    assert trace.final_lambda >= 2
+    assert trace.steps[-1].lam >= 2
     for s in trace.steps:
         assert all(0 <= x <= 1 for x in s.delta)
 
@@ -316,7 +346,7 @@ def test_schedule_near_saturated_start():
 def test_schedule_reaches_target_on_acceptance_vectors():
     for e in ((1,), (1, 2), (1, 2, 3), (3, 3, 3)):
         trace = kvv_schedule(e, [0] * len(e), 10)
-        assert trace.final_lambda >= 10
+        assert trace.steps[-1].lam >= 10
         for s in trace.steps:
             assert all(0 <= x <= 1 for x in s.delta)
 
@@ -360,7 +390,7 @@ def test_schedule_tiny_first_step_still_diverges():
     # a coefficient just below one forces a tiny first step
     trace = kvv_schedule([1, 1], [Fraction(999, 1000), Fraction(0)], 3)
     assert trace.steps[0].mu == Fraction(1, 1000)
-    assert trace.final_lambda >= 3
+    assert trace.steps[-1].lam >= 3
 
 
 from hypothesis import given, settings
@@ -378,7 +408,7 @@ def test_schedule_invariants_on_random_inputs(e, data):
         for _ in e
     ]
     trace = kvv_schedule(e, delta0, 10)
-    assert trace.final_lambda >= 10
+    assert trace.steps[-1].lam >= 10
     lam = Fraction(0)
     for s in trace.steps:
         assert s.mu >= 0

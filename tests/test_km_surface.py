@@ -54,7 +54,7 @@ def test_build_is_deterministic():
 
 def test_registry_names():
     s = build_km_surface(4)
-    names = set(s.curve_names())
+    names = set(s.registry.names())
     expected = {"Gamma", "F"}
     for i in range(1, 5):
         expected |= {f"E_{i}", f"l_{i}", f"lp_{i}"}
@@ -105,7 +105,7 @@ def test_sanity_matches_dense_all_pairs(d, moved):
     report = km_sanity(s)
     assert {item.name: item.passed for item in report.items} == _dense_sanity(s)
     assert report.all_pass != moved
-    for a, b in combinations_with_replacement(s.curve_names(), 2):
+    for a, b in combinations_with_replacement(s.registry.names(), 2):
         assert s.pairing(a, b) == intersect(
             s.lattice, s.registry.class_vector(a), s.registry.class_vector(b)
         )

@@ -24,7 +24,6 @@ from conekit.qlattice import (
     is_negative_definite,
     pair,
     pair_canonical,
-    parse_rat,
     solve_linear,
 )
 
@@ -280,7 +279,7 @@ PSI_OFF = Contraction(S5, CONTRACTED)
 
 @given(
     st.dictionaries(
-        st.sampled_from([n for n in S5.curve_names() if n not in CONTRACTED]),
+        st.sampled_from([n for n in S5.registry.names() if n not in CONTRACTED]),
         small_rats,
         min_size=0,
         max_size=6,
@@ -320,7 +319,7 @@ def test_frac_of_pulled_back_family_divisor():
 
 @given(
     st.dictionaries(
-        st.sampled_from(S5.curve_names()), small_rats, min_size=0, max_size=6
+        st.sampled_from(S5.registry.names()), small_rats, min_size=0, max_size=6
     )
 )
 @settings(max_examples=80)
@@ -378,7 +377,7 @@ def _divisors(draw, names, count):
 @st.composite
 def km_divisor_pairs(draw):
     s = SURFACES[draw(st.sampled_from(sorted(SURFACES)))]
-    return (s.registry, *_divisors(draw, s.curve_names(), 2))
+    return (s.registry, *_divisors(draw, s.registry.names(), 2))
 
 
 @st.composite
@@ -462,7 +461,7 @@ def test_pairing_rows_keep_only_nonzero_entries():
 
 @given(small_rats)
 def test_rat_round_trip(x):
-    assert parse_rat(format_rat(x)) == x
+    assert Fraction(format_rat(x)) == x
 
 
 def test_rat_format():

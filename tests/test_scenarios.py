@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conekit import cli, scenarios
+from conekit import cli, cohom, scenarios
 from conekit.cohom import CohStatus
 from conekit.scenarios import (
     ScenarioError,
@@ -30,41 +30,45 @@ def valid_plt_parameters(d_max):
 # --- plt ----------------------------------------------------------------------
 
 
+def _values(report):
+    return {c.claim: c.value for c in report.certificates}
+
+
 def test_plt_flagship_case():
     report = verify_plt_nonnormal(5, 3)
-    table = dict(report.m_table)
-    assert table["Gamma"] == 3
-    assert all(table[f"l_{i}"] == 2 == table[f"lp_{i}"] for i in range(1, 5))
-    assert table["l_5"] == 1 == table["lp_5"]
-    assert report.b == Fraction(1, 2)
-    assert report.h1_a_minus_e.h1 == CohStatus.exact(1)
-    assert report.non_normal is True
+    values = _values(report)
+    assert values["m(Gamma)"] == "3"
+    assert all(values[f"m(l_{i})"] == "2" == values[f"m(lp_{i})"] for i in range(1, 5))
+    assert values["m(l_5)"] == "1" == values["m(lp_5)"]
+    assert values["b"] == "1/2"
+    assert values["h1(T,A-E_5)"] == "1"
+    assert values["non_normal(E^Z)"] == "true"
     assert all(c.value != "unknown" for c in report.certificates)
 
 
 def test_plt_d8_q3():
-    report = verify_plt_nonnormal(8, 3)
-    assert report.non_normal is True
-    assert report.h1_a_minus_e.h1 == CohStatus.exact(1)
+    values = _values(verify_plt_nonnormal(8, 3))
+    assert values["non_normal(E^Z)"] == "true"
+    assert values["h1(T,A-E_5)"] == "1"
 
 
 def test_plt_degenerate_boundary_coefficient():
-    report = verify_plt_nonnormal(5, 2)
-    assert report.b == 0
-    assert report.extension_coefficient == 0
-    assert report.non_normal is True
+    values = _values(verify_plt_nonnormal(5, 2))
+    assert values["b"] == "0"
+    assert values["B-coefficient"] == "0"
+    assert values["non_normal(E^Z)"] == "true"
 
 
 def test_plt_b_equals_closed_form_everywhere():
     for d, q in valid_plt_parameters(14):
-        report = verify_plt_nonnormal(d, q)
-        assert report.b == Fraction(q - 2, q - 1) == report.extension_coefficient
+        values = _values(verify_plt_nonnormal(d, q))
+        assert values["b"] == str(Fraction(q - 2, q - 1)) == values["B-coefficient"]
 
 
 def test_plt_verdict_true_on_all_valid_parameters_up_to_20():
     for d, q in valid_plt_parameters(20):
         report = verify_plt_nonnormal(d, q)
-        assert report.non_normal is True, (d, q)
+        assert _values(report)["non_normal(E^Z)"] == "true", (d, q)
         assert report.verdict is True, (d, q)
         assert all(c.value != "unknown" for c in report.certificates), (d, q)
         assert not any(r in c.value for c in report.certificates for r in REPRS), (d, q)
@@ -83,16 +87,12 @@ def test_plt_verdict_includes_boundary_checks(monkeypatch, wrong):
         lambda model, i: dataclasses.replace(real(model, i), **wrong),
     )
     report = verify_plt_nonnormal(5, 3)
-    assert report.non_normal is True
+    assert _values(report)["non_normal(E^Z)"] == "true"
     assert report.verdict is False
     assert report.to_json_dict()["verdict"] is False
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["verify", "plt", "--d", "5", "--q", "3"]) == 1
     assert '"verdict": false' in out.getvalue()
-
-
-def _values(report):
-    return {c.claim: c.value for c in report.certificates}
 
 
 def _tail_fails(monkeypatch, name):
@@ -115,10 +115,10 @@ def test_plt_unknown_when_h1_tail_fails(monkeypatch):
     _tail_fails(monkeypatch, "uniform_h1_chain_zero")
     report = verify_plt_nonnormal(5, 3)
     values = _values(report)
-    for claim in ("h1(T,nA) for all n>=2", "R1g(O_Y)=0", "non_normal(E^Z)"):
+    for claim in ("h1(T,nA) for all n>=2", "R1g(O_Y)=0"):
         assert values[claim] == "unknown", claim
     assert values["R1g(O_Y(-E^Y))!=0"] == "true"
-    assert report.non_normal is None
+    assert values["non_normal(E^Z)"] == "unknown"
     assert report.verdict is None
     code, out = _verify_cli("plt", "--d", "5", "--q", "3")
     assert code == 1
@@ -167,6 +167,22 @@ def test_plt_nonzero_h1_entry_is_false_even_without_the_tail(monkeypatch):
     assert report.verdict is False
 
 
+def test_plt_h2_tail_reuses_the_n0_report(monkeypatch):
+    """The uniform h2 certificate reads h2 of the n = 0 report instead of
+    running its degree test again: one call per degree test, five in all."""
+    calls = []
+    real = cohom.h0_zero_by_degree
+
+    def spy(psi, D):
+        calls.append(D)
+        return real(psi, D)
+
+    monkeypatch.setattr(cohom, "h0_zero_by_degree", spy)
+    assert verify_plt_nonnormal(5, 3).verdict is True
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+
+
 def test_plt_named_preconditions():
     with pytest.raises(ScenarioError) as err:
         verify_plt_nonnormal(5, 1)
@@ -188,9 +204,9 @@ def test_plt_report_shape():
 
 
 def test_plt_min_discrepancy():
-    report = verify_plt_nonnormal(12, 3)
-    assert report.psi_classification == "klt"
-    assert report.min_discrepancy == -Fraction(12 - 3, 12 - 2)
+    values = _values(verify_plt_nonnormal(12, 3))
+    assert values["classification(psi)"] == "klt"
+    assert values["min-discrepancy(psi)"] == str(-Fraction(12 - 3, 12 - 2))
 
 
 # --- fano ---------------------------------------------------------------------
@@ -199,11 +215,13 @@ def test_plt_min_discrepancy():
 @pytest.mark.parametrize("q", range(1, 6))
 def test_fano_family(q):
     report = verify_bad_fano(q)
-    assert report.d == 4 * q + 2
-    assert report.h2_z == q - 1
-    assert report.not_cohen_macaulay == (q >= 2)
-    assert dict(report.m_table)["Gamma"] == 4
-    assert report.picard.as_tuple() == (2 + 2 * report.d, 1, 3 + 2 * report.d, 2, 1)
+    d = report.params["d"]
+    assert d == 4 * q + 2
+    values = _values(report)
+    assert values["h2(Z,O_Z)"] == str(q - 1)
+    assert values["not-cohen-macaulay(Z)"] == ("true" if q >= 2 else "false")
+    assert values["m(Gamma)"] == "4"
+    assert values["picard-chain"] == f"{2 + 2 * d},1,{3 + 2 * d},2,1"
     assert report.verdict is True
     assert not any(r in c.value for c in report.certificates for r in REPRS), q
 
@@ -212,9 +230,9 @@ def test_fano_unknown_when_tail_fails(monkeypatch):
     _tail_fails(monkeypatch, "uniform_h1_chain_zero")
     report = verify_bad_fano(2)
     values = _values(report)
-    for claim in ("h1(T,nA) for all n>=2", "h2(Z,O_Z)", "not-cohen-macaulay(Z)"):
+    for claim in ("h1(T,nA) for all n>=2", "not-cohen-macaulay(Z)"):
         assert values[claim] == "unknown", claim
-    assert report.h2_z is None
+    assert values["h2(Z,O_Z)"] == "unknown"
     assert report.verdict is None
     code, out = _verify_cli("fano", "--q", "2")
     assert code == 1
