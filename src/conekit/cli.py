@@ -7,7 +7,8 @@ tables, so the formats never disagree on a number.
 
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
 fails or a verdict is not the expected one, 2 on usage errors.  All output
-is deterministic; rationals are serialized as p/q strings.
+is deterministic; rationals are serialized as p/q strings, by one JSON hook
+that refuses every other non-JSON type.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cone3fold import (
     section_numbers,
 )
 from .km_surface import build_km_surface, km_sanity
-from .qlattice import NamedDivisor, curve_sort_key, format_rat
+from .qlattice import NamedDivisor
 from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
 
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)$")
@@ -58,11 +59,12 @@ def parse_divisor(text: str) -> NamedDivisor:
 
 
 def _cell(value) -> str:
-    """A table cell: bools lower-case, lists joined with ", ", the rest str."""
+    """A table cell: bools lower-case, lists joined with ", ", the rest str
+    (``p/q`` for a Fraction)."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, list):
-        return ", ".join(value)
+        return ", ".join(map(str, value))
     return str(value)
 
 
@@ -80,12 +82,31 @@ def _table(records, columns) -> str:
     return "\n".join(out) + "\n"
 
 
+def _csv(records, keys) -> str:
+    """Comma-separated rows of the records' cells under a header of keys."""
+    lines = [",".join(keys)]
+    lines.extend(",".join(_cell(rec[k]) for k in keys) for rec in records)
+    return "\n".join(lines) + "\n"
+
+
+def _rat_json(value) -> str:
+    """The JSON hook: a Fraction prints as ``p/q`` (plain ``p`` when q == 1);
+    any other object outside JSON's types is an error, never its repr."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable: {value!r}")
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, default=_rat_json)
+
+
 def _write(args, payload: dict, **views) -> None:
     """Print the command's payload: as JSON for ``--format json``, otherwise
     through ``views[args.format]``, a function of the payload.  ``--out``
     (sweep only) sends the text to a file instead of stdout."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     else:
         text = views[args.format](payload)
     if getattr(args, "out", None):
@@ -93,10 +114,6 @@ def _write(args, payload: dict, **views) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _divisor_json(D: NamedDivisor) -> dict:
-    return {name: format_rat(c) for name, c in D.entries}
 
 
 # --- km-surface -------------------------------------------------------------
@@ -107,12 +124,12 @@ def cmd_km_surface(args) -> int:
     report = km_sanity(surface) if args.check else None
     payload = {"command": "km-surface", "d": args.d, "surface": surface.to_json_dict()}
     if report is not None:
-        payload["sanity"] = report.to_json_dict()
+        payload["sanity"] = report
 
     def md(p: dict) -> str:
         curves = [
             {"curve": name, "class": f"({_cell(cls)})",
-             "square": format_rat(surface.pairing(name, name))}
+             "square": surface.pairing(name, name)}
             for name, cls in p["surface"]["curves"].items()
         ]
         out = f"# surface d={p['d']} (rank {p['surface']['rank']})\n" + _table(
@@ -125,7 +142,7 @@ def cmd_km_surface(args) -> int:
         return out
 
     _write(args, payload, md=md)
-    return 0 if report is None or report.all_pass else 1
+    return 0 if report is None or report["all_pass"] else 1
 
 
 # --- contract ---------------------------------------------------------------
@@ -135,30 +152,28 @@ def cmd_contract(args) -> int:
     psi = target_context(args.d)
     results: dict = {}
     if args.pullback is not None:
-        results["pullback"] = _divisor_json(psi.pullback(parse_divisor(args.pullback)))
+        results["pullback"] = psi.pullback(parse_divisor(args.pullback)).terms
     if args.pushforward is not None:
-        results["pushforward"] = _divisor_json(
-            psi.pushforward(parse_divisor(args.pushforward))
-        )
+        results["pushforward"] = psi.pushforward(parse_divisor(args.pushforward)).terms
     if args.discrepancies:
-        results["discrepancies"] = psi.relative_canonical().to_json_dict()
+        results["discrepancies"] = psi.relative_canonical()
     if args.classify:
         boundary = parse_divisor(args.boundary) if args.boundary else None
-        results["classification"] = psi.classify_singularities(boundary).to_json_dict()
+        results["classification"] = psi.classify_singularities(boundary)
     if args.target_intersect is not None:
         d1, d2 = (parse_divisor(t) for t in args.target_intersect)
-        results["target_intersect"] = format_rat(psi.target_intersect(d1, d2))
+        results["target_intersect"] = psi.target_intersect(d1, d2)
     if args.ample is not None:
         results["ample"] = psi.is_ample_rho1(parse_divisor(args.ample))
     if args.picard_rank:
         results["picard_rank_after"] = psi.picard_rank_after()
     if not results:
-        results["discrepancies"] = psi.relative_canonical().to_json_dict()
+        results["discrepancies"] = psi.relative_canonical()
     _write(
         args,
         {"command": "contract", "d": args.d, "results": results},
         md=lambda p: f"# contraction on d={p['d']}\n```json\n"
-        + json.dumps(p["results"], indent=2) + "\n```\n",
+        + _json(p["results"]) + "\n```\n",
     )
     return 0
 
@@ -193,7 +208,7 @@ def cmd_cohom(args) -> int:
     def csv(p: dict) -> str:
         row = {**p["params"], **p["report"]}
         row["subtract"] = "" if subtract is None else f"E_{subtract}"
-        return ",".join(_COHOM_CSV) + "\n" + ",".join(_cell(row[k]) for k in _COHOM_CSV) + "\n"
+        return _csv([row], _COHOM_CSV)
 
     def md(p: dict) -> str:
         title = " ".join(f"{k}={p['params'][k]}" for k in ("d", "q1", "q2", "n"))
@@ -223,12 +238,9 @@ def cmd_cone(args) -> int:
     # Each ledger supplies its data and the (records, columns) of its tables;
     # the records are the data's own lists, read only by the Markdown view.
     if ledger == "curve":
-        crepant = {n: format_rat(c) for n, c in model.crepant_coefficients.items()}
+        crepant = model.crepant_coefficients
         data = {
-            "curves": [
-                cone_curve_numbers(model, name).to_json_dict()
-                for name in sorted(model.psi.contracted, key=curve_sort_key)
-            ],
+            "curves": [cone_curve_numbers(model, name) for name in model.psi.contracted],
             "crepant_coefficients": crepant,
         }
         tables = [(
@@ -238,12 +250,9 @@ def cmd_cone(args) -> int:
         )]
     elif ledger == "sections":
         data = {
-            "sections": [
-                section_numbers(model, i, i).to_json_dict()
-                for i in range(1, model.d + 1)
-            ],
+            "sections": [section_numbers(model, i, i) for i in range(1, model.d + 1)],
             "plt_coefficients": [
-                plt_coefficient_b(model, i).to_json_dict()
+                plt_coefficient_b(model, i)
                 for i in range(1, model.d + 1)
                 if model.polarization_dot_e(i) != 0
             ],
@@ -258,7 +267,7 @@ def cmd_cone(args) -> int:
              {"i": "i", "pol.E_i": "polarization_dot_e", "b": "b", "plt": "plt"}),
         ]
     elif ledger == "resolution":
-        data = {"resolution": [r.to_json_dict() for r in resolution_ledger(model)]}
+        data = {"resolution": resolution_ledger(model)}
         tables = [(
             data["resolution"],
             {"curve": "curve", "m": "m", "F+ discrepancy": "f_plus_discrepancy",
@@ -266,12 +275,11 @@ def cmd_cone(args) -> int:
              "dual graph": "dual_graph"},
         )]
     elif ledger == "picard":
-        data = {"picard": picard_chain(model).to_json_dict()}
+        data = {"picard": picard_chain(model)}
         tables = [([data["picard"]], ("rho_s", "rho_t", "rho_x", "rho_y", "rho_z"))]
     else:  # adjunction
-        report = adjunction_consistency(model)
-        data = {"adjunction": report.to_json_dict()}
-        failed = not report.all_pass
+        data = {"adjunction": adjunction_consistency(model)}
+        failed = not data["adjunction"]["all_pass"]
         tables = [(
             data["adjunction"]["checks"],
             {"check": "name", "lhs": "lhs", "rhs": "rhs", "pass": "pass"},
@@ -330,20 +338,22 @@ def cmd_verify(args) -> int:
             + _table(p["certificates"], ("claim", "value", "rule"))
         )
 
-    _write(args, report.to_json_dict(), md=md)
-    return 0 if report.verdict is True else 1
+    _write(args, report, md=md)
+    return 0 if report["verdict"] is True else 1
 
 
 # --- sweep ------------------------------------------------------------------
 
 
+_SWEEP_COLUMNS = ("d", "q1", "q2", "ample", "h1", "kvv_violation")
+
+
 def cmd_sweep(args) -> int:
-    table = sweep_kvv(args.d_min, args.d_max)
     _write(
         args,
-        table.to_json_dict(),
-        csv=lambda p: table.to_csv(),
-        md=lambda p: _table(p["rows"], ("d", "q1", "q2", "ample", "h1", "kvv_violation")),
+        sweep_kvv(args.d_min, args.d_max),
+        csv=lambda p: _csv(p["rows"], _SWEEP_COLUMNS),
+        md=lambda p: _table(p["rows"], _SWEEP_COLUMNS),
     )
     return 0
 

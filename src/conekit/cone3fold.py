@@ -11,12 +11,17 @@ mismatch raises, it is never absorbed.
 The multiplicities m_C come from the fractional part of the pulled-back
 polarization: each contracted curve must carry fractional coefficient 0
 (then m_C = 1) or a unit fraction 1/m_C.
+
+Each ledger function returns the plain dict (or list of dicts) that
+``conekit cone`` prints, with exact ``Fraction`` values, so callers such as
+:func:`adjunction_consistency` and the plt verifier read numbers by key.
+Curves are listed in the contraction's ``curve_sort_key`` order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, gcd, lcm
@@ -26,7 +31,6 @@ from .km_surface import KMSurface
 from .qlattice import (
     NamedDivisor,
     Rat,
-    curve_sort_key,
     format_rat,
     frac_divisor,
     pair,
@@ -64,7 +68,7 @@ def validate_assumption_a(psi: Contraction, A: NamedDivisor) -> dict[str, int]:
     if stray:
         raise AssumptionError(stray[0], frac.coefficient(stray[0]))
     table: dict[str, int] = {}
-    for name in sorted(psi.contracted, key=curve_sort_key):
+    for name in psi.contracted:
         c = frac.coefficient(name)
         if c == 0:
             table[name] = 1
@@ -105,6 +109,12 @@ class ConeModel:
     def mc(self) -> dict[str, int]:
         return validate_assumption_a(self.psi, self.polarization)
 
+    @cached_property
+    def surface_classification(self) -> dict:
+        """The boundary-free classification of the surface contraction,
+        computed once per model."""
+        return self.psi.classify_singularities()
+
     def curve_square(self, name: str) -> Rat:
         return self.surface.registry.pairing_row(name).get(name, Fraction(0))
 
@@ -131,94 +141,42 @@ class ConeModel:
         R_C over Y is -c_C.
         """
         out: dict[str, Rat] = {}
-        for name in sorted(self.psi.contracted, key=curve_sort_key):
+        for name in self.psi.contracted:
             sq = self.curve_square(name)
             out[name] = Fraction(-sq - 2 * self.mc[name], -sq)
         return out
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    """Numbers attached to the fibre divisor over one contracted curve."""
-
-    curve: str
-    m: int
-    square: Rat  # C^2 on the surface
-    # pullback identity: (surface pullback of C) = m * R_C
-    section_curve_square_in_fibre: Rat  # (C^+/- inside R_C)^2
-    section_dot_section_curve: Rat  # S^+/- . C^+/-
-    k_dot_section_curve: Rat  # K_X . C^+/-
-
-    def to_json_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "m": self.m,
-            "square": format_rat(self.square),
-            "pullback_multiplicity": self.m,
-            "section_curve_square_in_fibre": format_rat(
-                self.section_curve_square_in_fibre
-            ),
-            "section_dot_section_curve": format_rat(self.section_dot_section_curve),
-            "k_dot_section_curve": format_rat(self.k_dot_section_curve),
-        }
-
-
-def cone_curve_numbers(model: ConeModel, curve: str) -> CurveRecord:
+def cone_curve_numbers(model: ConeModel, curve: str) -> dict:
     """The fibre-divisor record over one contracted curve.
 
     K_X meets the section curves C^+ and C^- in (-C^2 - 2 m_C)/m_C; they have
-    square zero inside the fibre divisor and are disjoint from the opposite
-    sections.
+    square zero inside the fibre divisor (C^+/- inside R_C) and are disjoint
+    from the opposite sections (S^+/- . C^+/-).  The surface pullback of C is
+    m_C times R_C.
     """
     if curve not in model.psi.contracted:
         raise ConeError(f"{curve} is not contracted")
     m = model.mc[curve]
     sq = model.curve_square(curve)
-    return CurveRecord(
-        curve=curve,
-        m=m,
-        square=sq,
-        section_curve_square_in_fibre=Fraction(0),
-        section_dot_section_curve=Fraction(0),
-        k_dot_section_curve=Fraction(-sq - 2 * m, m),
-    )
+    return {
+        "curve": curve,
+        "m": m,
+        "square": sq,
+        "pullback_multiplicity": m,
+        "section_curve_square_in_fibre": Fraction(0),
+        "section_dot_section_curve": Fraction(0),
+        "k_dot_section_curve": Fraction(-sq - 2 * m, m),
+    }
 
 
-@dataclass(frozen=True)
-class SectionRecord:
+def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     """Intersection numbers of the section curves E_i^+/- with the ledger cycles.
 
-    Overdetermined: k_y_dot values are produced both as k_x + crepant_sum and
-    from the closed Gamma-only form; construction fails if they disagree.
+    Overdetermined: the K_Y values are produced both as K_X + crepant sum and
+    from the closed Gamma-only form, and E_i^Y . f(E_j^{+/-}) must be
+    1/(2d-4); a disagreement raises.
     """
-
-    i: int
-    j: int
-    polarization_dot_e_i: Rat
-    s_plus_dot_e_plus_j: Rat
-    s_minus_dot_e_minus_j: Rat
-    k_x_dot_e_plus: Rat
-    k_x_dot_e_minus: Rat
-    k_y_dot_f_e_plus: Rat
-    k_y_dot_f_e_minus: Rat
-    e_y_dot_f_e: Rat  # E_i^Y . f(E_j^{+/-}), expected 1/(2d-4)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "polarization_dot_e_i": format_rat(self.polarization_dot_e_i),
-            "s_plus_dot_e_plus_j": format_rat(self.s_plus_dot_e_plus_j),
-            "s_minus_dot_e_minus_j": format_rat(self.s_minus_dot_e_minus_j),
-            "k_x_dot_e_plus": format_rat(self.k_x_dot_e_plus),
-            "k_x_dot_e_minus": format_rat(self.k_x_dot_e_minus),
-            "k_y_dot_f_e_plus": format_rat(self.k_y_dot_f_e_plus),
-            "k_y_dot_f_e_minus": format_rat(self.k_y_dot_f_e_minus),
-            "e_y_dot_f_e": format_rat(self.e_y_dot_f_e),
-        }
-
-
-def section_numbers(model: ConeModel, i: int, j: int) -> SectionRecord:
     d = model.d
     if not (1 <= i <= d and 1 <= j <= d):
         raise ConeError(f"section indices out of range 1..{d}: ({i}, {j})")
@@ -274,149 +232,69 @@ def section_numbers(model: ConeModel, i: int, j: int) -> SectionRecord:
             f"E^Y.f(E^+/-) is {e_y_dot} at (i,j)=({i},{j}), expected 1/(2d-4)"
         )
 
-    return SectionRecord(
-        i=i,
-        j=j,
-        polarization_dot_e_i=a_dot_ei,
-        s_plus_dot_e_plus_j=a_dot_ej,
-        s_minus_dot_e_minus_j=-a_dot_ej,
-        k_x_dot_e_plus=k_x_plus,
-        k_x_dot_e_minus=k_x_minus,
-        k_y_dot_f_e_plus=k_y_plus,
-        k_y_dot_f_e_minus=k_y_minus,
-        e_y_dot_f_e=e_y_dot,
-    )
+    return {
+        "i": i,
+        "j": j,
+        "polarization_dot_e_i": a_dot_ei,
+        "s_plus_dot_e_plus_j": a_dot_ej,
+        "s_minus_dot_e_minus_j": -a_dot_ej,
+        "k_x_dot_e_plus": k_x_plus,
+        "k_x_dot_e_minus": k_x_minus,
+        "k_y_dot_f_e_plus": k_y_plus,
+        "k_y_dot_f_e_minus": k_y_minus,
+        "e_y_dot_f_e": e_y_dot,
+    }
 
 
-@dataclass(frozen=True)
-class PltCoefficient:
+def plt_coefficient_b(model: ConeModel, i: int) -> dict:
     """The boundary coefficient of the negative section over the cone point.
 
     b = (p - 1/(2d-4)) / p where p = pullback(A).E_i; the pair over the cone
     is plt when b < 1 and the surface contraction is klt.
     """
-
-    i: int
-    polarization_dot_e: Rat
-    b: Rat
-    plt: bool
-    surface_certificate: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "polarization_dot_e": format_rat(self.polarization_dot_e),
-            "b": format_rat(self.b),
-            "plt": self.plt,
-            "surface_certificate": self.surface_certificate,
-        }
-
-
-def plt_coefficient_b(model: ConeModel, i: int) -> PltCoefficient:
     p = model.polarization_dot_e(i)
     if p == 0:
         raise ConeError(f"pullback(A).E_{i} = 0: coefficient undefined")
     b = (p - Fraction(1, 2 * model.d - 4)) / p
-    surface_class = model.psi.classify_singularities()
-    return PltCoefficient(
-        i=i,
-        polarization_dot_e=p,
-        b=b,
-        plt=(b < 1 and surface_class.is_klt),
-        surface_certificate=f"surface contraction is {surface_class.classification} "
-        "(minimal-resolution criterion)",
-    )
+    surface_class = model.surface_classification
+    return {
+        "i": i,
+        "polarization_dot_e": p,
+        "b": b,
+        "plt": b < 1 and surface_class["klt"],
+        "surface_certificate": f"surface contraction is "
+        f"{surface_class['classification']} (minimal-resolution criterion)",
+    }
 
 
-@dataclass(frozen=True)
-class ResolutionRecord:
-    """Pullback coefficients of the explicit resolution over one fibre divisor.
+def resolution_ledger(model: ConeModel) -> list[dict]:
+    """Pullback coefficients of the explicit resolution over every fibre
+    divisor whose curve has multiplicity m >= 2.
 
-    Over a curve with multiplicity m: one divisor F+ over the positive side
-    with discrepancy (m-2)/m, and a chain F-_1 ... F-_{m-1} over the negative
-    side linking the negative section to the fibre divisor.
+    One divisor F+ over the positive side with discrepancy (m-2)/m, and a
+    chain F-_1 ... F-_{m-1} over the negative side linking the negative
+    section to the fibre divisor: the coefficients of F+ and of the chain in
+    the pullbacks of S+, S- and R_C.
     """
-
-    curve: str
-    m: int
-    f_plus_discrepancy: Rat
-    mu_s_plus_coeff: Rat  # coefficient of F+ in the pullback of S+
-    mu_s_minus_chain: tuple[Rat, ...]  # coefficients of F-_1 ... F-_{m-1}
-    mu_r_f_plus: Rat  # coefficient of F+ in the pullback of R_C
-    mu_r_minus_chain: tuple[Rat, ...]
-    dual_graph: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "m": self.m,
-            "f_plus_discrepancy": format_rat(self.f_plus_discrepancy),
-            "mu_s_plus_coeff": format_rat(self.mu_s_plus_coeff),
-            "mu_s_minus_chain": [format_rat(c) for c in self.mu_s_minus_chain],
-            "mu_r_f_plus": format_rat(self.mu_r_f_plus),
-            "mu_r_minus_chain": [format_rat(c) for c in self.mu_r_minus_chain],
-            "dual_graph": self.dual_graph,
-        }
-
-
-def resolution_ledger(model: ConeModel) -> list[ResolutionRecord]:
-    """Resolution records for every contracted curve with multiplicity >= 2."""
     records = []
-    for name in sorted(model.psi.contracted, key=curve_sort_key):
-        m = model.mc[name]
+    for name, m in model.mc.items():
         if m < 2:
             continue
         chain_names = [f"F^-_{k}" for k in range(1, m)]
-        records.append(
-            ResolutionRecord(
-                curve=name,
-                m=m,
-                f_plus_discrepancy=Fraction(m - 2, m),
-                mu_s_plus_coeff=Fraction(1, m),
-                mu_s_minus_chain=tuple(Fraction(m - k, m) for k in range(1, m)),
-                mu_r_f_plus=Fraction(1, m),
-                mu_r_minus_chain=tuple(Fraction(k, m) for k in range(1, m)),
-                dual_graph=" - ".join(["S~^-"] + chain_names + [f"R~_{name}"]),
-            )
-        )
+        records.append({
+            "curve": name,
+            "m": m,
+            "f_plus_discrepancy": Fraction(m - 2, m),
+            "mu_s_plus_coeff": Fraction(1, m),
+            "mu_s_minus_chain": [Fraction(m - k, m) for k in range(1, m)],
+            "mu_r_f_plus": Fraction(1, m),
+            "mu_r_minus_chain": [Fraction(k, m) for k in range(1, m)],
+            "dual_graph": " - ".join(["S~^-"] + chain_names + [f"R~_{name}"]),
+        })
     return records
 
 
-@dataclass(frozen=True)
-class AdjunctionCheck:
-    name: str
-    lhs: Rat
-    rhs: Rat
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-@dataclass(frozen=True)
-class AdjunctionReport:
-    checks: tuple[AdjunctionCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "name": c.name,
-                    "lhs": format_rat(c.lhs),
-                    "rhs": format_rat(c.rhs),
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
-
-def adjunction_consistency(model: ConeModel) -> AdjunctionReport:
+def adjunction_consistency(model: ConeModel) -> dict:
     """Cross-check the threefold ledger against pure lattice arithmetic.
 
     For each section curve E_i^+/-, the ledger value of (K_X + S+ + S-) . E
@@ -434,39 +312,26 @@ def adjunction_consistency(model: ConeModel) -> AdjunctionReport:
         C = NamedDivisor.of({name: 1})
         return pair_canonical(reg, C) + pair(reg, C, boundary)
 
-    checks: list[AdjunctionCheck] = []
+    checks = []
+
+    def check(name: str, lhs: Rat, rhs: Rat) -> None:
+        checks.append({"name": name, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
+
     for i in range(1, model.d + 1):
         rec = section_numbers(model, i, i)
         rhs = adjoint_dot(f"E_{i}")
         # S^+ . E_i^+ = pol.E_i and S^- . E_i^+ = 0 (sections are disjoint)
-        lhs_plus = rec.k_x_dot_e_plus + rec.polarization_dot_e_i
-        lhs_minus = rec.k_x_dot_e_minus - rec.polarization_dot_e_i
-        checks.append(AdjunctionCheck(f"sections:E_{i}^+", lhs_plus, rhs))
-        checks.append(AdjunctionCheck(f"sections:E_{i}^-", lhs_minus, rhs))
-    for name in sorted(model.psi.contracted, key=curve_sort_key):
-        rec = cone_curve_numbers(model, name)
-        lhs = rec.k_dot_section_curve  # S+. C+ = S-.C- = 0 and cross terms vanish
-        rhs = adjoint_dot(name)
-        checks.append(AdjunctionCheck(f"curve:{name}", lhs, rhs))
-    return AdjunctionReport(tuple(checks))
+        pol = rec["polarization_dot_e_i"]
+        check(f"sections:E_{i}^+", rec["k_x_dot_e_plus"] + pol, rhs)
+        check(f"sections:E_{i}^-", rec["k_x_dot_e_minus"] - pol, rhs)
+    for name in model.psi.contracted:
+        # S+. C+ = S-.C- = 0 and cross terms vanish
+        lhs = cone_curve_numbers(model, name)["k_dot_section_curve"]
+        check(f"curve:{name}", lhs, adjoint_dot(name))
+    return {"all_pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-@dataclass(frozen=True)
-class PicardChain:
-    rho_s: int
-    rho_t: int
-    rho_x: int
-    rho_y: int
-    rho_z: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.rho_s, self.rho_t, self.rho_x, self.rho_y, self.rho_z)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def picard_chain(model: ConeModel) -> PicardChain:
+def picard_chain(model: ConeModel) -> dict[str, int]:
     """Picard ranks along the tower.
 
     The Proj adds one to the surface rank; the fibre-wise contraction removes
@@ -481,37 +346,12 @@ def picard_chain(model: ConeModel) -> PicardChain:
     rho_z = rho_y - 1
     if rho_t != 1 or rho_y != 2 or rho_z != 1:
         raise ConeError(f"Picard chain inconsistent: {(rho_s, rho_t, rho_x, rho_y, rho_z)}")
-    return PicardChain(rho_s, rho_t, rho_x, rho_y, rho_z)
+    return dict(rho_s=rho_s, rho_t=rho_t, rho_x=rho_x, rho_y=rho_y, rho_z=rho_z)
 
 
 # A schedule longer than this is refused before its first step: at this size
 # its JSON trace is already 125 to 180 MB (one to four multiplicities).
 KVV_MAX_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class KvvStep:
-    """One schedule step; its rationals are integer numerators over ``den``,
-    the denominator every step of the trace shares."""
-
-    j: int
-    chosen: int  # 1-based index of the divisor whose coefficient reached one
-    den: int
-    mu_num: int
-    lam_num: int
-    delta_num: tuple[int, ...]
-
-    @property
-    def mu(self) -> Rat:
-        return Fraction(self.mu_num, self.den)
-
-    @property
-    def lam(self) -> Rat:
-        return Fraction(self.lam_num, self.den)
-
-    @property
-    def delta(self) -> tuple[Rat, ...]:
-        return tuple(Fraction(x, self.den) for x in self.delta_num)
 
 
 class _RatText(dict):
@@ -530,11 +370,16 @@ class _RatText(dict):
 
 @dataclass(frozen=True)
 class KvvTrace:
+    """A schedule: step j is ``steps[j] = (chosen, mu_num, lam_num,
+    delta_num)``, the 1-based index whose coefficient reached one and the
+    numerators over ``den`` (shared by every step) of mu, lambda and the
+    coefficients after the step."""
+
     multiplicities: tuple[int, ...]
     delta0: tuple[Rat, ...]
     target: Rat
     den: int
-    steps: tuple[KvvStep, ...]
+    steps: tuple[tuple[int, int, int, tuple[int, ...]], ...]
 
     def to_json_dict(self) -> dict:
         text = _RatText(self.den)
@@ -544,13 +389,13 @@ class KvvTrace:
             "target": format_rat(self.target),
             "steps": [
                 {
-                    "j": s.j,
-                    "mu": text[s.mu_num],
-                    "chosen": s.chosen,
-                    "lambda": text[s.lam_num],
-                    "delta": [text[x] for x in s.delta_num],
+                    "j": j,
+                    "mu": text[mu],
+                    "chosen": chosen,
+                    "lambda": text[lam],
+                    "delta": [text[x] for x in delta],
                 }
-                for s in self.steps
+                for j, (chosen, mu, lam, delta) in enumerate(self.steps)
             ],
         }
 
@@ -603,7 +448,7 @@ def kvv_schedule(
     heapq.heapify(heap)
     stop = ceil(target * den)  # lambda < target  <=>  numerator < stop
     fired = [0] * len(e)
-    steps: list[KvvStep] = []
+    steps: list[tuple[int, int, int, tuple[int, ...]]] = []
     lam = 0
     while lam < stop:
         n, i = heap[0]
@@ -614,7 +459,7 @@ def kvv_schedule(
             raise ConeError(f"coefficient left [0,1] at step {len(steps)}: {raised}")
         raised[i] -= den
         fired[i] += 1
-        steps.append(KvvStep(len(steps), i + 1, den, n - lam, n, tuple(raised)))
+        steps.append((i + 1, n - lam, n, tuple(raised)))
         lam = n
     if len(steps) != count:
         raise ConeError(f"schedule took {len(steps)} steps, its closed form {count}")

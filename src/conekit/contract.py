@@ -7,6 +7,11 @@ extension orthogonal to every contracted curve.  Discrepancies, pair
 singularity classes, and all target intersection numbers derive from that one
 solve.  Pullback is linear, so the solve runs once per curve name, on that
 curve's row of the registry's named pairing table.
+
+The discrepancies and the singularity classification are returned as the
+plain dicts the CLI prints, with exact ``Fraction`` values;
+:meth:`Contraction.residual_checks` re-checks the discrepancy solve on dense
+class vectors.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ class ContractionError(ValueError):
 
 @dataclass(frozen=True)
 class Contraction:
-    """Contraction of ``contracted`` (curve names) on ``surface``.
+    """Contraction of ``contracted`` (curve names) on ``surface``, kept in
+    ``curve_sort_key`` order, the order of every table read from it.
 
     ``target_rho_one_minus_k_ample`` marks targets known to have Picard rank
     one with ample anticanonical class; ampleness tests refuse to run without
@@ -46,7 +52,7 @@ class Contraction:
     >>> psi = km_psi(build_km_surface(5))
     >>> print(psi.pullback(NamedDivisor.of({"E_1": 1})))
     E_1 + 1/6*Gamma + 1/2*l_1 + 1/2*lp_1
-    >>> psi.relative_canonical().table["Gamma"]
+    >>> psi.relative_canonical()["Gamma"]
     Fraction(-2, 3)
     """
 
@@ -57,6 +63,8 @@ class Contraction:
     def __post_init__(self):
         if len(set(self.contracted)) != len(self.contracted):
             raise ContractionError("contracted curve names must be distinct")
+        ordered = tuple(sorted(self.contracted, key=curve_sort_key))
+        object.__setattr__(self, "contracted", ordered)
         self.gram_inverse  # raises unless the Gram block is negative definite
 
     @property
@@ -182,25 +190,32 @@ class Contraction:
     def _canonical_correction(self) -> NamedDivisor:
         return self._solve([self.registry.canonical_dot(n) for n in self.contracted])
 
-    def relative_canonical(self) -> "DiscrepancyTable":
-        """Discrepancies a_C with K_source = pullback(K_target) + sum a_C C."""
-        correction = self._canonical_correction
-        return DiscrepancyTable(
-            contraction=self,
-            entries=tuple(
-                (name, -correction.coefficient(name)) for name in self.contracted
-            ),
+    def relative_canonical(self) -> dict[str, Rat]:
+        """Discrepancies {C: a_C} with K_source = pullback(K_target) + sum a_C C."""
+        correction = self._canonical_correction.terms
+        return {name: -correction.get(name, Fraction(0)) for name in self.contracted}
+
+    def residual_checks(self) -> bool:
+        """(K_source - sum a_C C) . C' == 0 for every contracted C', exactly,
+        on dense class vectors: the check of the discrepancy solve."""
+        correction = class_of(
+            self.registry,
+            NamedDivisor.of({n: -a for n, a in self.relative_canonical().items()}),
+        )
+        relative = self.lattice.canonical + correction
+        return all(
+            intersect(self.lattice, relative, c) == 0 for c in self.contracted_classes
         )
 
-    def classify_singularities(
-        self, boundary: NamedDivisor | None = None
-    ) -> "SingularityClassification":
+    def classify_singularities(self, boundary: NamedDivisor | None = None) -> dict:
         """Classify the target pair (target, boundary) along this contraction.
 
         Uses the minimal-resolution criterion: only the discrepancies of the
         curves contracted by this map are inspected, with the boundary given
         on the target by proper-transform names and folded in through its
-        pullback coefficients.
+        pullback coefficients.  ``classification`` is the finest label
+        (terminal < canonical < klt < plt < lc); ``klt`` is the coarser
+        membership, e.g. a crepant contraction is canonical, hence also klt.
         """
         boundary = boundary if boundary is not None else NamedDivisor.zero()
         for name, c in boundary.entries:
@@ -208,11 +223,10 @@ class Contraction:
                 raise ContractionError(
                     f"boundary coefficient of {name} outside [0,1]: {format_rat(c)}"
                 )
-        base = self.relative_canonical().table
-        boundary_pull = self.pullback(boundary)
+        boundary_pull = self.pullback(boundary).terms
         table = {
-            name: base[name] - boundary_pull.coefficient(name)
-            for name in self.contracted
+            name: a - boundary_pull.get(name, Fraction(0))
+            for name, a in self.relative_canonical().items()
         }
         lowest = min(table.values())
         boundary_floor_zero = floor_divisor(boundary).is_zero()
@@ -228,72 +242,16 @@ class Contraction:
             label = "lc"
         else:
             label = "not-lc"
-        return SingularityClassification(
-            classification=label,
-            table=tuple(sorted(table.items(), key=lambda kv: curve_sort_key(kv[0]))),
-            min_discrepancy=lowest,
-            boundary_floor_zero=boundary_floor_zero,
-            certificate="minimal-resolution criterion",
-        )
+        return {
+            "classification": label,
+            "klt": lowest > -1 and boundary_floor_zero,
+            "min_discrepancy": lowest,
+            "discrepancies": table,
+            "certificate": "minimal-resolution criterion",
+        }
 
     def picard_rank_after(self) -> int:
         return self.lattice.rank - len(self.contracted)
-
-
-@dataclass(frozen=True)
-class DiscrepancyTable:
-    """a_C per contracted curve, with K_source = pullback(K_target) + sum a_C C."""
-
-    contraction: Contraction
-    entries: tuple[tuple[str, Rat], ...]
-
-    @property
-    def table(self) -> dict[str, Rat]:
-        return dict(self.entries)
-
-    def residual_checks(self) -> bool:
-        """(K_source - sum a_C C) . C' == 0 for every contracted C', exactly."""
-        ctr = self.contraction
-        correction = class_of(
-            ctr.registry, NamedDivisor.of({n: -a for n, a in self.entries})
-        )
-        relative = ctr.lattice.canonical + correction
-        return all(
-            intersect(ctr.lattice, relative, c) == 0
-            for c in ctr.contracted_classes
-        )
-
-    def to_json_dict(self) -> dict:
-        return {name: format_rat(a) for name, a in self.entries}
-
-
-@dataclass(frozen=True)
-class SingularityClassification:
-    """Finest singularity label of a pair, with its klt membership.
-
-    ``classification`` is the finest class (terminal < canonical < klt < plt
-    < lc); ``is_klt`` is the coarser membership, e.g. a crepant contraction
-    is canonical, hence also klt.
-    """
-
-    classification: str
-    table: tuple[tuple[str, Rat], ...]
-    min_discrepancy: Rat
-    boundary_floor_zero: bool
-    certificate: str
-
-    @property
-    def is_klt(self) -> bool:
-        return self.min_discrepancy > -1 and self.boundary_floor_zero
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "klt": self.is_klt,
-            "min_discrepancy": format_rat(self.min_discrepancy),
-            "discrepancies": {n: format_rat(a) for n, a in self.table},
-            "certificate": self.certificate,
-        }
 
 
 def km_psi(surface: KMSurface) -> Contraction:

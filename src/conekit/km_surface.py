@@ -215,32 +215,7 @@ def build_km_surface(d: int) -> KMSurface:
     return KMSurface(d=d, lattice=data.lattice, registry=data.registry)
 
 
-@dataclass(frozen=True)
-class SanityItem:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class SanityReport:
-    items: tuple[SanityItem, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "items": [
-                {"name": i.name, "pass": i.passed, "detail": i.detail}
-                for i in self.items
-            ],
-        }
-
-
-def km_sanity(s: KMSurface) -> SanityReport:
+def km_sanity(s: KMSurface) -> dict:
     """Check the structural identities of S(d) and report each one.
 
     (a) F = 2E_i + l_i + lp_i as classes, for every i
@@ -251,11 +226,15 @@ def km_sanity(s: KMSurface) -> SanityReport:
 
     (a) and (d) are class identities, compared as dense class vectors; (b),
     (c) and (e) read the registry's named pairing table, so (b) costs one
-    table row per exceptional curve.
+    table row per exceptional curve.  Returns the printed report:
+    ``{"all_pass", "items": [{"name", "pass", "detail"}]}``.
     """
-    items: list[SanityItem] = []
+    items: list[dict] = []
     lat, reg = s.lattice, s.registry
     f_class = reg.class_vector("F")
+
+    def item(name: str, ok: bool, detail: str) -> None:
+        items.append({"name": name, "pass": ok, "detail": detail})
 
     ok = True
     for i in range(1, s.d + 1):
@@ -264,9 +243,7 @@ def km_sanity(s: KMSurface) -> SanityReport:
         )
         if combo != f_class:
             ok = False
-    items.append(
-        SanityItem("fibre_decomposition", ok, "F = 2E_i + l_i + lp_i for all i")
-    )
+    item("fibre_decomposition", ok, "F = 2E_i + l_i + lp_i for all i")
 
     exceptional = set(s.exceptional_names())
     ok = all(
@@ -274,12 +251,10 @@ def km_sanity(s: KMSurface) -> SanityReport:
         for a in exceptional
         for other in reg.pairing_row(a)
     )
-    items.append(
-        SanityItem(
-            "exceptional_orthogonal",
-            ok,
-            "Gamma, l_i, lp_i pairwise orthogonal (2d+1 curves)",
-        )
+    item(
+        "exceptional_orthogonal",
+        ok,
+        "Gamma, l_i, lp_i pairwise orthogonal (2d+1 curves)",
     )
 
     ok = all(
@@ -287,15 +262,11 @@ def km_sanity(s: KMSurface) -> SanityReport:
         for i in range(1, s.d + 1)
         for other in ("Gamma", f"l_{i}", f"lp_{i}")
     )
-    items.append(
-        SanityItem("minus_one_meets", ok, "E_i.Gamma = E_i.l_i = E_i.lp_i = 1")
-    )
+    item("minus_one_meets", ok, "E_i.Gamma = E_i.l_i = E_i.lp_i = 1")
 
     anti_k = class_of(reg, NamedDivisor.of({"Gamma": 1, "F": 1}))
-    ok = anti_k == -lat.canonical
-    items.append(SanityItem("anticanonical", ok, "-K = Gamma + F"))
+    item("anticanonical", anti_k == -lat.canonical, "-K = Gamma + F")
 
-    ok = s.pairing("Gamma", "F") == 2
-    items.append(SanityItem("gamma_dot_fibre", ok, "Gamma.F = 2"))
+    item("gamma_dot_fibre", s.pairing("Gamma", "F") == 2, "Gamma.F = 2")
 
-    return SanityReport(tuple(items))
+    return {"all_pass": all(i["pass"] for i in items), "items": items}

@@ -22,8 +22,8 @@ built once as a sparse product.  :func:`pair` and :func:`pair_canonical` read
 intersection numbers of named divisors from that table without building a
 class vector; the dense route through :func:`class_of` and :func:`intersect`
 gives the same numbers.  Above this module the table is the one pairing
-route, and the dense one runs only as a check or a reference: the
-discrepancy table's ``residual_checks``, the K.C column itself, the two
+route, and the dense one runs only as a check or a reference:
+``Contraction.residual_checks``, the K.C column itself, the two
 class identities of ``km_sanity``, the functions the benchmark tracer names,
 and the test oracles.
 """

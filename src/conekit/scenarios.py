@@ -1,20 +1,24 @@
 """End-to-end verifiers for the two counterexample families, plus the sweep.
 
-Each verifier returns a :class:`Report`, which holds exactly what it
-prints: the scenario, its parameters, the certificates and the verdict.
-Every numerical claim is a :class:`Certificate` carrying the rule that
-produced it and a provenance marker (``derived:*`` for numbers computed
-here, ``cited:*`` for the few facts consumed as external citations rather
-than recomputed).  Every certificate is built by :func:`_certify`, the one
-place a value is rendered to text.  The verdict is computed inline from the
-values just certified, as a pure boolean combination: if any entry it needs
-is Unknown, the verdict is None, never guessed.
+Each verifier returns its printed report, a plain dict ``{scenario, params,
+certificates, verdict}``.  Every numerical claim is a certificate dict
+``{claim, value, rule, paper_ref}`` carrying the rule that produced it and a
+provenance marker (``derived:*`` for numbers computed here, ``cited:*`` for
+the few facts consumed as external citations rather than recomputed).
+Every certificate is built by :func:`_certify`, the one place a value is
+rendered to text.  The verdict is computed inline from the values just
+certified, as a pure boolean combination: if any entry it needs is Unknown,
+the verdict is None, never guessed.
+
+:func:`sweep_kvv` returns ``{scenario, params, rows}``, one row dict per
+(d, q1, q2); its row count is known in closed form and bounded by
+``SWEEP_MAX_ROWS`` before any contraction is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import comb
 
 from .cohom import (
     FamilyDescriptor,
@@ -26,7 +30,6 @@ from .cohom import (
     uniform_h2_chain_zero,
 )
 from .cone3fold import ConeModel, picard_chain, plt_coefficient_b
-from .qlattice import curve_sort_key
 
 
 class ScenarioError(ValueError):
@@ -37,24 +40,8 @@ class ScenarioError(ValueError):
         super().__init__(f"{name}: {message}")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    claim: str
-    value: str
-    rule: str
-    provenance: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "value": self.value,
-            "rule": self.rule,
-            "paper_ref": self.provenance,
-        }
-
-
 def _certify(
-    certs: list[Certificate], claim: str, value: object, rule: str, provenance: str
+    certs: list[dict], claim: str, value: object, rule: str, provenance: str
 ) -> None:
     """Append one certificate, rendering its value from its type: None is
     ``unknown``, a bool ``true``/``false``, anything else its ``str`` (``p/q``
@@ -65,44 +52,26 @@ def _certify(
         text = "true" if value else "false"
     else:
         text = str(value)
-    certs.append(Certificate(claim, text, rule, provenance))
+    certs.append({"claim": claim, "value": text, "rule": rule, "paper_ref": provenance})
 
 
-def _certify_m_table(model: ConeModel, certs: list[Certificate]) -> None:
+def _certify_m_table(model: ConeModel, certs: list[dict]) -> None:
     """The multiplicities m(C) in curve order, one certificate each."""
-    for name, m in sorted(model.mc.items(), key=lambda kv: curve_sort_key(kv[0])):
+    for name, m in model.mc.items():
         _certify(
             certs, f"m({name})", m,
             "unit-fraction-extraction", "derived:pullback-fractional-part",
         )
 
 
-def _certify_picard_chain(model: ConeModel, certs: list[Certificate]) -> None:
-    ranks = ",".join(str(r) for r in picard_chain(model).as_tuple())
+def _certify_picard_chain(model: ConeModel, certs: list[dict]) -> None:
+    ranks = ",".join(str(r) for r in picard_chain(model).values())
     _certify(
         certs, "picard-chain", ranks, "rank-bookkeeping", "derived:threefold-ledger"
     )
 
 
-@dataclass(frozen=True)
-class Report:
-    """A verifier's output: its certificates and the verdict they support."""
-
-    scenario: str
-    params: dict
-    certificates: tuple[Certificate, ...]
-    verdict: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "params": dict(self.params),
-            "certificates": [c.to_json_dict() for c in self.certificates],
-            "verdict": self.verdict,
-        }
-
-
-def verify_plt_nonnormal(d: int, q: int) -> Report:
+def verify_plt_nonnormal(d: int, q: int) -> dict:
     """Certify that the distinguished divisor over the cone point is non-normal.
 
     Pipeline: ampleness and the unit-fraction assumption for the polarization
@@ -127,7 +96,7 @@ def verify_plt_nonnormal(d: int, q: int) -> Report:
     psi = target_context(d)
     fam = FamilyDescriptor(d, q, 1)
     a = family_divisor(fam)
-    certs: list[Certificate] = []
+    certs: list[dict] = []
 
     _certify(
         certs, "ample(A)", psi.is_ample_rho1(a),
@@ -176,23 +145,23 @@ def verify_plt_nonnormal(d: int, q: int) -> Report:
     coeff = plt_coefficient_b(model, j)
     extension_coefficient = Fraction(q - 2, q - 1)
     _certify(
-        certs, "b", coeff.b, "cone-boundary-coefficient", "derived:threefold-ledger"
+        certs, "b", coeff["b"], "cone-boundary-coefficient", "derived:threefold-ledger"
     )
     _certify(
         certs, "B-coefficient", extension_coefficient,
         "closed-form-(q-2)/(q-1)"
-        + ("" if coeff.b == extension_coefficient else ";MISMATCH"),
+        + ("" if coeff["b"] == extension_coefficient else ";MISMATCH"),
         "derived:threefold-ledger",
     )
 
-    classification = psi.classify_singularities()
+    classification = model.surface_classification
     _certify(
-        certs, "classification(psi)", classification.classification,
-        classification.certificate, "derived:discrepancy-table",
+        certs, "classification(psi)", classification["classification"],
+        classification["certificate"], "derived:discrepancy-table",
     )
     _certify(
-        certs, "min-discrepancy(psi)", classification.min_discrepancy,
-        classification.certificate, "derived:discrepancy-table",
+        certs, "min-discrepancy(psi)", classification["min_discrepancy"],
+        classification["certificate"], "derived:discrepancy-table",
     )
 
     _certify_picard_chain(model, certs)
@@ -233,11 +202,16 @@ def verify_plt_nonnormal(d: int, q: int) -> Report:
 
     verdict = None
     if non_normal is not None:
-        verdict = non_normal and coeff.plt and coeff.b == extension_coefficient
-    return Report("plt-nonnormal", {"d": d, "q": q}, tuple(certs), verdict)
+        verdict = non_normal and coeff["plt"] and coeff["b"] == extension_coefficient
+    return {
+        "scenario": "plt-nonnormal",
+        "params": {"d": d, "q": q},
+        "certificates": certs,
+        "verdict": verdict,
+    }
 
 
-def verify_bad_fano(q: int) -> Report:
+def verify_bad_fano(q: int) -> dict:
     """Certify the intermediate cohomology of the cone for the d = 4q+2 family.
 
     The polarization is sum E_1..E_{3q} - sum E_{3q+1}..E_{4q}; its first
@@ -252,7 +226,7 @@ def verify_bad_fano(q: int) -> Report:
     psi = target_context(d)
     fam = FamilyDescriptor(d, 3 * q, q)
     a = family_divisor(fam)
-    certs: list[Certificate] = []
+    certs: list[dict] = []
 
     model = ConeModel.build(psi, a)
     _certify_m_table(model, certs)
@@ -288,75 +262,56 @@ def verify_bad_fano(q: int) -> Report:
     )
 
     verdict = None if h2_z is None else h2_z == q - 1 and not_cm == (q >= 2)
-    return Report(
-        "fano-intermediate-cohomology", {"q": q, "d": d}, tuple(certs), verdict
-    )
+    return {
+        "scenario": "fano-intermediate-cohomology",
+        "params": {"q": q, "d": d},
+        "certificates": certs,
+        "verdict": verdict,
+    }
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    d: int
-    q1: int
-    q2: int
-    ample: bool
-    h1: int
-    kvv_violation: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+# A sweep with more rows than this is refused before its first contraction.
+SWEEP_MAX_ROWS = 15_000
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    d_min: int
-    d_max: int
-    rows: tuple[SweepRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": "kvv-sweep",
-            "params": {"d_min": self.d_min, "d_max": self.d_max},
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
-
-    def to_csv(self) -> str:
-        lines = ["d,q1,q2,ample,h1,kvv_violation"]
-        for r in self.rows:
-            lines.append(
-                f"{r.d},{r.q1},{r.q2},"
-                f"{'true' if r.ample else 'false'},{r.h1},"
-                f"{'true' if r.kvv_violation else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
+def sweep_rows(d_min: int, d_max: int) -> int:
+    """Rows of the window: sum over d of (d+1)(d+2)/2 (q1 + q2 <= d), that
+    is C(d_max+3, 3) - C(d_min+2, 3)."""
+    return comb(d_max + 3, 3) - comb(d_min + 2, 3)
 
 
-def sweep_kvv(d_min: int, d_max: int) -> SweepTable:
+def sweep_kvv(d_min: int, d_max: int) -> dict:
     """Vanishing-failure table over the (d, q1, q2) grid.
 
     A row is flagged when the family divisor is ample yet has nonzero first
     cohomology: by duality this is exactly a failure of vanishing for the
     ample divisor A - K on the rank-one target.  Row order is lexicographic
-    in (d, q1, q2).
+    in (d, q1, q2).  A window of more than ``SWEEP_MAX_ROWS`` rows is
+    refused before any contraction is built.
     """
     if not 3 <= d_min <= d_max:
         raise ScenarioError("3<=d_min<=d_max", f"({d_min}, {d_max})")
-    rows: list[SweepRow] = []
+    count = sweep_rows(d_min, d_max)
+    if count > SWEEP_MAX_ROWS:
+        raise ScenarioError(
+            "rows<=SWEEP_MAX_ROWS",
+            f"window [{d_min}, {d_max}] has {count} rows, "
+            f"above the limit of {SWEEP_MAX_ROWS}",
+        )
+    rows = []
     for d in range(d_min, d_max + 1):
         psi = target_context(d)
         for q1 in range(0, d + 1):
             for q2 in range(0, d - q1 + 1):
                 fam = FamilyDescriptor(d, q1, q2)
-                report = km_family_cohomology(fam)
                 ample = psi.is_ample_rho1(family_divisor(fam))
-                h1 = report.h1.value
-                rows.append(
-                    SweepRow(
-                        d=d,
-                        q1=q1,
-                        q2=q2,
-                        ample=ample,
-                        h1=h1,
-                        kvv_violation=ample and h1 > 0,
-                    )
-                )
-    return SweepTable(d_min=d_min, d_max=d_max, rows=tuple(rows))
+                h1 = km_family_cohomology(fam).h1.value
+                rows.append({
+                    "d": d, "q1": q1, "q2": q2,
+                    "ample": ample, "h1": h1, "kvv_violation": ample and h1 > 0,
+                })
+    return {
+        "scenario": "kvv-sweep",
+        "params": {"d_min": d_min, "d_max": d_max},
+        "rows": rows,
+    }

@@ -8,9 +8,13 @@ import argparse
 
 import pytest
 
+from conekit import cli, scenarios
 from conekit.cli import build_parser, main, parse_divisor
+from conekit.cohom import CohStatus
 from conekit.cone3fold import KVV_MAX_STEPS
+from conekit.contract import Contraction
 from conekit.qlattice import NamedDivisor
+from conekit.scenarios import SWEEP_MAX_ROWS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -168,6 +172,56 @@ def test_kvv_schedule_bad_multiplicity_is_a_usage_error(capsys, e, shown):
     assert captured.err == f"error: multiplicities must be positive integers: {shown}\n"
     assert "invalid literal" not in captured.err
     assert "Fraction(" not in captured.err
+
+
+def test_json_hook_renders_fractions_and_refuses_other_objects():
+    assert cli._rat_json(Fraction(1, 2)) == "1/2"
+    assert cli._rat_json(Fraction(3)) == "3"
+    assert cli._json({"b": Fraction(1, 2), "m": 3}) == '{\n  "b": "1/2",\n  "m": 3\n}'
+    # an object leaked into a payload fails loudly instead of printing its repr
+    for leaked in (NamedDivisor.of({"E_1": 1}), CohStatus.exact(1)):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._rat_json(leaked)
+        with pytest.raises(TypeError):
+            cli._json({"value": [leaked]})
+
+
+def test_sweep_over_the_row_budget_is_refused_before_any_contraction(
+    monkeypatch, capsys
+):
+    built = []
+    monkeypatch.setattr(scenarios, "target_context", built.append)
+    assert main(["sweep", "--d-min", "3", "--d-max", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert built == []
+    assert captured.out == ""
+    rows = scenarios.sweep_rows(3, 1000000000)
+    assert captured.err == (
+        f"error: rows<=SWEEP_MAX_ROWS: window [3, 1000000000] has {rows} rows, "
+        f"above the limit of {SWEEP_MAX_ROWS}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", "--d", "25", "--q", "3", "--ledger", "sections"],
+        ["verify", "plt", "--d", "25", "--q", "3"],
+    ],
+    ids=["cone-sections", "verify-plt"],
+)
+def test_surface_classification_runs_once_per_command(monkeypatch, argv):
+    calls = []
+    real = Contraction.classify_singularities
+
+    def spy(self, boundary=None):
+        calls.append(boundary)
+        return real(self, boundary)
+
+    monkeypatch.setattr(Contraction, "classify_singularities", spy)
+    code, _ = run_cli(argv)
+    assert code == 0
+    assert calls == [None]
 
 
 def test_argparse_usage_error():

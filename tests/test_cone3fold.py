@@ -95,16 +95,16 @@ def test_non_ample_polarization_rejected():
 
 
 def test_k_dot_section_curves():
-    assert cone_curve_numbers(M53, "Gamma").k_dot_section_curve == Fraction(6 - 6, 3)
-    assert cone_curve_numbers(M53, "l_1").k_dot_section_curve == Fraction(2 - 4, 2)
-    assert cone_curve_numbers(M53, "l_5").k_dot_section_curve == 0
+    assert cone_curve_numbers(M53, "Gamma")["k_dot_section_curve"] == Fraction(6 - 6, 3)
+    assert cone_curve_numbers(M53, "l_1")["k_dot_section_curve"] == Fraction(2 - 4, 2)
+    assert cone_curve_numbers(M53, "l_5")["k_dot_section_curve"] == 0
 
 
 def test_section_curve_squares_and_disjointness():
     for name in M53.psi.contracted:
         rec = cone_curve_numbers(M53, name)
-        assert rec.section_curve_square_in_fibre == 0
-        assert rec.section_dot_section_curve == 0
+        assert rec["section_curve_square_in_fibre"] == 0
+        assert rec["section_dot_section_curve"] == 0
 
 
 def test_curve_ledger_rejects_uncontracted():
@@ -136,14 +136,14 @@ def test_fibre_degree_constant_over_grid():
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 rec = section_numbers(model, i, j)
-                assert rec.e_y_dot_f_e == Fraction(1, 2 * d - 4)
+                assert rec["e_y_dot_f_e"] == Fraction(1, 2 * d - 4)
 
 
 def test_section_polarization_degrees():
     rec = section_numbers(M53, 5, 5)
-    assert rec.polarization_dot_e_i == Fraction(1, 3)
-    assert rec.s_plus_dot_e_plus_j == Fraction(1, 3)
-    assert rec.s_minus_dot_e_minus_j == Fraction(-1, 3)
+    assert rec["polarization_dot_e_i"] == Fraction(1, 3)
+    assert rec["s_plus_dot_e_plus_j"] == Fraction(1, 3)
+    assert rec["s_minus_dot_e_minus_j"] == Fraction(-1, 3)
 
 
 def test_k_x_section_sum_rule():
@@ -155,7 +155,7 @@ def test_k_x_section_sum_rule():
             + Fraction(M53.mc[f"l_{i}"] - 1, M53.mc[f"l_{i}"])
             + Fraction(M53.mc[f"lp_{i}"] - 1, M53.mc[f"lp_{i}"])
         )
-        assert rec.k_x_dot_e_plus + rec.k_x_dot_e_minus == 2 * (defects - 1)
+        assert rec["k_x_dot_e_plus"] + rec["k_x_dot_e_minus"] == 2 * (defects - 1)
 
 
 def test_polarization_dot_e_pairs_once_per_index(monkeypatch):
@@ -194,57 +194,57 @@ def test_section_index_out_of_range():
 
 def test_b_for_plt_d5_q3():
     got = plt_coefficient_b(M53, 5)
-    assert got.b == Fraction(1, 2)
-    assert got.plt
+    assert got["b"] == Fraction(1, 2)
+    assert got["plt"]
 
 
 def test_b_closed_form_for_fresh_indices():
     for d, q in ((5, 3), (8, 3), (5, 4), (12, 6)):
         model = plt_model(d, q)
         for i in range(q + 2, d + 1):
-            assert plt_coefficient_b(model, i).b == Fraction(q - 2, q - 1)
+            assert plt_coefficient_b(model, i)["b"] == Fraction(q - 2, q - 1)
 
 
 def test_b_degenerates_to_zero():
     model = ConeModel.build(target_context(5), NamedDivisor.of({"E_1": 1}))
     # pullback(A).E_5 = 1/(2d-4) exactly, so the numerator vanishes
     assert model.polarization_dot_e(5) == Fraction(1, 6)
-    assert plt_coefficient_b(model, 5).b == 0
+    assert plt_coefficient_b(model, 5)["b"] == 0
 
 
 # --- resolution ledger ----------------------------------------------------------
 
 
 def test_resolution_m3():
-    rec = next(r for r in resolution_ledger(M53) if r.curve == "Gamma")
-    assert rec.m == 3
-    assert rec.f_plus_discrepancy == Fraction(1, 3)
-    assert rec.mu_s_plus_coeff == Fraction(1, 3)
-    assert rec.mu_s_minus_chain == (Fraction(2, 3), Fraction(1, 3))
-    assert rec.mu_r_f_plus == Fraction(1, 3)
-    assert rec.mu_r_minus_chain == (Fraction(1, 3), Fraction(2, 3))
-    assert rec.dual_graph == "S~^- - F^-_1 - F^-_2 - R~_Gamma"
+    rec = next(r for r in resolution_ledger(M53) if r["curve"] == "Gamma")
+    assert rec["m"] == 3
+    assert rec["f_plus_discrepancy"] == Fraction(1, 3)
+    assert rec["mu_s_plus_coeff"] == Fraction(1, 3)
+    assert rec["mu_s_minus_chain"] == [Fraction(2, 3), Fraction(1, 3)]
+    assert rec["mu_r_f_plus"] == Fraction(1, 3)
+    assert rec["mu_r_minus_chain"] == [Fraction(1, 3), Fraction(2, 3)]
+    assert rec["dual_graph"] == "S~^- - F^-_1 - F^-_2 - R~_Gamma"
 
 
 def test_resolution_m2():
-    rec = next(r for r in resolution_ledger(M53) if r.curve == "l_1")
-    assert rec.f_plus_discrepancy == 0
-    assert rec.mu_s_minus_chain == (Fraction(1, 2),)
-    assert rec.mu_r_minus_chain == (Fraction(1, 2),)
-    assert rec.dual_graph == "S~^- - F^-_1 - R~_l_1"
+    rec = next(r for r in resolution_ledger(M53) if r["curve"] == "l_1")
+    assert rec["f_plus_discrepancy"] == 0
+    assert rec["mu_s_minus_chain"] == [Fraction(1, 2)]
+    assert rec["mu_r_minus_chain"] == [Fraction(1, 2)]
+    assert rec["dual_graph"] == "S~^- - F^-_1 - R~_l_1"
 
 
 def test_resolution_m4():
     model = fano_model(1)
-    rec = next(r for r in resolution_ledger(model) if r.curve == "Gamma")
-    assert rec.m == 4
-    assert rec.f_plus_discrepancy == Fraction(1, 2)
-    assert rec.mu_s_minus_chain == (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
-    assert rec.mu_r_minus_chain == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    rec = next(r for r in resolution_ledger(model) if r["curve"] == "Gamma")
+    assert rec["m"] == 4
+    assert rec["f_plus_discrepancy"] == Fraction(1, 2)
+    assert rec["mu_s_minus_chain"] == [Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)]
+    assert rec["mu_r_minus_chain"] == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
 
 
 def test_resolution_skips_multiplicity_one():
-    names = {r.curve for r in resolution_ledger(M53)}
+    names = {r["curve"] for r in resolution_ledger(M53)}
     assert "l_5" not in names and "lp_5" not in names
 
 
@@ -254,8 +254,8 @@ def test_resolution_skips_multiplicity_one():
 def test_adjunction_consistency_plt_and_fano():
     for model in (M53, plt_model(8, 3), plt_model(12, 3), fano_model(1), fano_model(2)):
         report = adjunction_consistency(model)
-        assert report.all_pass, [c for c in report.checks if not c.passed]
-        assert len(report.checks) == 2 * model.d + len(model.psi.contracted)
+        assert report["all_pass"], [c for c in report["checks"] if not c["pass"]]
+        assert len(report["checks"]) == 2 * model.d + len(model.psi.contracted)
 
 
 @pytest.mark.parametrize(
@@ -276,37 +276,48 @@ def test_ledger_pairings_match_dense_route(build):
     for i in range(1, model.d + 1):
         e_i = NamedDivisor.of({f"E_{i}": 1})
         assert model.polarization_dot_e(i) == dense(model.polarization, f"E_{i}")
-        assert section_numbers(model, i, i).e_y_dot_f_e == dense(e_i, f"E_{i}")
+        assert section_numbers(model, i, i)["e_y_dot_f_e"] == dense(e_i, f"E_{i}")
     for name in psi.contracted:
         cls = reg.class_vector(name)
         assert model.curve_square(name) == intersect(lat, cls, cls)
     boundary = NamedDivisor.of({n: Fraction(m - 1, m) for n, m in model.mc.items()})
     adjoint = lat.canonical + class_of(reg, boundary)
     report = adjunction_consistency(model)
-    assert len(report.checks) == 2 * model.d + len(psi.contracted)
-    for check in report.checks:
-        curve = check.name.split(":")[1].split("^")[0]
-        assert check.rhs == intersect(lat, adjoint, reg.class_vector(curve))
+    assert len(report["checks"]) == 2 * model.d + len(psi.contracted)
+    for check in report["checks"]:
+        curve = check["name"].split(":")[1].split("^")[0]
+        assert check["rhs"] == intersect(lat, adjoint, reg.class_vector(curve))
 
 
 def test_picard_chain_values():
-    assert picard_chain(M53).as_tuple() == (12, 1, 13, 2, 1)
+    assert tuple(picard_chain(M53).values()) == (12, 1, 13, 2, 1)
     model3 = ConeModel.build(target_context(3), NamedDivisor.of({"E_1": 1}))
-    assert picard_chain(model3).as_tuple() == (8, 1, 9, 2, 1)
+    assert tuple(picard_chain(model3).values()) == (8, 1, 9, 2, 1)
 
 
 def test_rho_y_minus_rho_z_is_one():
     for model in (M53, fano_model(1)):
         chain = picard_chain(model)
-        assert chain.rho_y - chain.rho_z == 1
+        assert chain["rho_y"] - chain["rho_z"] == 1
 
 
 # --- schedule -------------------------------------------------------------------
 
 
+def _steps(trace):
+    """(mu, chosen, lambda, delta) of every step, each rational read as
+    Fraction(numerator, trace.den)."""
+    den = trace.den
+    return [
+        (Fraction(mu, den), chosen, Fraction(lam, den),
+         tuple(Fraction(x, den) for x in delta))
+        for chosen, mu, lam, delta in trace.steps
+    ]
+
+
 def test_schedule_single_divisor():
     trace = kvv_schedule([1], [0], 3)
-    assert [(s.mu, s.lam) for s in trace.steps] == [
+    assert [(mu, lam) for mu, _, lam, _ in _steps(trace)] == [
         (Fraction(1), Fraction(1)),
         (Fraction(1), Fraction(2)),
         (Fraction(1), Fraction(3)),
@@ -315,7 +326,7 @@ def test_schedule_single_divisor():
 
 def test_schedule_two_divisors_hand_iteration():
     trace = kvv_schedule([1, 2], [0, 0], 2)
-    got = [(s.mu, s.chosen, s.lam, s.delta) for s in trace.steps]
+    got = _steps(trace)
     half = Fraction(1, 2)
     assert got == [
         (half, 2, half, (half, Fraction(0))),
@@ -329,26 +340,27 @@ def test_schedule_two_divisors_hand_iteration():
 def test_schedule_periodic_state_advances_lambda():
     trace = kvv_schedule([1, 2], [0, 0], 5)
     # one unit of lambda per period of three steps
-    for k, step in enumerate(trace.steps):
-        base = trace.steps[k % 3]
-        assert step.lam == base.lam + k // 3
-        assert step.delta == base.delta
+    steps = _steps(trace)
+    for k, (_, _, lam, delta) in enumerate(steps):
+        _, _, base_lam, base_delta = steps[k % 3]
+        assert lam == base_lam + k // 3
+        assert delta == base_delta
 
 
 def test_schedule_near_saturated_start():
-    trace = kvv_schedule([2, 3], [Fraction(9, 10), Fraction(0)], 2)
-    assert trace.steps[0].mu == Fraction(1, 20)
-    assert trace.steps[-1].lam >= 2
-    for s in trace.steps:
-        assert all(0 <= x <= 1 for x in s.delta)
+    steps = _steps(kvv_schedule([2, 3], [Fraction(9, 10), Fraction(0)], 2))
+    assert steps[0][0] == Fraction(1, 20)
+    assert steps[-1][2] >= 2
+    for _, _, _, delta in steps:
+        assert all(0 <= x <= 1 for x in delta)
 
 
 def test_schedule_reaches_target_on_acceptance_vectors():
     for e in ((1,), (1, 2), (1, 2, 3), (3, 3, 3)):
-        trace = kvv_schedule(e, [0] * len(e), 10)
-        assert trace.steps[-1].lam >= 10
-        for s in trace.steps:
-            assert all(0 <= x <= 1 for x in s.delta)
+        steps = _steps(kvv_schedule(e, [0] * len(e), 10))
+        assert steps[-1][2] >= 10
+        for _, _, _, delta in steps:
+            assert all(0 <= x <= 1 for x in delta)
 
 
 def test_schedule_is_deterministic():
@@ -374,7 +386,8 @@ def test_schedule_refuses_an_over_budget_request_before_its_first_step(monkeypat
     def no_step(*args):
         raise AssertionError("a step was built")
 
-    monkeypatch.setattr(cone3fold, "KvvStep", no_step)
+    # every step advances the heap once
+    monkeypatch.setattr(cone3fold.heapq, "heapreplace", no_step)
     # e = (1,) and target T take 1 + (ceil(T) - 1) = T steps
     with pytest.raises(ConeError) as err:
         kvv_schedule([1], [0], KVV_MAX_STEPS + 1)
@@ -388,9 +401,9 @@ def test_schedule_refuses_an_over_budget_request_before_its_first_step(monkeypat
 
 def test_schedule_tiny_first_step_still_diverges():
     # a coefficient just below one forces a tiny first step
-    trace = kvv_schedule([1, 1], [Fraction(999, 1000), Fraction(0)], 3)
-    assert trace.steps[0].mu == Fraction(1, 1000)
-    assert trace.steps[-1].lam >= 3
+    steps = _steps(kvv_schedule([1, 1], [Fraction(999, 1000), Fraction(0)], 3))
+    assert steps[0][0] == Fraction(1, 1000)
+    assert steps[-1][2] >= 3
 
 
 from hypothesis import given, settings
@@ -407,15 +420,15 @@ def test_schedule_invariants_on_random_inputs(e, data):
         data.draw(st.fractions(min_value=0, max_value=Fraction(7, 8), max_denominator=8))
         for _ in e
     ]
-    trace = kvv_schedule(e, delta0, 10)
-    assert trace.steps[-1].lam >= 10
-    lam = Fraction(0)
-    for s in trace.steps:
-        assert s.mu >= 0
-        assert s.lam >= lam  # lambda is nondecreasing
-        lam = s.lam
-        assert all(0 <= x <= 1 for x in s.delta)
-        assert s.delta[s.chosen - 1] == 0  # the chosen coefficient resets
+    steps = _steps(kvv_schedule(e, delta0, 10))
+    assert steps[-1][2] >= 10
+    prev = Fraction(0)
+    for mu, chosen, lam, delta in steps:
+        assert mu >= 0
+        assert lam >= prev  # lambda is nondecreasing
+        prev = lam
+        assert all(0 <= x <= 1 for x in delta)
+        assert delta[chosen - 1] == 0  # the chosen coefficient resets
 
 
 # --- schedule oracle ------------------------------------------------------------
@@ -482,7 +495,7 @@ def test_schedule_matches_stepwise_oracle(e, data):
     )
     trace = kvv_schedule(e, delta0, target)
     expected = _stepwise_schedule(e, delta0, target)
-    assert [(s.mu, s.chosen, s.lam, s.delta) for s in trace.steps] == expected
+    assert _steps(trace) == expected
     assert trace.to_json_dict() == _stepwise_json(e, delta0, target, expected)
     assert len(trace.steps) == _closed_form_count(e, delta0, target)
 

@@ -155,12 +155,12 @@ def test_pushforward_pullback_round_trip(terms):
 def test_gamma_discrepancy():
     for d in (4, 5, 10, 20):
         psi = km_psi(build_km_surface(d))
-        table = psi.relative_canonical().table
+        table = psi.relative_canonical()
         assert table["Gamma"] == -Fraction(d - 3, d - 2)
 
 
 def test_minus_two_curves_have_zero_discrepancy():
-    table = PSI5.relative_canonical().table
+    table = PSI5.relative_canonical()
     for i in range(1, 6):
         assert table[f"l_{i}"] == 0
         assert table[f"lp_{i}"] == 0
@@ -168,13 +168,13 @@ def test_minus_two_curves_have_zero_discrepancy():
 
 def test_d3_gamma_discrepancy_vanishes():
     psi = km_psi(build_km_surface(3))
-    assert psi.relative_canonical().table["Gamma"] == 0
+    assert psi.relative_canonical()["Gamma"] == 0
 
 
 def test_relative_canonical_orthogonality():
     for d in (3, 5, 12):
         psi = km_psi(build_km_surface(d))
-        assert psi.relative_canonical().residual_checks()
+        assert psi.residual_checks()
 
 
 # --- singularity classification ----------------------------------------------
@@ -184,12 +184,12 @@ def test_psi_is_klt_for_all_d():
     for d in [*range(3, 21), 40, 80]:
         psi = km_psi(build_km_surface(d))
         got = psi.classify_singularities()
-        assert got.is_klt
+        assert got["klt"]
         # d = 3 is crepant, the finest label upgrades to canonical
-        assert got.classification == ("canonical" if d == 3 else "klt")
-        assert got.min_discrepancy == -Fraction(d - 3, d - 2)
-        assert got.min_discrepancy > -1
-        assert psi.relative_canonical().residual_checks()
+        assert got["classification"] == ("canonical" if d == 3 else "klt")
+        assert got["min_discrepancy"] == -Fraction(d - 3, d - 2)
+        assert got["min_discrepancy"] > -1
+        assert psi.residual_checks()
 
 
 def _one_point_blowup() -> KMSurface:
@@ -229,10 +229,9 @@ def test_a2_chain_contraction():
     assert ctr.pullback(NamedDivisor.of({"E3": 1})) == NamedDivisor.of(
         {"E1": third, "E2": 2 * third, "E3": 1}
     )
-    discrepancies = ctr.relative_canonical()
-    assert discrepancies.table == {"E1": 0, "E2": 0}
-    assert discrepancies.residual_checks()
-    assert ctr.classify_singularities().classification == "canonical"
+    assert ctr.relative_canonical() == {"E1": 0, "E2": 0}
+    assert ctr.residual_checks()
+    assert ctr.classify_singularities()["classification"] == "canonical"
 
 
 def _swap_block_surface():
@@ -271,26 +270,36 @@ def test_contraction_is_possible_iff_negative_definite(surface, names):
             Contraction(surface=surface, contracted=names)
 
 
+def test_contracted_curves_are_kept_in_curve_order():
+    # every table read from a contraction lists its curves in this one order
+    ctr = Contraction(build_km_surface(12), ("lp_2", "l_10", "Gamma", "l_2"))
+    order = ["Gamma", "l_2", "l_10", "lp_2"]
+    assert list(ctr.contracted) == order
+    assert list(ctr.relative_canonical()) == order
+    assert list(ctr.classify_singularities()["discrepancies"]) == order
+
+
 def test_blowdown_of_minus_one_curve_is_terminal():
     ctr = Contraction(surface=_one_point_blowup(), contracted=("E",))
     got = ctr.classify_singularities()
-    assert got.classification == "terminal"
-    assert got.table == (("E", Fraction(1)),)
+    assert got["classification"] == "terminal"
+    assert got["discrepancies"] == {"E": 1}
 
 
 def test_pair_with_boundary_through_gamma():
     got = PSI5.classify_singularities(NamedDivisor.of({"E_5": 1}))
-    table = dict(got.table)
+    table = got["discrepancies"]
     # boundary transform meets Gamma: its pullback coefficient 1/6 lowers a_Gamma
     assert table["Gamma"] == Fraction(-2, 3) - Fraction(1, 6)
-    assert got.min_discrepancy == Fraction(-5, 6)
+    assert got["min_discrepancy"] == Fraction(-5, 6)
     # coefficient-one boundary: the klt label is unavailable, depths stay > -1
-    assert got.classification == "plt"
+    assert got["classification"] == "plt"
+    assert not got["klt"]
 
 
 def test_fractional_boundary_keeps_klt():
     got = PSI5.classify_singularities(NamedDivisor.of({"E_5": Fraction(1, 2)}))
-    assert got.classification == "klt"
+    assert got["classification"] == "klt"
 
 
 def test_boundary_out_of_range_rejected():

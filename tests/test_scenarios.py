@@ -9,7 +9,9 @@ import pytest
 from conekit import cli, cohom, scenarios
 from conekit.cohom import CohStatus
 from conekit.scenarios import (
+    SWEEP_MAX_ROWS,
     ScenarioError,
+    sweep_rows,
     sweep_kvv,
     verify_bad_fano,
     verify_plt_nonnormal,
@@ -31,7 +33,7 @@ def valid_plt_parameters(d_max):
 
 
 def _values(report):
-    return {c.claim: c.value for c in report.certificates}
+    return {c["claim"]: c["value"] for c in report["certificates"]}
 
 
 def test_plt_flagship_case():
@@ -43,7 +45,7 @@ def test_plt_flagship_case():
     assert values["b"] == "1/2"
     assert values["h1(T,A-E_5)"] == "1"
     assert values["non_normal(E^Z)"] == "true"
-    assert all(c.value != "unknown" for c in report.certificates)
+    assert all(c["value"] != "unknown" for c in report["certificates"])
 
 
 def test_plt_d8_q3():
@@ -69,9 +71,11 @@ def test_plt_verdict_true_on_all_valid_parameters_up_to_20():
     for d, q in valid_plt_parameters(20):
         report = verify_plt_nonnormal(d, q)
         assert _values(report)["non_normal(E^Z)"] == "true", (d, q)
-        assert report.verdict is True, (d, q)
-        assert all(c.value != "unknown" for c in report.certificates), (d, q)
-        assert not any(r in c.value for c in report.certificates for r in REPRS), (d, q)
+        assert report["verdict"] is True, (d, q)
+        assert all(c["value"] != "unknown" for c in report["certificates"]), (d, q)
+        assert not any(
+            r in c["value"] for c in report["certificates"] for r in REPRS
+        ), (d, q)
 
 
 @pytest.mark.parametrize(
@@ -84,12 +88,12 @@ def test_plt_verdict_includes_boundary_checks(monkeypatch, wrong):
     monkeypatch.setattr(
         scenarios,
         "plt_coefficient_b",
-        lambda model, i: dataclasses.replace(real(model, i), **wrong),
+        lambda model, i: {**real(model, i), **wrong},
     )
     report = verify_plt_nonnormal(5, 3)
     assert _values(report)["non_normal(E^Z)"] == "true"
-    assert report.verdict is False
-    assert report.to_json_dict()["verdict"] is False
+    assert report["verdict"] is False
+    assert json.loads(json.dumps(report))["verdict"] is False
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["verify", "plt", "--d", "5", "--q", "3"]) == 1
     assert '"verdict": false' in out.getvalue()
@@ -119,7 +123,7 @@ def test_plt_unknown_when_h1_tail_fails(monkeypatch):
         assert values[claim] == "unknown", claim
     assert values["R1g(O_Y(-E^Y))!=0"] == "true"
     assert values["non_normal(E^Z)"] == "unknown"
-    assert report.verdict is None
+    assert report["verdict"] is None
     code, out = _verify_cli("plt", "--d", "5", "--q", "3")
     assert code == 1
     assert '"verdict": null' in out
@@ -132,7 +136,7 @@ def test_plt_unknown_when_h2_tail_fails(monkeypatch):
     for claim in ("h2(T,nA-E_5) for all n>=0", "R1g(O_Y(-E^Y))!=0", "non_normal(E^Z)"):
         assert values[claim] == "unknown", claim
     assert values["R1g(O_Y)=0"] == "true"
-    assert report.verdict is None
+    assert report["verdict"] is None
 
 
 def _h1_chain_replaced(monkeypatch, h1_at):
@@ -152,7 +156,7 @@ def test_plt_inexact_h1_entry_is_unknown_next_to_a_nonzero_one(monkeypatch):
     _h1_chain_replaced(monkeypatch, {1: CohStatus.exact(1), 2: CohStatus.unknown()})
     report = verify_plt_nonnormal(5, 3)
     assert _values(report)["R1g(O_Y)=0"] == "unknown"
-    assert report.verdict is None
+    assert report["verdict"] is None
 
 
 def test_plt_nonzero_h1_entry_is_false_even_without_the_tail(monkeypatch):
@@ -164,7 +168,7 @@ def test_plt_nonzero_h1_entry_is_false_even_without_the_tail(monkeypatch):
     assert values["h1(T,nA) for all n>=2"] == "unknown"
     assert values["R1g(O_Y)=0"] == "false"
     assert values["non_normal(E^Z)"] == "false"
-    assert report.verdict is False
+    assert report["verdict"] is False
 
 
 def test_plt_h2_tail_reuses_the_n0_report(monkeypatch):
@@ -178,7 +182,7 @@ def test_plt_h2_tail_reuses_the_n0_report(monkeypatch):
         return real(psi, D)
 
     monkeypatch.setattr(cohom, "h0_zero_by_degree", spy)
-    assert verify_plt_nonnormal(5, 3).verdict is True
+    assert verify_plt_nonnormal(5, 3)["verdict"] is True
     assert len(calls) == 5
     assert len(set(calls)) == 5
 
@@ -196,7 +200,7 @@ def test_plt_named_preconditions():
 
 
 def test_plt_report_shape():
-    payload = verify_plt_nonnormal(5, 3).to_json_dict()
+    payload = verify_plt_nonnormal(5, 3)
     assert set(payload) == {"scenario", "params", "certificates", "verdict"}
     assert payload["verdict"] is True
     for cert in payload["certificates"]:
@@ -215,15 +219,15 @@ def test_plt_min_discrepancy():
 @pytest.mark.parametrize("q", range(1, 6))
 def test_fano_family(q):
     report = verify_bad_fano(q)
-    d = report.params["d"]
+    d = report["params"]["d"]
     assert d == 4 * q + 2
     values = _values(report)
     assert values["h2(Z,O_Z)"] == str(q - 1)
     assert values["not-cohen-macaulay(Z)"] == ("true" if q >= 2 else "false")
     assert values["m(Gamma)"] == "4"
     assert values["picard-chain"] == f"{2 + 2 * d},1,{3 + 2 * d},2,1"
-    assert report.verdict is True
-    assert not any(r in c.value for c in report.certificates for r in REPRS), q
+    assert report["verdict"] is True
+    assert not any(r in c["value"] for c in report["certificates"] for r in REPRS), q
 
 
 def test_fano_unknown_when_tail_fails(monkeypatch):
@@ -233,7 +237,7 @@ def test_fano_unknown_when_tail_fails(monkeypatch):
     for claim in ("h1(T,nA) for all n>=2", "not-cohen-macaulay(Z)"):
         assert values[claim] == "unknown", claim
     assert values["h2(Z,O_Z)"] == "unknown"
-    assert report.verdict is None
+    assert report["verdict"] is None
     code, out = _verify_cli("fano", "--q", "2")
     assert code == 1
     assert '"verdict": null' in out
@@ -245,7 +249,7 @@ def test_fano_rejects_nonpositive_q():
 
 
 def test_fano_report_shape():
-    payload = verify_bad_fano(2).to_json_dict()
+    payload = verify_bad_fano(2)
     assert set(payload) == {"scenario", "params", "certificates", "verdict"}
 
 
@@ -254,29 +258,37 @@ def test_fano_report_shape():
 
 def test_sweep_rows_from_quoted_cases():
     table = sweep_kvv(5, 5)
-    rows = {(r.q1, r.q2): r for r in table.rows}
+    rows = {(r["q1"], r["q2"]): r for r in table["rows"]}
     r = rows[(3, 2)]
-    assert r.ample and r.h1 == 1 and r.kvv_violation
+    assert r["ample"] and r["h1"] == 1 and r["kvv_violation"]
     r = rows[(2, 2)]
-    assert not r.ample and r.h1 == 1 and not r.kvv_violation
+    assert not r["ample"] and r["h1"] == 1 and not r["kvv_violation"]
     for (q1, q2), r in rows.items():
         if q2 == 0:
-            assert r.h1 == 0 and not r.kvv_violation
+            assert r["h1"] == 0 and not r["kvv_violation"]
 
 
 def test_sweep_has_violation_for_every_d_from_five():
     table = sweep_kvv(5, 12)
     for d in range(5, 13):
-        assert any(r.kvv_violation for r in table.rows if r.d == d)
+        assert any(r["kvv_violation"] for r in table["rows"] if r["d"] == d)
 
 
 def test_sweep_row_ordering_and_count():
     table = sweep_kvv(3, 5)
-    keys = [(r.d, r.q1, r.q2) for r in table.rows]
+    keys = [(r["d"], r["q1"], r["q2"]) for r in table["rows"]]
     assert keys == sorted(keys)
-    assert len(table.rows) == sum(
+    assert len(table["rows"]) == sum(
         (d + 1) * (d + 2) // 2 for d in range(3, 6)
     )
+
+
+def test_sweep_row_count_is_the_closed_form():
+    for d_min in range(3, 13):
+        for d_max in range(d_min, 13):
+            assert sweep_rows(d_min, d_max) == len(sweep_kvv(d_min, d_max)["rows"])
+    # the budget admits the window [3, 40]
+    assert sweep_rows(3, 40) == 12_331 <= SWEEP_MAX_ROWS
 
 
 def test_sweep_rejects_bad_range():
@@ -286,8 +298,15 @@ def test_sweep_rejects_bad_range():
         sweep_kvv(6, 5)
 
 
+def _sweep_csv(d_min, d_max):
+    """The CSV that `conekit sweep` prints for the window."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["sweep", "--d-min", str(d_min), "--d-max", str(d_max)]) == 0
+    return out.getvalue()
+
+
 def test_sweep_csv_shape():
-    text = sweep_kvv(3, 3).to_csv()
+    text = _sweep_csv(3, 3)
     lines = text.strip().split("\n")
     assert lines[0] == "d,q1,q2,ample,h1,kvv_violation"
     assert lines[1] == "3,0,0,false,0,false"
@@ -298,10 +317,10 @@ def test_sweep_csv_shape():
 
 
 def test_reports_are_byte_stable():
-    a = json.dumps(verify_plt_nonnormal(5, 3).to_json_dict())
-    b = json.dumps(verify_plt_nonnormal(5, 3).to_json_dict())
+    a = json.dumps(verify_plt_nonnormal(5, 3))
+    b = json.dumps(verify_plt_nonnormal(5, 3))
     assert a.encode() == b.encode()
-    a = json.dumps(verify_bad_fano(2).to_json_dict())
-    b = json.dumps(verify_bad_fano(2).to_json_dict())
+    a = json.dumps(verify_bad_fano(2))
+    b = json.dumps(verify_bad_fano(2))
     assert a.encode() == b.encode()
-    assert sweep_kvv(3, 6).to_csv().encode() == sweep_kvv(3, 6).to_csv().encode()
+    assert _sweep_csv(3, 6).encode() == _sweep_csv(3, 6).encode()
