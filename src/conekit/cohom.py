@@ -123,9 +123,10 @@ class FamilyDescriptor:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def target_context(d: int) -> Contraction:
-    """The contraction of S(d) to the rank-one target T(d), built once per d."""
+    """The contraction of S(d) to the rank-one target T(d).  Only the last d
+    is kept: a command works on one d, and ``sweep`` visits each d once."""
     return km_psi(build_km_surface(d))
 
 

@@ -119,6 +119,10 @@ class ConeModel:
         return self.surface.registry.pairing_row(name).get(name, Fraction(0))
 
     @cached_property
+    def pulled_back_polarization(self) -> NamedDivisor:
+        return self.psi.pullback(self.polarization)
+
+    @cached_property
     def _dot_e_memo(self) -> dict[int, Rat]:
         return {}
 
@@ -129,7 +133,7 @@ class ConeModel:
             memo[i] = pair(
                 self.surface.registry,
                 NamedDivisor.of({f"E_{i}": 1}),
-                self.psi.pullback(self.polarization),
+                self.pulled_back_polarization,
             )
         return memo[i]
 
@@ -222,10 +226,8 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     if k_y_plus != closed_plus or k_y_minus != closed_minus:
         raise ConeError(f"K_Y section numbers disagree at i={i}")
 
-    e_y_dot = pair(
-        model.surface.registry,
-        NamedDivisor.of({f"E_{j}": 1}),
-        model.psi.pullback(NamedDivisor.of({f"E_{i}": 1})),
+    e_y_dot = model.psi.target_intersect(
+        NamedDivisor.of({f"E_{j}": 1}), NamedDivisor.of({f"E_{i}": 1})
     )
     if e_y_dot != Fraction(1, 2 * d - 4):
         raise ConeError(

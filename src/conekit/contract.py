@@ -134,27 +134,21 @@ class Contraction:
             )
         return hit
 
-    @cached_property
-    def _pullback_memo(self) -> dict:
-        return {}
-
-    def pullback(self, D: NamedDivisor) -> NamedDivisor:
-        """Numerical pullback of a target divisor given via proper transforms:
-        D plus the sum of c * (the correction of C) over the terms c*C of D."""
-        memo = self._pullback_memo
-        hit = memo.get(D)
-        if hit is not None:
-            return hit
+    def _refuse_contracted(self, D: NamedDivisor) -> None:
         bad = [n for n in D.support() if n in self.contracted]
         if bad:
             raise ContractionError(
                 f"divisor mentions contracted curves: {', '.join(bad)}"
             )
+
+    def pullback(self, D: NamedDivisor) -> NamedDivisor:
+        """Numerical pullback of a target divisor given via proper transforms:
+        D plus the sum of c * (the correction of C) over the terms c*C of D."""
+        self._refuse_contracted(D)
         terms = list(D.entries)
         for name, c in D.entries:
             terms.extend((other, c * x) for other, x in self._correction(name).entries)
-        out = memo[D] = NamedDivisor.of(terms)
-        return out
+        return NamedDivisor.of(terms)
 
     def pushforward(self, D: NamedDivisor) -> NamedDivisor:
         """Drop the contracted-curve terms."""
@@ -164,8 +158,11 @@ class Contraction:
         return class_of(self.registry, self.pullback(D))
 
     def target_intersect(self, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
-        """Intersection number on the target, computed as pullback . pullback."""
-        return pair(self.registry, self.pullback(D1), self.pullback(D2))
+        """Intersection number on the target, computed as D1 . pullback(D2):
+        the exceptional part of pullback(D1) is orthogonal to pullback(D2)."""
+        self._refuse_contracted(D1)
+        self.registry.check_names(D1.terms.keys())  # report D1's errors first
+        return pair(self.registry, D1, self.pullback(D2))
 
     def target_canonical(self) -> NamedDivisor:
         """K of the target through proper transforms (needs K named on the source)."""

@@ -90,12 +90,6 @@ class ClassVector:
     def zero(rank: int) -> "ClassVector":
         return ClassVector((Fraction(0),) * rank)
 
-    @staticmethod
-    def unit(rank: int, index: int) -> "ClassVector":
-        return ClassVector(
-            tuple(Fraction(1 if i == index else 0) for i in range(rank))
-        )
-
     def __len__(self) -> int:
         return len(self.coeffs)
 

@@ -59,6 +59,27 @@ def test_pullback_rejects_contracted_names():
         PSI5.pullback(NamedDivisor.of({"Gamma": 1}))
 
 
+@pytest.mark.parametrize("names", [("Gamma", "E_1"), ("E_1", "Gamma")], ids=["first", "second"])
+def test_target_intersect_refuses_contracted_names(names, capsys):
+    D1, D2 = (NamedDivisor.of({n: 1}) for n in names)
+    with pytest.raises(ContractionError, match="divisor mentions contracted curves: Gamma"):
+        PSI5.target_intersect(D1, D2)
+    assert cli_main(["contract", "--d", "5", "--target-intersect", *names]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: divisor mentions contracted curves: Gamma\n"
+
+
+def test_pullback_keeps_no_per_divisor_state():
+    # the per-curve correction table is the only state a pullback adds
+    psi = km_psi(S5)
+    attributes = set(vars(psi))
+    for k in range(1, 201):
+        psi.pullback(NamedDivisor.of({f"E_{1 + k % 5}": k, "F": Fraction(1, k)}))
+    assert set(vars(psi)) == attributes | {"_corrections"}
+    assert len(psi._corrections) <= len(psi.registry.names())
+
+
 @given(
     st.dictionaries(st.sampled_from(target_names), small_rats, min_size=0, max_size=4)
 )
@@ -115,8 +136,12 @@ def test_pullback_matches_dense_solve(case):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--pullback", "X_9"], ["--target-intersect", "X_9", "E_1"]],
-    ids=["pullback", "target-intersect"],
+    [
+        ["--pullback", "X_9"],
+        ["--target-intersect", "X_9", "E_1"],
+        ["--target-intersect", "E_1", "X_9"],
+    ],
+    ids=["pullback", "target-intersect", "target-intersect-second"],
 )
 def test_unknown_curve_name_at_the_cli(argv, capsys):
     assert cli_main(["contract", "--d", "5", *argv]) == 2
@@ -242,7 +267,7 @@ def _swap_block_surface():
         gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
         canonical=ClassVector.zero(2),
     )
-    registry = CurveRegistry.of(lat, {"b0": ClassVector.unit(2, 0), "b1": ClassVector.unit(2, 1)})
+    registry = CurveRegistry.of(lat, {"b0": ClassVector.of([1, 0]), "b1": ClassVector.of([0, 1])})
     return SimpleNamespace(lattice=lat, registry=registry)
 
 

@@ -88,6 +88,9 @@ def test_deterministic_call_counts():
     calls = _traced_calls(["verify", "plt", "--d", "5", "--q", "3"])
     assert calls["cohom.cohomology_of_nA"] == 7
     assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
+    # a target pairing D1 . pullback(D2) pulls back one side only, and nothing
+    # keeps a pulled-back divisor but the model's pullback(A)
+    assert calls["contract.pullback"] == 22
     # contract shares the one cached contraction per d
     calls = _traced_calls(["contract", "--d", "5", "--pullback", "E_1"])
     assert calls["cohom.target_context"] == 1
@@ -98,6 +101,9 @@ def test_deterministic_call_counts():
     calls = _traced_calls(["sweep", "--d-min", "5", "--d-max", "5"])
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls["qlattice.intersect"] == 17
+    # two pullbacks for each of the 21 rows: -K_T for the ampleness degree,
+    # and the family divisor for its floor
+    assert calls["contract.pullback"] == 2 * 21
     calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
     assert calls.get("qlattice.class_of", 0) == 0
     # the cone ledger, the surface sanity check and the discrepancy solve read
@@ -106,6 +112,9 @@ def test_deterministic_call_counts():
     assert calls.get("qlattice.intersect", 0) == 17
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls.get("contract.pullback_class", 0) == 0
+    # -K_T for the ampleness of A, A for the multiplicities and once more for
+    # the model's cached pullback(A), and E_i for each of the 5 sections
+    assert calls["contract.pullback"] == 3 + 5
     calls = _traced_calls(["km-surface", "--d", "5", "--check"])
     assert calls.get("qlattice.intersect", 0) == 0
     calls = _traced_calls(["verify", "plt", "--d", "5", "--q", "3"])

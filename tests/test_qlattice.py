@@ -225,7 +225,7 @@ def test_negative_definite_rejects_swap_with_negative_pivots():
         gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
         canonical=ClassVector.zero(2),
     )
-    subset = [ClassVector.unit(2, 0), ClassVector.unit(2, 1)]
+    subset = [ClassVector.of([1, 0]), ClassVector.of([0, 1])]
     assert not is_negative_definite(lat, subset)
     assert not _oracle_negative_definite(lat, subset)
 

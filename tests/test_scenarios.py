@@ -291,6 +291,12 @@ def test_sweep_row_count_is_the_closed_form():
     assert sweep_rows(3, 40) == 12_331 <= SWEEP_MAX_ROWS
 
 
+def test_sweep_keeps_one_target_context():
+    sweep_kvv(3, 8)
+    info = cohom.target_context.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+
+
 def test_sweep_rejects_bad_range():
     with pytest.raises(ScenarioError):
         sweep_kvv(2, 5)
