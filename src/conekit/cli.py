@@ -6,8 +6,9 @@ Every command builds one payload, the dict printed by ``--format json``;
 tables, so the formats never disagree on a number.
 
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
-fails or a verdict is not the expected one, 2 on usage errors.  All output
-is deterministic; rationals are serialized as p/q strings, by one JSON hook
+fails or a verdict is not the expected one, 2 on usage errors, a malformed
+rational (a zero denominator included) among them.  All output is
+deterministic; rationals are serialized as p/q strings, by one JSON hook
 that refuses every other non-JSON type.
 """
 
@@ -37,6 +38,15 @@ from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)$")
 
 
+def _parse_rat(text: str) -> Fraction:
+    """A rational from the command line; a zero denominator is a usage
+    error (ValueError), like any other malformed rational."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational: {text!r}") from None
+
+
 def parse_divisor(text: str) -> NamedDivisor:
     """Parse 'E_1+E_2-E_4' or '1/2*l_3-Gamma'; a '^T' suffix on names is ignored."""
     cleaned = text.replace(" ", "").replace("^T", "")
@@ -51,7 +61,7 @@ def parse_divisor(text: str) -> NamedDivisor:
         if not m:
             raise ValueError(f"cannot parse divisor term: {piece!r}")
         sign, coeff, name = m.groups()
-        value = Fraction(coeff) if coeff else Fraction(1)
+        value = _parse_rat(coeff) if coeff else Fraction(1)
         if sign == "-":
             value = -value
         terms.append((name, value))
@@ -306,11 +316,11 @@ def cmd_kvv_schedule(args) -> int:
     except ValueError:
         raise ValueError(f"multiplicities must be positive integers: {args.e}")
     delta = (
-        [Fraction(x) for x in args.delta.split(",") if x]
+        [_parse_rat(x) for x in args.delta.split(",") if x]
         if args.delta
         else [Fraction(0)] * len(e)
     )
-    trace = kvv_schedule(e, delta, Fraction(args.target))
+    trace = kvv_schedule(e, delta, _parse_rat(args.target))
 
     def md(p: dict) -> str:
         steps = [{**s, "delta": f"({_cell(s['delta'])})"} for s in p["steps"]]

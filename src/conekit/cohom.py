@@ -4,7 +4,7 @@ The engine never guesses a cohomology number.  Every entry of a
 :class:`CohomReport` is either exact with a rule token explaining it, a
 certified lower bound, or ``Unknown``.  The rules implemented are:
 
-* Riemann-Roch on the source surface: chi(D) = chi(O) + D.(D-K)/2, exact.
+* Riemann-Roch on the source surface: chi(D) = 1 + D.(D-K)/2, exact.
 * The rank-one family table for divisors sum E_i - sum E_j: h0/h1/h2 as a
   function of (d, q1, q2), cross-checked against Riemann-Roch.
 * Serre duality h^i(D) = h^{2-i}(K - D).
@@ -17,7 +17,7 @@ certified lower bound, or ``Unknown``.  The rules implemented are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
@@ -150,35 +150,28 @@ def family_divisor(fam: FamilyDescriptor) -> NamedDivisor:
 def chi_rr(surface, D: NamedDivisor) -> int:
     """Riemann-Roch Euler characteristic of an integral divisor, exact.
 
-    chi(D) = chi(O) + D.(D - K)/2; a non-integral result means the divisor or
-    the lattice is invalid and is reported as an error, never rounded.
+    chi(D) = 1 + D.(D - K)/2; a non-integral result means the divisor or the
+    lattice is invalid and is reported as an error, never rounded.
     """
     if not D.is_integral():
         raise CohomError(f"divisor is not integral: {D}")
     reg = surface.registry
-    return _riemann_roch(
-        surface.lattice, pair(reg, D, D) - pair_canonical(reg, D)
-    )
+    return _riemann_roch(pair(reg, D, D) - pair_canonical(reg, D))
 
 
-def _riemann_roch(lat, d_dot_d_minus_k: Rat) -> int:
-    """chi(O) + D.(D - K)/2, raising unless it is an integer."""
-    value = lat.chi_structure_sheaf + Fraction(d_dot_d_minus_k, 2)
+def _riemann_roch(d_dot_d_minus_k: Rat) -> int:
+    """1 + D.(D - K)/2, raising unless it is an integer: chi(O) = 1 on every
+    surface here, a blow-up of the plane."""
+    value = 1 + Fraction(d_dot_d_minus_k, 2)
     if value.denominator != 1:
         raise CohomError(f"Riemann-Roch value is not an integer: {value}")
     return int(value)
 
 
-@dataclass(frozen=True)
-class FloorStats:
-    divisor: NamedDivisor
-    square: Rat
-    dot_minus_k: Rat
-
-
-def floor_pullback_stats(fam: FamilyDescriptor) -> FloorStats:
-    """Floor of the pulled-back family divisor, its square, and its degree
-    against -K on the source, cross-checked against the closed forms.
+def floor_pullback_stats(fam: FamilyDescriptor) -> tuple[NamedDivisor, Rat, Rat]:
+    """``(floored, square, dot)``: the floor of the pulled-back family
+    divisor, its square, and its degree against -K on the source,
+    cross-checked against the closed forms.
 
     With t = floor((q1-q2)/(2d-4)):
       square = -(q1+q2) + 2(q1-q2) t + t^2 (4-2d)
@@ -200,7 +193,7 @@ def floor_pullback_stats(fam: FamilyDescriptor) -> FloorStats:
             f"floor-pullback closed forms disagree with the lattice at {fam}: "
             f"square {square} vs {square_closed}, dot {dot} vs {dot_closed}"
         )
-    return FloorStats(divisor=floored, square=square, dot_minus_k=dot)
+    return floored, square, dot
 
 
 def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
@@ -216,10 +209,8 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     t = floor(Fraction(q1 - q2, 2 * d - 4))
     chi_closed = 1 - q2 + (q1 - q2 - d + 3) * t - t * t * (d - 2)
     # Riemann-Roch on the floor D: D.(D - K) = D.D + D.(-K)
-    stats = floor_pullback_stats(fam)
-    chi_lattice = _riemann_roch(
-        target_context(d).lattice, stats.square + stats.dot_minus_k
-    )
+    _, square, dot = floor_pullback_stats(fam)
+    chi_lattice = _riemann_roch(square + dot)
     if chi_closed != chi_lattice:
         raise ChiMismatchError(
             f"chi closed form {chi_closed} != Riemann-Roch {chi_lattice} at {fam}"
@@ -379,11 +370,8 @@ def cohomology_of_nA(
                 raise ChiMismatchError(
                     f"absorbed family chi {report.chi} != divisor chi {chi}"
                 )
-            return CohomReport(
-                h0=report.h0,
-                h1=report.h1,
-                h2=report.h2,
-                chi=report.chi,
+            return replace(
+                report,
                 certificates=report.certificates
                 + ("subtract:absorbed-into-negative-block",),
             )
@@ -435,61 +423,44 @@ def cohomology_of_nA(
     return CohomReport(h0=h0, h1=h1, h2=h2, chi=chi, certificates=tuple(certs))
 
 
-@dataclass(frozen=True)
-class UniformChainCertificate:
-    """One certificate covering h1(nA) = 0 for all n >= 2, or h2(nA - E) = 0
-    for all n >= 0; the verifier that prints it names the claim.
+def uniform_h1_chain_zero(
+    fam: FamilyDescriptor, at_two: CohomReport
+) -> tuple[bool, tuple[str, ...]]:
+    """``(holds, tokens)``: one certificate covering h1(nA) = 0 for all
+    n >= 2, given the report ``at_two = cohomology_of_nA(fam, 2)`` the caller
+    already holds; the verifier that prints it names the claim.
 
     Validity rests on a finite check plus monotonicity: feasibility of the
     pair-shift rewrite depends on the coefficient sum (strictly increasing in
     n when the family has positive degree) and the parity pattern (period two
-    in n), so checking one even and one odd n certifies the whole tail; the
-    degree of the Serre dual decreases strictly in n, so one sign check
-    certifies its tail.
+    in n), so checking one even and one odd n certifies the whole tail.
     """
-
-    tokens: tuple[str, ...]
-    holds: bool
-
-
-def uniform_h1_chain_zero(
-    fam: FamilyDescriptor, at_two: CohomReport
-) -> UniformChainCertificate:
-    """Certify h1(nA) = 0 uniformly for all n >= 2, given the report
-    ``at_two = cohomology_of_nA(fam, 2)`` the caller already holds."""
     if fam.q1 <= fam.q2:
-        return UniformChainCertificate(("coverage:family-not-ample",), holds=False)
+        return False, ("coverage:family-not-ample",)
     for n in (2, 3):  # one even and one odd case; the sum grows with n
         report = at_two if n == 2 else cohomology_of_nA(fam, n)
         if not report.h1.is_exact_zero:
-            return UniformChainCertificate((f"coverage:gap-at-n={n}",), holds=False)
-    return UniformChainCertificate(
-        (
-            "rewrite:pair-shifts",
-            "h1:vanishing-effective-nef-big",
-            "uniform:even-odd-cases+monotone-coefficient-sum",
-        ),
-        holds=True,
+            return False, (f"coverage:gap-at-n={n}",)
+    return True, (
+        "rewrite:pair-shifts",
+        "h1:vanishing-effective-nef-big",
+        "uniform:even-odd-cases+monotone-coefficient-sum",
     )
 
 
 def uniform_h2_chain_zero(
     fam: FamilyDescriptor, at_zero: CohomReport
-) -> UniformChainCertificate:
-    """Certify h2(nA - E) = 0 uniformly for all n >= 0, given the report
-    ``at_zero = cohomology_of_nA(fam, 0, subtract=j)`` the caller already
-    holds, E = E_j.
+) -> tuple[bool, tuple[str, ...]]:
+    """``(holds, tokens)``: one certificate covering h2(nA - E) = 0 for all
+    n >= 0, given the report ``at_zero = cohomology_of_nA(fam, 0,
+    subtract=j)`` the caller already holds, E = E_j.
 
     The Serre dual K - nA + E has degree strictly decreasing in n (the family
     divisor has positive degree), so the negative degree that certifies
     h2(-E) = 0 at n = 0 certifies every larger n.
     """
     if target_context(fam.d).degree(family_divisor(fam)) <= 0:
-        return UniformChainCertificate(("coverage:family-not-ample",), holds=False)
-    holds = at_zero.h2.is_exact_zero
-    tokens = (
-        ("h2:duality+negative-degree", "uniform:degree-strictly-decreasing")
-        if holds
-        else ("coverage:degree-not-negative",)
-    )
-    return UniformChainCertificate(tokens, holds)
+        return False, ("coverage:family-not-ample",)
+    if at_zero.h2.is_exact_zero:
+        return True, ("h2:duality+negative-degree", "uniform:degree-strictly-decreasing")
+    return False, ("coverage:degree-not-negative",)

@@ -54,16 +54,15 @@ class AssumptionError(ConeError):
         )
 
 
-def validate_assumption_a(psi: Contraction, A: NamedDivisor) -> dict[str, int]:
-    """Extract the multiplicity table {contracted curve: m_C} from pullback(A).
+def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[str, int]:
+    """Extract the multiplicity table {contracted curve: m_C} from
+    ``pulled_back = psi.pullback(A)`` of an integral polarization A.
 
     Each contracted curve must appear in the fractional part of the pullback
     with coefficient 0 (m_C = 1) or 1/m (m_C = m); anything else violates the
     cone's structural assumption and is reported with the offending curve.
     """
-    if not A.is_integral():
-        raise ConeError(f"polarization must be integral: {A}")
-    frac = frac_divisor(psi.pullback(A))
+    frac = frac_divisor(pulled_back)
     stray = [n for n in frac.support() if n not in psi.contracted]
     if stray:
         raise AssumptionError(stray[0], frac.coefficient(stray[0]))
@@ -107,7 +106,9 @@ class ConeModel:
 
     @cached_property
     def mc(self) -> dict[str, int]:
-        return validate_assumption_a(self.psi, self.polarization)
+        if not self.polarization.is_integral():
+            raise ConeError(f"polarization must be integral: {self.polarization}")
+        return validate_assumption_a(self.psi, self.pulled_back_polarization)
 
     @cached_property
     def surface_classification(self) -> dict:
@@ -431,7 +432,8 @@ def kvv_schedule(
     if len(delta) != len(e):
         raise ConeError("delta0 and multiplicities must have equal length")
     if any(x < 0 or x >= 1 for x in delta):
-        raise ConeError(f"initial coefficients must lie in [0,1): {list(delta)}")
+        shown = ", ".join(map(format_rat, delta))
+        raise ConeError(f"initial coefficients must lie in [0,1): [{shown}]")
     target = Fraction(lambda_target)
     if target < 0:
         raise ConeError(f"target must be nonnegative: {target}")
@@ -457,8 +459,8 @@ def kvv_schedule(
         heapq.heapreplace(heap, (n + period[i], i))
         raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
         if not all(0 <= x <= den for x in raised):
-            raised = [Fraction(x, den) for x in raised]
-            raise ConeError(f"coefficient left [0,1] at step {len(steps)}: {raised}")
+            shown = ", ".join(format_rat(Fraction(x, den)) for x in raised)
+            raise ConeError(f"coefficient left [0,1] at step {len(steps)}: [{shown}]")
         raised[i] -= den
         fired[i] += 1
         steps.append((i + 1, n - lam, n, tuple(raised)))

@@ -6,7 +6,9 @@ divisors avoiding the contracted names; the numerical pullback is the unique
 extension orthogonal to every contracted curve.  Discrepancies, pair
 singularity classes, and all target intersection numbers derive from that one
 solve.  Pullback is linear, so the solve runs once per curve name, on that
-curve's row of the registry's named pairing table.
+curve's row of the registry's named pairing table.  Ampleness on the target
+is a degree sign, used only where the contraction itself shows that the target
+has Picard rank one and that -K_T is nonzero and effective, hence ample.
 
 The discrepancies and the singularity classification are returned as the
 plain dicts the CLI prints, with exact ``Fraction`` values;
@@ -44,10 +46,6 @@ class Contraction:
     """Contraction of ``contracted`` (curve names) on ``surface``, kept in
     ``curve_sort_key`` order, the order of every table read from it.
 
-    ``target_rho_one_minus_k_ample`` marks targets known to have Picard rank
-    one with ample anticanonical class; ampleness tests refuse to run without
-    it (they reduce to a degree sign only in that case).
-
     >>> from .km_surface import build_km_surface
     >>> psi = km_psi(build_km_surface(5))
     >>> print(psi.pullback(NamedDivisor.of({"E_1": 1})))
@@ -56,9 +54,8 @@ class Contraction:
     Fraction(-2, 3)
     """
 
-    surface: object  # anything with .lattice and .registry (e.g. KMSurface)
+    surface: object  # anything with .registry (e.g. KMSurface)
     contracted: tuple[str, ...]
-    target_rho_one_minus_k_ample: bool = False
 
     def __post_init__(self):
         if len(set(self.contracted)) != len(self.contracted):
@@ -69,7 +66,7 @@ class Contraction:
 
     @property
     def lattice(self):
-        return self.surface.lattice
+        return self.registry.lattice
 
     @property
     def registry(self):
@@ -175,11 +172,20 @@ class Contraction:
         """D . (-K) on the target."""
         return self.target_intersect(D, self.minus_k_target())
 
+    @cached_property
+    def _minus_k_target_ample(self) -> bool:
+        """Picard rank one and -K_T nonzero and effective, hence ample: on a
+        projective surface of Picard rank one a nonzero effective divisor is."""
+        if self.picard_rank_after() != 1:
+            return False
+        minus_k = self.minus_k_target().entries
+        return bool(minus_k) and all(c > 0 for _, c in minus_k)
+
     def is_ample_rho1(self, D: NamedDivisor) -> bool:
         """Ampleness on a rank-one target with ample -K: positive degree."""
-        if not self.target_rho_one_minus_k_ample:
+        if not self._minus_k_target_ample:
             raise ContractionError(
-                "target is not flagged as rank one with ample anticanonical class"
+                "target is not of Picard rank one with -K nonzero and effective"
             )
         return self.degree(D) > 0
 
@@ -252,13 +258,6 @@ class Contraction:
 
 
 def km_psi(surface: KMSurface) -> Contraction:
-    """The contraction of Gamma and all fibre (-2)-curves on S(d).
-
-    The target has Picard rank one and ample anticanonical class, so the
-    rank-one ampleness test is enabled on the result.
-    """
-    return Contraction(
-        surface=surface,
-        contracted=surface.exceptional_names(),
-        target_rho_one_minus_k_ample=True,
-    )
+    """The contraction of Gamma and all fibre (-2)-curves on S(d), onto a
+    target of Picard rank one with -K_T = F."""
+    return Contraction(surface=surface, contracted=surface.exceptional_names())

@@ -1,12 +1,13 @@
-"""The rank-one del Pezzo degeneration surface S(d) and a generic blow-up replayer.
+"""The rank-one del Pezzo degeneration surface S(d), replayed over the plane.
 
 S(d) is the smooth rational surface obtained from the plane by 2d+1 blow-ups:
 one point off a conic Gamma that is tangent to every line through it, then d
 points on Gamma, then the d residual tangency points.  Everything downstream
 needs only the resulting Picard lattice and the named curve classes, so the
-construction is purely combinatorial: a :class:`BlowupPlan` records, for each
-blow-up, which named curves pass through the centre with which multiplicity,
-and replaying the plan produces the lattice.
+construction is purely combinatorial: a plan is a tuple of :class:`BlowupStep`
+recording which named curves pass through each centre with which multiplicity,
+and :func:`replay` runs it over the plane (H^2 = 1, K = -3H, curves given by
+their degrees) to produce the curve registry and its lattice.
 
 Resulting data, in the orthogonal basis (H, e0, e_1_1, e_1_2, ..., e_d_1, e_d_2):
 
@@ -50,68 +51,39 @@ class BlowupStep:
     register: str | None = None
 
 
-@dataclass(frozen=True)
-class BlowupPlan:
-    steps: tuple[BlowupStep, ...]
-
-
-@dataclass(frozen=True)
-class SurfaceData:
-    """A lattice plus its named-curve registry (the output of a replay)."""
-
-    lattice: IntersectionLattice
-    registry: CurveRegistry
-
-
-def replay(
-    base_names: tuple[str, ...],
-    base_squares: tuple[int, ...],
-    base_canonical: ClassVector,
-    base_curves: dict[str, ClassVector],
-    plan: BlowupPlan,
-) -> SurfaceData:
-    """Replay a blow-up plan over an orthogonal base lattice.
+def replay(degrees: dict[str, int], plan: tuple[BlowupStep, ...]) -> CurveRegistry:
+    """Replay a blow-up plan over the plane, whose named curves are given by
+    their degrees.
 
     Each step extends the Gram matrix orthogonally by a (-1) class, adds that
     class to the canonical divisor, and reduces every named curve through the
     centre by its multiplicity.
     """
     zero = Fraction(0)  # one shared zero: most coordinates are zero
-    names = list(base_names)
-    squares = [Fraction(s) for s in base_squares]
-    canonical = list(base_canonical.coeffs)
+    rank = 1 + len(plan)  # H, then one exceptional class per step
     curves: dict[str, list[Fraction]] = {
-        n: list(v.coeffs) for n, v in base_curves.items()
+        n: [Fraction(deg)] + [zero] * len(plan) for n, deg in degrees.items()
     }
-
-    for step in plan.steps:
-        names.append(step.exceptional)
-        squares.append(Fraction(-1))
-        canonical = canonical + [Fraction(1)]
-        for coords in curves.values():
-            coords.append(zero)
+    for k, step in enumerate(plan, start=1):
         for curve_name, mult in step.through:
-            curves[curve_name][-1] = Fraction(-mult)
+            curves[curve_name][k] = Fraction(-mult)
         if step.register is not None:
-            coords = [zero] * len(names)
-            coords[-1] = Fraction(1)
-            curves[step.register] = coords
+            curves[step.register] = [zero] * rank
+            curves[step.register][k] = Fraction(1)
 
-    rank = len(names)
+    squares = [Fraction(1)] + [Fraction(-1)] * len(plan)
     gram = tuple(
         tuple(squares[i] if i == j else zero for j in range(rank))
         for i in range(rank)
     )
     lattice = IntersectionLattice(
-        basis_names=tuple(names),
+        basis_names=("H",) + tuple(step.exceptional for step in plan),
         gram=gram,
-        canonical=ClassVector(tuple(canonical)),
-        chi_structure_sheaf=Fraction(1),
+        canonical=ClassVector((Fraction(-3),) + (Fraction(1),) * len(plan)),
     )
-    registry = CurveRegistry.of(
+    return CurveRegistry.of(
         lattice, {n: ClassVector(tuple(v)) for n, v in curves.items()}
     )
-    return SurfaceData(lattice, registry)
 
 
 @dataclass(frozen=True)
@@ -128,8 +100,11 @@ class KMSurface:
     """
 
     d: int
-    lattice: IntersectionLattice
     registry: CurveRegistry
+
+    @property
+    def lattice(self) -> IntersectionLattice:
+        return self.registry.lattice
 
     @property
     def canonical(self) -> ClassVector:
@@ -166,7 +141,7 @@ class KMSurface:
         }
 
 
-def km_blowup_plan(d: int) -> BlowupPlan:
+def km_blowup_plan(d: int) -> tuple[BlowupStep, ...]:
     """The 2d+1 step plan: the strange point, then P_i on Gamma, then the
     residual tangency points Q_i (on Gamma, on the fibre, and on the first
     exceptional curve)."""
@@ -192,27 +167,16 @@ def km_blowup_plan(d: int) -> BlowupPlan:
                 register=f"E_{i}",
             )
         )
-    return BlowupPlan(tuple(steps))
+    return tuple(steps)
 
 
 def build_km_surface(d: int) -> KMSurface:
     """Construct S(d); requires d >= 3 so that Gamma^2 = 4 - 2d < 0."""
     if d < MIN_D:
         raise ValueError(f"d must be >= {MIN_D}, got {d}")
-    base_curves = {
-        "Gamma": ClassVector.of([2]),
-        "F": ClassVector.of([1]),
-    }
-    for i in range(1, d + 1):
-        base_curves[f"l_{i}"] = ClassVector.of([1])
-    data = replay(
-        base_names=("H",),
-        base_squares=(1,),
-        base_canonical=ClassVector.of([-3]),
-        base_curves=base_curves,
-        plan=km_blowup_plan(d),
-    )
-    return KMSurface(d=d, lattice=data.lattice, registry=data.registry)
+    degrees = {"Gamma": 2, "F": 1}
+    degrees.update((f"l_{i}", 1) for i in range(1, d + 1))
+    return KMSurface(d=d, registry=replay(degrees, km_blowup_plan(d)))
 
 
 def km_sanity(s: KMSurface) -> dict:

@@ -2,9 +2,11 @@
 
 Everything here is exact: coefficients are `fractions.Fraction` (exported as
 ``Rat``), intersection numbers come from a symmetric rational Gram matrix, and
-rank, determinants, linear solves and negative-definiteness all read their
-answer from one fraction-exact Gauss-Jordan elimination.  No floating point is
-used anywhere in the package and equality is always literal equality.
+every elimination is the fraction-exact Gauss-Jordan :func:`_eliminate`, with
+which ``Contraction.gram_inverse`` certifies negative definiteness.  The dense
+:func:`determinant`, :func:`solve_linear`, :func:`is_negative_definite`,
+:func:`gram_block` and ``Contraction.pullback_class`` remain for the benchmark
+tracer and the test oracles.  No floating point is used anywhere.
 
 Two distinct representations of a divisor coexist:
 
@@ -31,7 +33,7 @@ and the test oracles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, prod
@@ -122,17 +124,12 @@ class ClassVector:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Ordered divisor-class basis with a symmetric rational Gram matrix.
-
-    ``canonical`` is the class of the canonical divisor K and
-    ``chi_structure_sheaf`` the Euler characteristic of the structure sheaf
-    (1 for every rational surface built in this package).
-    """
+    """Ordered divisor-class basis with a symmetric rational Gram matrix;
+    ``canonical`` is the class of the canonical divisor K."""
 
     basis_names: tuple[str, ...]
     gram: tuple[tuple[Rat, ...], ...]
     canonical: ClassVector
-    chi_structure_sheaf: Rat = field(default=Fraction(1))
 
     @cached_property
     def _gram_support(self) -> tuple[tuple[int, ...], ...]:
@@ -380,11 +377,9 @@ class CurveRegistry:
 
     @staticmethod
     def of(
-        lattice: IntersectionLattice,
-        entries: Mapping[str, ClassVector] | Iterable[tuple[str, ClassVector]],
+        lattice: IntersectionLattice, entries: Mapping[str, ClassVector]
     ) -> "CurveRegistry":
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        ordered = sorted(items, key=lambda item: curve_sort_key(item[0]))
+        ordered = sorted(entries.items(), key=lambda item: curve_sort_key(item[0]))
         for _, cls in ordered:
             lattice.check_rank(cls)
         return CurveRegistry(lattice, tuple(ordered))

@@ -113,10 +113,10 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
             ";".join(t for t in report.certificates if t.startswith("h1")),
             "derived:cohomology-rules",
         )
-    uniform_h1 = uniform_h1_chain_zero(fam, h1_chain[2])
+    h1_tail_holds, h1_tail_tokens = uniform_h1_chain_zero(fam, h1_chain[2])
     _certify(
-        certs, "h1(T,nA) for all n>=2", 0 if uniform_h1.holds else None,
-        ";".join(uniform_h1.tokens), "derived:cohomology-rules",
+        certs, "h1(T,nA) for all n>=2", 0 if h1_tail_holds else None,
+        ";".join(h1_tail_tokens), "derived:cohomology-rules",
     )
 
     j = q + 2
@@ -136,10 +136,10 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
             certs, f"h2(T,{n}A-E_{j})", report.h2,
             "duality+negative-degree", "derived:cohomology-rules",
         )
-    uniform_h2 = uniform_h2_chain_zero(fam, h0_minus_e)
+    h2_tail_holds, h2_tail_tokens = uniform_h2_chain_zero(fam, h0_minus_e)
     _certify(
-        certs, f"h2(T,nA-E_{j}) for all n>=0", 0 if uniform_h2.holds else None,
-        ";".join(uniform_h2.tokens), "derived:cohomology-rules",
+        certs, f"h2(T,nA-E_{j}) for all n>=0", 0 if h2_tail_holds else None,
+        ";".join(h2_tail_tokens), "derived:cohomology-rules",
     )
 
     coeff = plt_coefficient_b(model, j)
@@ -174,7 +174,7 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
             break
         if report.h1.value != 0:
             h1_all_zero = False
-    if h1_all_zero is True and not uniform_h1.holds:
+    if h1_all_zero is True and not h1_tail_holds:
         h1_all_zero = None
     _certify(
         certs, "R1g(O_Y)=0", h1_all_zero,
@@ -182,7 +182,7 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
     )
 
     twisted_nonzero: bool | None = None
-    h2_tail_zero = uniform_h2.holds and h2_chain[2].h2.is_exact_zero
+    h2_tail_zero = h2_tail_holds and h2_chain[2].h2.is_exact_zero
     if h0_minus_e.h0.is_exact_zero and h1_a_minus_e.h1.is_exact and h2_tail_zero:
         twisted_nonzero = h1_a_minus_e.h1.value > 0
     _certify(
@@ -235,14 +235,14 @@ def verify_bad_fano(q: int) -> dict:
     _certify(
         certs, "h1(T,A)", h1_a.h1, "rank-one-family-table", "derived:cohomology-rules"
     )
-    uniform = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
+    h1_tail_holds, h1_tail_tokens = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
     _certify(
-        certs, "h1(T,nA) for all n>=2", 0 if uniform.holds else None,
-        ";".join(uniform.tokens), "derived:cohomology-rules",
+        certs, "h1(T,nA) for all n>=2", 0 if h1_tail_holds else None,
+        ";".join(h1_tail_tokens), "derived:cohomology-rules",
     )
 
     h2_z: int | None = None
-    if h1_a.h1.is_exact and uniform.holds:
+    if h1_a.h1.is_exact and h1_tail_holds:
         h2_z = h1_a.h1.value
     _certify(
         certs, "h2(Z,O_Z)", h2_z,

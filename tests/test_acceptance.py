@@ -70,9 +70,8 @@ def test_criterion_01_chi_cross_validation():
     for fam in full_grid(20):
         t = floor(Fraction(fam.q1 - fam.q2, 2 * fam.d - 4))
         closed = 1 - fam.q2 + (fam.q1 - fam.q2 - fam.d + 3) * t - t * t * (fam.d - 2)
-        lattice = chi_rr(
-            target_context(fam.d).surface, floor_pullback_stats(fam).divisor
-        )
+        floored, _, _ = floor_pullback_stats(fam)
+        lattice = chi_rr(target_context(fam.d).surface, floored)
         if closed != lattice:
             ok = False
             break

@@ -174,6 +174,30 @@ def test_kvv_schedule_bad_multiplicity_is_a_usage_error(capsys, e, shown):
     assert "Fraction(" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contract", "--d", "5", "--pullback", "1/0*E_1"],
+        ["kvv-schedule", "--e", "1", "--target", "1/0"],
+        ["kvv-schedule", "--e", "1", "--delta", "1/0", "--target", "1"],
+    ],
+    ids=["pullback", "target", "delta"],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in rational: '1/0'\n"
+
+
+def test_kvv_schedule_errors_render_rationals(capsys):
+    argv = ["kvv-schedule", "--e", "1,1", "--delta", "1/2,1e3", "--target", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: initial coefficients must lie in [0,1): [1/2, 1000]\n"
+    )
+
+
 def test_json_hook_renders_fractions_and_refuses_other_objects():
     assert cli._rat_json(Fraction(1, 2)) == "1/2"
     assert cli._rat_json(Fraction(3)) == "3"

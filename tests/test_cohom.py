@@ -44,15 +44,15 @@ def test_chi_of_trivial_divisor():
 
 
 def test_chi_of_floored_pullback_531():
-    stats = floor_pullback_stats(FAM531)
-    assert stats.square == -4
-    assert stats.dot_minus_k == 2
-    assert chi_rr(PSI5.surface, stats.divisor) == 1 + (-4 + 2) // 2
+    floored, square, dot = floor_pullback_stats(FAM531)
+    assert square == -4
+    assert dot == 2
+    assert chi_rr(PSI5.surface, floored) == 1 + (-4 + 2) // 2
 
 
 def test_chi_of_floored_pullback_532():
     fam = FamilyDescriptor(5, 3, 2)
-    assert chi_rr(PSI5.surface, floor_pullback_stats(fam).divisor) == -1
+    assert chi_rr(PSI5.surface, floor_pullback_stats(fam)[0]) == -1
 
 
 def test_chi_rejects_fractional_divisor():
@@ -61,17 +61,17 @@ def test_chi_rejects_fractional_divisor():
 
 
 def test_floor_stats_with_deep_negative_floor():
-    stats = floor_pullback_stats(FamilyDescriptor(3, 0, 3))
+    _, square, dot = floor_pullback_stats(FamilyDescriptor(3, 0, 3))
     assert floor(Fraction(0 - 3, 2 * 3 - 4)) == -2
-    assert stats.square == 1
-    assert stats.dot_minus_k == -3
+    assert square == 1
+    assert dot == -3
 
 
 def test_floor_stats_trivial_family():
-    stats = floor_pullback_stats(FamilyDescriptor(6, 0, 0))
-    assert stats.divisor.is_zero()
-    assert stats.square == 0
-    assert stats.dot_minus_k == 0
+    floored, square, dot = floor_pullback_stats(FamilyDescriptor(6, 0, 0))
+    assert floored.is_zero()
+    assert square == 0
+    assert dot == 0
 
 
 def test_chi_closed_form_equals_riemann_roch_on_grid():
@@ -281,16 +281,17 @@ def test_certified_entries_always_carry_tokens():
 
 
 def test_uniform_h1_certificate_holds_for_plt_family():
-    cert = uniform_h1_chain_zero(FAM531, cohomology_of_nA(FAM531, 2))
-    assert cert.holds
-    assert any(t.startswith("uniform") for t in cert.tokens)
+    holds, tokens = uniform_h1_chain_zero(FAM531, cohomology_of_nA(FAM531, 2))
+    assert holds
+    assert any(t.startswith("uniform") for t in tokens)
 
 
 def test_uniform_h1_refuses_non_ample_family():
     fam = FamilyDescriptor(5, 2, 2)
-    assert not uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2)).holds
+    holds, _ = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
+    assert not holds
 
 
 def test_uniform_h2_certificate_holds_from_zero():
-    cert = uniform_h2_chain_zero(FAM531, cohomology_of_nA(FAM531, 0, subtract=5))
-    assert cert.holds
+    holds, _ = uniform_h2_chain_zero(FAM531, cohomology_of_nA(FAM531, 0, subtract=5))
+    assert holds

@@ -61,7 +61,8 @@ def test_m_gamma_bad_fano_is_four():
 
 
 def test_m_table_for_doubled_single_curve():
-    table = validate_assumption_a(target_context(5), NamedDivisor.of({"E_1": 2}))
+    psi = target_context(5)
+    table = validate_assumption_a(psi, psi.pullback(NamedDivisor.of({"E_1": 2})))
     assert table["Gamma"] == 3  # fractional coefficient 2/6 = 1/3
     assert table["l_1"] == 1  # coefficient 1 after doubling
     assert table["l_2"] == 1
@@ -70,7 +71,7 @@ def test_m_table_for_doubled_single_curve():
 def test_assumption_violation_reports_curve():
     A = family_divisor(FamilyDescriptor(6, 4, 1))  # Gamma coefficient 3/8
     with pytest.raises(AssumptionError) as err:
-        validate_assumption_a(target_context(6), A)
+        validate_assumption_a(target_context(6), target_context(6).pullback(A))
     assert err.value.curve == "Gamma"
     assert err.value.coefficient == Fraction(3, 8)
 
@@ -380,6 +381,15 @@ def test_schedule_rejects_bad_inputs():
     for e in ([Fraction(3, 2)], [1.5], [2, Fraction(7, 3)]):
         with pytest.raises(ConeError, match="multiplicities must be positive integers"):
             kvv_schedule(e, [0] * len(e), 1)
+
+
+def test_schedule_invariant_failure_renders_rationals(monkeypatch):
+    # a heap that never advances fires index 2 again at the same lambda, so
+    # its coefficient drops below zero and the invariant check reports it
+    monkeypatch.setattr(cone3fold.heapq, "heapreplace", lambda heap, item: heap[0])
+    with pytest.raises(ConeError) as err:
+        kvv_schedule([1, 1], [0, Fraction(1, 2)], 2)
+    assert str(err.value) == "coefficient left [0,1] at step 2: [1/2, -1]"
 
 
 def test_schedule_refuses_an_over_budget_request_before_its_first_step(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conekit.cli import main as cli_main
 from conekit.contract import Contraction, ContractionError, km_psi
-from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupPlan, BlowupStep
+from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupStep
 from conekit.qlattice import (
     ClassVector,
     CurveRegistry,
@@ -218,33 +218,23 @@ def test_psi_is_klt_for_all_d():
 
 
 def _one_point_blowup() -> KMSurface:
-    data = replay(
-        base_names=("H",),
-        base_squares=(1,),
-        base_canonical=ClassVector.of([-3]),
-        base_curves={},
-        plan=BlowupPlan((BlowupStep(exceptional="e1", register="E"),)),
+    return KMSurface(
+        d=3, registry=replay({}, (BlowupStep(exceptional="e1", register="E"),))
     )
-    return KMSurface(d=3, lattice=data.lattice, registry=data.registry)
 
 
 def _a2_chain():
     """P^2 blown up three times along a chain: E1 and E2 become (-2)-curves
     meeting once, E3 is the last (-1)-curve, meeting E2."""
-    data = replay(
-        base_names=("H",),
-        base_squares=(1,),
-        base_canonical=ClassVector.of([-3]),
-        base_curves={},
-        plan=BlowupPlan(
-            (
-                BlowupStep(exceptional="e1", register="E1"),
-                BlowupStep(exceptional="e2", through=(("E1", 1),), register="E2"),
-                BlowupStep(exceptional="e3", through=(("E2", 1),), register="E3"),
-            )
+    registry = replay(
+        {},
+        (
+            BlowupStep(exceptional="e1", register="E1"),
+            BlowupStep(exceptional="e2", through=(("E1", 1),), register="E2"),
+            BlowupStep(exceptional="e3", through=(("E2", 1),), register="E3"),
         ),
     )
-    return Contraction(surface=data, contracted=("E1", "E2"))
+    return Contraction(surface=SimpleNamespace(registry=registry), contracted=("E1", "E2"))
 
 
 def test_a2_chain_contraction():
@@ -386,6 +376,28 @@ def test_ampleness_requires_rank_one_flag():
     ctr = Contraction(surface=S5, contracted=("l_1",))
     with pytest.raises(ContractionError):
         ctr.is_ample_rho1(NamedDivisor.of({"E_1": 1}))
+
+
+@pytest.mark.parametrize(
+    "minus_k",
+    [NamedDivisor.zero(), NamedDivisor.of({"F": 1, "E_1": -1})],
+    ids=["zero", "negative-coefficient"],
+)
+def test_ampleness_requires_effective_minus_k(monkeypatch, minus_k):
+    # rank one alone does not make the degree test sound: -K_T must also be
+    # nonzero and effective
+    monkeypatch.setattr(Contraction, "minus_k_target", lambda self: minus_k)
+    psi = km_psi(build_km_surface(5))
+    assert psi.picard_rank_after() == 1
+    with pytest.raises(ContractionError, match="Picard rank one"):
+        psi.is_ample_rho1(NamedDivisor.of({"E_1": 1}))
+
+
+def test_rank_one_targets_are_accepted_for_ampleness():
+    for d in range(3, 13):
+        psi = km_psi(build_km_surface(d))
+        assert psi.minus_k_target() == NamedDivisor.of({"F": 1})
+        assert psi.is_ample_rho1(NamedDivisor.of({"E_1": 1}))
 
 
 def test_picard_rank_after_full_contraction():

@@ -93,7 +93,7 @@ def _with_lp1_moved(s):
     reg = s.registry
     entries = dict(reg.entries)
     entries["lp_1"] = entries["lp_1"] + entries["E_1"]
-    return KMSurface(s.d, s.lattice, CurveRegistry.of(s.lattice, entries))
+    return KMSurface(s.d, CurveRegistry.of(s.lattice, entries))
 
 
 @pytest.mark.parametrize("d", (3, 5, 8))
