@@ -7,7 +7,8 @@ tables, so the formats never disagree on a number.
 
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
 fails or a verdict is not the expected one, 2 on usage errors, a malformed
-rational (a zero denominator included) among them.  All output is
+rational (a zero denominator or exponent notation included) and a d outside
+``km_surface.MIN_D`` to ``MAX_D`` (3 to 200) among them.  All output is
 deterministic; rationals are serialized as p/q strings, by one JSON hook
 that refuses every other non-JSON type.
 """
@@ -39,8 +40,11 @@ _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)$")
 
 
 def _parse_rat(text: str) -> Fraction:
-    """A rational from the command line; a zero denominator is a usage
-    error (ValueError), like any other malformed rational."""
+    """A rational from the command line; a zero denominator and exponent
+    notation (whose power of ten ``Fraction`` would build in full) are usage
+    errors (ValueError), like any other malformed rational."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in rational: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import floor
 
 from .contract import Contraction, km_psi
-from .km_surface import build_km_surface
+from .km_surface import MIN_D, build_km_surface
 from .qlattice import (
     NamedDivisor,
     Rat,
@@ -113,8 +113,8 @@ class FamilyDescriptor:
     q2: int
 
     def __post_init__(self):
-        if self.d < 3:
-            raise CohomError(f"d must be >= 3, got {self.d}")
+        if self.d < MIN_D:
+            raise CohomError(f"d must be >= {MIN_D}, got {self.d}")
         if self.q1 < 0 or self.q2 < 0:
             raise CohomError("q1 and q2 must be nonnegative")
         if self.q1 + self.q2 > self.d:

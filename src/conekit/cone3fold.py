@@ -116,9 +116,6 @@ class ConeModel:
         computed once per model."""
         return self.psi.classify_singularities()
 
-    def curve_square(self, name: str) -> Rat:
-        return self.surface.registry.pairing_row(name).get(name, Fraction(0))
-
     @cached_property
     def pulled_back_polarization(self) -> NamedDivisor:
         return self.psi.pullback(self.polarization)
@@ -147,7 +144,7 @@ class ConeModel:
         """
         out: dict[str, Rat] = {}
         for name in self.psi.contracted:
-            sq = self.curve_square(name)
+            sq = self.surface.pairing(name, name)
             out[name] = Fraction(-sq - 2 * self.mc[name], -sq)
         return out
 
@@ -163,7 +160,7 @@ def cone_curve_numbers(model: ConeModel, curve: str) -> dict:
     if curve not in model.psi.contracted:
         raise ConeError(f"{curve} is not contracted")
     m = model.mc[curve]
-    sq = model.curve_square(curve)
+    sq = model.surface.pairing(curve, curve)
     return {
         "curve": curve,
         "m": m,
@@ -207,7 +204,7 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
 
     # printed form of the same sum: Gamma term plus (1-m)/m for the two
     # (-2)-curves of the i-th fibre
-    gamma_sq = model.curve_square("Gamma")
+    gamma_sq = model.surface.pairing("Gamma", "Gamma")
     printed = (
         Fraction(-gamma_sq - 2 * m_gamma, -gamma_sq * m_gamma)
         + Fraction(1 - m_l, m_l)

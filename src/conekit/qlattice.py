@@ -1,8 +1,9 @@
 """Exact rational divisor-class lattices.
 
 Everything here is exact: coefficients are `fractions.Fraction` (exported as
-``Rat``), intersection numbers come from a symmetric rational Gram matrix, and
-every elimination is the fraction-exact Gauss-Jordan :func:`_eliminate`, with
+``Rat``), intersection numbers come from the diagonal form of the blown-up
+plane (H^2 = 1, E_k^2 = -1, see :class:`IntersectionLattice`), and every
+elimination is the fraction-exact Gauss-Jordan :func:`_eliminate`, with
 which ``Contraction.gram_inverse`` certifies negative definiteness.  The dense
 :func:`determinant`, :func:`solve_linear`, :func:`is_negative_definite`,
 :func:`gram_block` and ``Contraction.pullback_class`` remain for the benchmark
@@ -124,35 +125,20 @@ class ClassVector:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Ordered divisor-class basis with a symmetric rational Gram matrix;
-    ``canonical`` is the class of the canonical divisor K."""
+    """The Picard lattice of the plane blown up ``rank - 1`` times, in the
+    orthogonal basis (H, E_1, ..., E_{rank-1}) that ``basis_names`` names:
+    H^2 = 1, E_k^2 = -1 and all other products 0."""
 
     basis_names: tuple[str, ...]
-    gram: tuple[tuple[Rat, ...], ...]
-    canonical: ClassVector
-
-    @cached_property
-    def _gram_support(self) -> tuple[tuple[int, ...], ...]:
-        """Nonzero column indices per Gram row; the pairing loop skips the
-        rest (the blow-up lattices here are diagonal)."""
-        return tuple(
-            tuple(j for j, x in enumerate(row) if x) for row in self.gram
-        )
-
-    def __post_init__(self):
-        n = len(self.basis_names)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise LatticeError("Gram matrix shape does not match basis")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError("Gram matrix is not symmetric")
-        if len(self.canonical) != n:
-            raise RankMismatchError("canonical class has wrong rank")
 
     @property
     def rank(self) -> int:
         return len(self.basis_names)
+
+    @cached_property
+    def canonical(self) -> ClassVector:
+        """The canonical class K = -3H + sum_k E_k."""
+        return ClassVector((Fraction(-3),) + (Fraction(1),) * (self.rank - 1))
 
     def check_rank(self, v: ClassVector) -> None:
         if len(v) != self.rank:
@@ -162,21 +148,13 @@ class IntersectionLattice:
 
 
 def intersect(lattice: IntersectionLattice, v: ClassVector, w: ClassVector) -> Rat:
-    """Intersection number v.w, i.e. the Gram pairing, exact."""
+    """Intersection number v.w = v_0 w_0 - sum_{k>=1} v_k w_k, exact."""
     lattice.check_rank(v)
     lattice.check_rank(w)
-    support = lattice._gram_support
-    wc = w.coeffs
-    total = Fraction(0)
-    for i, a in enumerate(v.coeffs):
-        if a == 0:
-            continue
-        row = lattice.gram[i]
-        for j in support[i]:
-            b = wc[j]
-            if b:
-                total += a * b * row[j]
-    return total
+    exceptional = sum(
+        (a * b for a, b in zip(v.coeffs[1:], w.coeffs[1:]) if a and b), Fraction(0)
+    )
+    return v.coeffs[0] * w.coeffs[0] - exceptional
 
 
 def gram_block(
@@ -392,12 +370,11 @@ class CurveRegistry:
     def _pairing_rows(self) -> dict[str, dict[str, Rat]]:
         """Nonzero C.C' per named curve C, keyed by the name of C'.
 
-        A sparse product: each nonzero coordinate of C is carried through the
-        Gram support to the coordinates it meets, and from there through an
-        index to the curves with a nonzero coefficient on them, so a pair of
-        curves that share no coordinate costs nothing.
+        A sparse product over the diagonal form: each nonzero coordinate of C,
+        negated on the E_k, is carried through an index to the curves with a
+        nonzero coefficient on the same coordinate, so a pair of curves that
+        share no coordinate costs nothing.
         """
-        lat = self.lattice
         coords = {
             name: [(i, a) for i, a in enumerate(cls.coeffs) if a]
             for name, cls in self.entries
@@ -410,10 +387,9 @@ class CurveRegistry:
         for name, nonzero in coords.items():
             row: dict[str, Rat] = {}
             for i, a in nonzero:
-                for j in lat._gram_support[i]:
-                    ag = a * lat.gram[i][j]
-                    for other, b in touching.get(j, ()):
-                        row[other] = row.get(other, 0) + ag * b
+                signed = a if i == 0 else -a
+                for other, b in touching.get(i, ()):
+                    row[other] = row.get(other, 0) + signed * b
             rows[name] = {other: x for other, x in row.items() if x}
         return rows
 

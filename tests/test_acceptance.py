@@ -144,7 +144,7 @@ def test_criterion_05_threefold_ledger_identities():
         for name in model.psi.contracted:
             rec = cone_curve_numbers(model, name)
             m = model.mc[name]
-            sq = model.curve_square(name)
+            sq = model.surface.pairing(name, name)
             ok &= rec["section_dot_section_curve"] == 0
             ok &= rec["k_dot_section_curve"] == Fraction(-sq - 2 * m, m)
         adj = adjunction_consistency(model)

@@ -8,11 +8,12 @@ import argparse
 
 import pytest
 
-from conekit import cli, scenarios
+from conekit import cli, km_surface, scenarios
 from conekit.cli import build_parser, main, parse_divisor
 from conekit.cohom import CohStatus
 from conekit.cone3fold import KVV_MAX_STEPS
 from conekit.contract import Contraction
+from conekit.km_surface import MAX_D
 from conekit.qlattice import NamedDivisor
 from conekit.scenarios import SWEEP_MAX_ROWS
 
@@ -190,8 +191,47 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert captured.err == "error: zero denominator in rational: '1/0'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, literal",
+    [
+        (["kvv-schedule", "--e", "1", "--target", "1e30000000"], "1e30000000"),
+        (["kvv-schedule", "--e", "1", "--delta", "1e400", "--target", "1"], "1e400"),
+    ],
+    ids=["target", "delta"],
+)
+def test_exponent_notation_is_a_usage_error(capsys, argv, literal):
+    # refused before Fraction builds the power of ten
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: exponent notation in rational: {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, d",
+    [
+        (["km-surface", "--d", str(MAX_D + 1), "--check"], MAX_D + 1),
+        (["verify", "plt", "--d", str(MAX_D + 1), "--q", "3"], MAX_D + 1),
+        (["verify", "fano", "--q", "50"], 4 * 50 + 2),
+        (["cohom", "--d", str(MAX_D + 1), "--q1", "1", "--q2", "0"], MAX_D + 1),
+        (["cone", "--d", str(MAX_D + 1), "--q", "3", "--ledger", "sections"], MAX_D + 1),
+        (["contract", "--d", str(MAX_D + 1), "--pullback", "E_1"], MAX_D + 1),
+    ],
+    ids=["km-surface", "verify-plt", "verify-fano", "cohom", "cone", "contract"],
+)
+def test_d_over_the_budget_is_refused_before_any_lattice(monkeypatch, capsys, argv, d):
+    replayed = []
+    monkeypatch.setattr(km_surface, "replay", lambda *args: replayed.append(args))
+    assert d > MAX_D
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert replayed == []
+    assert captured.out == ""
+    assert captured.err == f"error: d must be <= {MAX_D}, got {d}\n"
+
+
 def test_kvv_schedule_errors_render_rationals(capsys):
-    argv = ["kvv-schedule", "--e", "1,1", "--delta", "1/2,1e3", "--target", "1"]
+    argv = ["kvv-schedule", "--e", "1,1", "--delta", "1/2,1000", "--target", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: initial coefficients must lie in [0,1): [1/2, 1000]\n"

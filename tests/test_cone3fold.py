@@ -125,7 +125,7 @@ def test_fibre_divisor_discrepancy_over_contracted_threefold_is_klt():
     for model in (M53, plt_model(8, 3), fano_model(1), fano_model(2)):
         for name, c in model.crepant_coefficients.items():
             assert 1 - c > 0
-            assert 1 - c == Fraction(2 * model.mc[name], -model.curve_square(name))
+            assert 1 - c == Fraction(2 * model.mc[name], -model.surface.pairing(name, name))
 
 
 # --- section ledger -------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_ledger_pairings_match_dense_route(build):
         assert section_numbers(model, i, i)["e_y_dot_f_e"] == dense(e_i, f"E_{i}")
     for name in psi.contracted:
         cls = reg.class_vector(name)
-        assert model.curve_square(name) == intersect(lat, cls, cls)
+        assert model.surface.pairing(name, name) == intersect(lat, cls, cls)
     boundary = NamedDivisor.of({n: Fraction(m - 1, m) for n, m in model.mc.items()})
     adjoint = lat.canonical + class_of(reg, boundary)
     report = adjunction_consistency(model)

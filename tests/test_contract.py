@@ -250,14 +250,11 @@ def test_a2_chain_contraction():
 
 
 def _swap_block_surface():
-    """Two curves with Gram block [[0, -1], [-1, -1]]: elimination swaps rows,
-    both pivots are then -1, yet the block is indefinite."""
-    lat = IntersectionLattice(
-        basis_names=("b0", "b1"),
-        gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
-        canonical=ClassVector.zero(2),
-    )
-    registry = CurveRegistry.of(lat, {"b0": ClassVector.of([1, 0]), "b1": ClassVector.of([0, 1])})
+    """Two curves with Gram block [[0, -1], [-1, -1]], H - E_1 and -E_1 on the
+    plane blown up once: elimination swaps rows, both pivots are then -1, yet
+    the block is indefinite."""
+    lat = IntersectionLattice(("H", "E_1"))
+    registry = CurveRegistry.of(lat, {"b0": ClassVector.of([1, -1]), "b1": ClassVector.of([0, -1])})
     return SimpleNamespace(lattice=lat, registry=registry)
 
 

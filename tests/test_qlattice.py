@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conekit.contract import Contraction
@@ -20,6 +20,7 @@ from conekit.qlattice import (
     floor_divisor,
     format_rat,
     frac_divisor,
+    gram_block,
     intersect,
     is_negative_definite,
     pair,
@@ -34,6 +35,10 @@ small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 def vec(*values) -> ClassVector:
     return ClassVector.of(values)
+
+
+def _blown_up_plane(rank: int) -> IntersectionLattice:
+    return IntersectionLattice(("H",) + tuple(f"E_{k}" for k in range(1, rank)))
 
 
 # --- intersect ---------------------------------------------------------------
@@ -52,6 +57,27 @@ def test_blowup_basis_pairings():
     for i in range(1, 6):
         assert S5.pairing(f"E_{i}", f"l_{i}") == 1
         assert S5.pairing("Gamma", f"l_{i}") == 0
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(*[st.lists(small_rats, min_size=n, max_size=n)] * 2)
+    )
+)
+@settings(max_examples=100)
+def test_intersect_is_the_diagonal_form(vectors):
+    # oracle: v^T G w with G = diag(1, -1, ..., -1) written out in full
+    v, w = vectors
+    n = len(v)
+    G = [[(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
+    expected = sum(v[i] * G[i][j] * w[j] for i in range(n) for j in range(n))
+    assert intersect(_blown_up_plane(n), vec(*v), vec(*w)) == expected
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_canonical_class_of_the_blown_up_plane(d):
+    lat = build_km_surface(d).lattice
+    assert lat.canonical == vec(-3, *[1] * (2 * d + 1))
 
 
 def test_intersect_rank_mismatch():
@@ -148,8 +174,6 @@ def _ldl_pivots(block):
 
 
 def _oracle_negative_definite(lat, subset):
-    from conekit.qlattice import gram_block
-
     return all(p < 0 for p in _ldl_pivots(gram_block(lat, subset)))
 
 
@@ -184,48 +208,25 @@ def test_negative_definite_matches_ldl_oracle(names):
 
 @st.composite
 def lattices_with_subsets(draw):
-    """A lattice with a random symmetric non-diagonal Gram matrix, about half
-    of them negative definite (-A A^T + sI plus a sparse symmetric
-    perturbation), and a subset of random class vectors, sometimes dependent."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    ints = st.integers(min_value=-2, max_value=2)
-    a = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
-    shift = draw(st.sampled_from([-1, 0, 1]))
-    gram = [
-        [
-            -sum(x * y for x, y in zip(a[i], a[j])) + shift * (i == j)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(i + 1):
-            e = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
-            gram[i][j] += e
-            if i != j:
-                gram[j][i] += e
-    lat = IntersectionLattice(
-        basis_names=tuple(f"b{i}" for i in range(n)),
-        gram=tuple(tuple(Fraction(x) for x in row) for row in gram),
-        canonical=ClassVector.zero(n),
-    )
+    """The plane blown up n - 1 times and a subset of random classes on it,
+    sometimes dependent.  The H coordinate is mostly 0, where every block is
+    negative definite or dependent; with an H part the blocks are often
+    indefinite."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    h = st.sampled_from([0, 0, 0, 1, -1, 2])
+    ints = st.lists(st.integers(min_value=-2, max_value=2), min_size=n - 1, max_size=n - 1)
     k = draw(st.integers(min_value=1, max_value=n))
-    subset = [
-        ClassVector.of(draw(st.lists(ints, min_size=n, max_size=n)))
-        for _ in range(k)
-    ]
-    return lat, subset
+    subset = [ClassVector.of([draw(h)] + draw(ints)) for _ in range(k)]
+    return _blown_up_plane(n), subset
 
 
 def test_negative_definite_rejects_swap_with_negative_pivots():
     # the leading minor is 0, so elimination swaps rows; both pivots are then
     # -1, yet the block has determinant -1 and is indefinite
-    lat = IntersectionLattice(
-        basis_names=("b0", "b1"),
-        gram=((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(-1))),
-        canonical=ClassVector.zero(2),
-    )
-    subset = [ClassVector.of([1, 0]), ClassVector.of([0, 1])]
+    # block of H - E_1 and -E_1 on the plane blown up once
+    lat = _blown_up_plane(2)
+    subset = [ClassVector.of([1, -1]), ClassVector.of([0, -1])]
+    assert gram_block(lat, subset) == [[0, -1], [-1, -1]]
     assert not is_negative_definite(lat, subset)
     assert not _oracle_negative_definite(lat, subset)
 
@@ -240,10 +241,12 @@ def test_negative_definite_matches_ldl_oracle_on_random_lattices(case):
         for v in subset
     ]
     if _laplace_det(euclid) == 0:
+        event("dependent")
         with pytest.raises(DependentSubsetError):
             is_negative_definite(lat, subset)
     else:
         expected = _oracle_negative_definite(lat, subset)
+        event("negative definite" if expected else "not negative definite")
         assert is_negative_definite(lat, subset) == expected
 
 
@@ -381,24 +384,15 @@ def km_divisor_pairs(draw):
 
 
 @st.composite
-def non_diagonal_divisor_pairs(draw):
-    """A registry over a random symmetric, mostly non-diagonal Gram matrix,
-    with a random canonical class and up to six sparse curve classes that
-    share coordinates, plus two named divisors over its curves."""
+def random_class_divisor_pairs(draw):
+    """A registry of up to six sparse random curve classes on the plane
+    blown up n - 1 times, sharing coordinates, plus two named divisors over
+    its curves."""
     n = draw(st.integers(min_value=1, max_value=5))
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            gram[i][j] = gram[j][i] = draw(entries)
-    lat = IntersectionLattice(
-        basis_names=tuple(f"b{i}" for i in range(n)),
-        gram=tuple(tuple(Fraction(x) for x in row) for row in gram),
-        canonical=ClassVector.of(draw(st.lists(entries, min_size=n, max_size=n))),
-    )
     k = draw(st.integers(min_value=1, max_value=6))
     reg = CurveRegistry.of(
-        lat,
+        _blown_up_plane(n),
         {
             f"c_{i}": ClassVector.of(draw(st.lists(entries, min_size=n, max_size=n)))
             for i in range(k)
@@ -420,7 +414,7 @@ def test_pair_matches_dense_route_on_km_surfaces(case):
     _check_pair_against_dense_route(*case)
 
 
-@given(non_diagonal_divisor_pairs())
+@given(random_class_divisor_pairs())
 @settings(max_examples=150)
 def test_pair_matches_dense_route_on_random_lattices(case):
     _check_pair_against_dense_route(*case)
