@@ -6,9 +6,12 @@ Every command builds one payload, the dict printed by ``--format json``;
 tables, so the formats never disagree on a number.
 
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
-fails or a verdict is not the expected one, 2 on usage errors, a malformed
-rational (a zero denominator or exponent notation included) and a d outside
-``km_surface.MIN_D`` to ``MAX_D`` (3 to 200) among them.  All output is
+fails or a verdict is not the expected one, 2 on usage errors (any
+ValueError), a malformed rational (a zero denominator, exponent notation or
+more characters than Python's int-to-str digit limit included) and a d
+outside ``km_surface.MIN_D`` to ``MAX_D`` (3 to 200) among them, and 3 when an
+internal check fails (``qlattice.InvariantError``: two independent routes to
+one number disagree), with nothing printed on stdout.  All output is
 deterministic; rationals are serialized as p/q strings, by one JSON hook
 that refuses every other non-JSON type.
 """
@@ -33,18 +36,24 @@ from .cone3fold import (
     section_numbers,
 )
 from .km_surface import build_km_surface, km_sanity
-from .qlattice import NamedDivisor
+from .qlattice import InvariantError, NamedDivisor
 from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
 
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)$")
 
 
 def _parse_rat(text: str) -> Fraction:
-    """A rational from the command line; a zero denominator and exponent
-    notation (whose power of ten ``Fraction`` would build in full) are usage
-    errors (ValueError), like any other malformed rational."""
+    """A rational from the command line; a zero denominator, exponent
+    notation (whose power of ten ``Fraction`` would build in full) and a
+    literal longer than Python's int-to-str digit limit are usage errors
+    (ValueError), like any other malformed rational."""
     if "e" in text.lower():
         raise ValueError(f"exponent notation in rational: {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise ValueError(
+            f"rational literal has {len(text)} characters, above the limit of {limit}"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -460,6 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InvariantError as exc:
+        sys.stderr.write(f"error: internal check failed: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,20 +25,13 @@ from math import floor
 from .contract import Contraction, km_psi
 from .km_surface import MIN_D, build_km_surface
 from .qlattice import (
+    InvariantError,
     NamedDivisor,
     Rat,
     floor_divisor,
     pair,
     pair_canonical,
 )
-
-
-class CohomError(ValueError):
-    pass
-
-
-class ChiMismatchError(CohomError):
-    """The two independent chi routes disagree: the lattice data is invalid."""
 
 
 @dataclass(frozen=True)
@@ -114,11 +107,11 @@ class FamilyDescriptor:
 
     def __post_init__(self):
         if self.d < MIN_D:
-            raise CohomError(f"d must be >= {MIN_D}, got {self.d}")
+            raise ValueError(f"d must be >= {MIN_D}, got {self.d}")
         if self.q1 < 0 or self.q2 < 0:
-            raise CohomError("q1 and q2 must be nonnegative")
+            raise ValueError("q1 and q2 must be nonnegative")
         if self.q1 + self.q2 > self.d:
-            raise CohomError(
+            raise ValueError(
                 f"q1 + q2 = {self.q1 + self.q2} exceeds d = {self.d}"
             )
 
@@ -135,7 +128,7 @@ def _minus_e(d: int, subtract: int | None) -> NamedDivisor:
     if subtract is None:
         return NamedDivisor.zero()
     if not 1 <= subtract <= d:
-        raise CohomError(f"subtract index out of range 1..{d}: {subtract}")
+        raise ValueError(f"subtract index out of range 1..{d}: {subtract}")
     return NamedDivisor.of({f"E_{subtract}": -1})
 
 
@@ -154,7 +147,7 @@ def chi_rr(surface, D: NamedDivisor) -> int:
     lattice is invalid and is reported as an error, never rounded.
     """
     if not D.is_integral():
-        raise CohomError(f"divisor is not integral: {D}")
+        raise ValueError(f"divisor is not integral: {D}")
     reg = surface.registry
     return _riemann_roch(pair(reg, D, D) - pair_canonical(reg, D))
 
@@ -164,7 +157,7 @@ def _riemann_roch(d_dot_d_minus_k: Rat) -> int:
     surface here, a blow-up of the plane."""
     value = 1 + Fraction(d_dot_d_minus_k, 2)
     if value.denominator != 1:
-        raise CohomError(f"Riemann-Roch value is not an integer: {value}")
+        raise InvariantError(f"Riemann-Roch value is not an integer: {value}")
     return int(value)
 
 
@@ -189,7 +182,7 @@ def floor_pullback_stats(fam: FamilyDescriptor) -> tuple[NamedDivisor, Rat, Rat]
     square_closed = Fraction(-(q1 + q2) + 2 * (q1 - q2) * t + t * t * (4 - 2 * d))
     dot_closed = Fraction((6 - 2 * d) * t + (q1 - q2))
     if square != square_closed or dot != dot_closed:
-        raise ChiMismatchError(
+        raise InvariantError(
             f"floor-pullback closed forms disagree with the lattice at {fam}: "
             f"square {square} vs {square_closed}, dot {dot} vs {dot_closed}"
         )
@@ -212,7 +205,7 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     _, square, dot = floor_pullback_stats(fam)
     chi_lattice = _riemann_roch(square + dot)
     if chi_closed != chi_lattice:
-        raise ChiMismatchError(
+        raise InvariantError(
             f"chi closed form {chi_closed} != Riemann-Roch {chi_lattice} at {fam}"
         )
 
@@ -245,7 +238,7 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
         h0=h0, h1=h1, h2=h2, chi=chi_closed, certificates=tuple(certificates)
     )
     if not report.euler_consistent():
-        raise ChiMismatchError(f"Euler consistency failed at {fam}: {report}")
+        raise InvariantError(f"Euler consistency failed at {fam}: {report}")
     return report
 
 
@@ -281,13 +274,13 @@ def effective_ample_rewrite(
     the surplus on the highest-indexed curve in the support.
     """
     if not D.is_integral():
-        raise CohomError(f"rewrite needs an integral divisor: {D}")
+        raise ValueError(f"rewrite needs an integral divisor: {D}")
     for name in D.support():
         if not name.startswith("E_"):
-            raise CohomError(f"rewrite needs support on the E curves, got {name}")
+            raise ValueError(f"rewrite needs support on the E curves, got {name}")
         _e_index_check = _e_index(name)
         if not 1 <= _e_index_check <= psi.surface.d:
-            raise CohomError(f"curve index out of range: {name}")
+            raise ValueError(f"curve index out of range: {name}")
     coeffs = {n: int(c) for n, c in D.entries}
     total = sum(coeffs.values())
     parities = {n: c % 2 for n, c in coeffs.items()}
@@ -328,7 +321,7 @@ def cohomology_of_nA(
     coverage is reported Unknown, never guessed.
     """
     if n < 0:
-        raise CohomError(f"n must be nonnegative, got {n}")
+        raise ValueError(f"n must be nonnegative, got {n}")
     if n == 1 and subtract is None:
         return km_family_cohomology(fam)
     divisor = family_divisor(fam).scale(n) + _minus_e(fam.d, subtract)
@@ -367,7 +360,7 @@ def cohomology_of_nA(
                 FamilyDescriptor(fam.d, fam.q1, fam.q2 + 1)
             )
             if report.chi != chi:
-                raise ChiMismatchError(
+                raise InvariantError(
                     f"absorbed family chi {report.chi} != divisor chi {chi}"
                 )
             return replace(

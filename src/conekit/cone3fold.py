@@ -6,7 +6,7 @@ never modelled as a scheme.  Every intersection number of the symbolic cycles
 (sections S+/S-, reduced fibres R_C over contracted curves, section curves
 E_i^+/E_i^-, resolution divisors F) is *derived by formula from surface
 data*, and overdetermined entries are cross-checked against each other; a
-mismatch raises, it is never absorbed.
+mismatch raises ``InvariantError``, it is never absorbed.
 
 The multiplicities m_C come from the fractional part of the pulled-back
 polarization: each contracted curve must carry fractional coefficient 0
@@ -29,6 +29,7 @@ from math import ceil, gcd, lcm
 from .contract import Contraction
 from .km_surface import KMSurface
 from .qlattice import (
+    InvariantError,
     NamedDivisor,
     Rat,
     format_rat,
@@ -36,22 +37,6 @@ from .qlattice import (
     pair,
     pair_canonical,
 )
-
-
-class ConeError(ValueError):
-    pass
-
-
-class AssumptionError(ConeError):
-    """The pulled-back polarization has a non-unit fractional coefficient."""
-
-    def __init__(self, curve: str, coefficient: Rat):
-        self.curve = curve
-        self.coefficient = coefficient
-        super().__init__(
-            f"fractional coefficient of {curve} is {format_rat(coefficient)}, "
-            "not a unit fraction"
-        )
 
 
 def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[str, int]:
@@ -62,20 +47,17 @@ def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[s
     with coefficient 0 (m_C = 1) or 1/m (m_C = m); anything else violates the
     cone's structural assumption and is reported with the offending curve.
     """
-    frac = frac_divisor(pulled_back)
-    stray = [n for n in frac.support() if n not in psi.contracted]
-    if stray:
-        raise AssumptionError(stray[0], frac.coefficient(stray[0]))
-    table: dict[str, int] = {}
-    for name in psi.contracted:
-        c = frac.coefficient(name)
-        if c == 0:
-            table[name] = 1
-        elif c.numerator == 1:
-            table[name] = c.denominator
-        else:
-            raise AssumptionError(name, c)
-    return table
+    frac = frac_divisor(pulled_back).terms
+    coeffs = {name: frac.get(name, Fraction(0)) for name in psi.contracted}
+    bad = [n for n in frac if n not in coeffs] or [
+        n for n, c in coeffs.items() if c.numerator > 1
+    ]
+    if bad:
+        raise ValueError(
+            f"fractional coefficient of {bad[0]} is {format_rat(frac[bad[0]])}, "
+            "not a unit fraction"
+        )
+    return {name: c.denominator for name, c in coeffs.items()}
 
 
 @dataclass(frozen=True)
@@ -89,7 +71,7 @@ class ConeModel:
 
     def __post_init__(self):
         if not self.psi.is_ample_rho1(self.polarization):
-            raise ConeError(f"polarization is not ample: {self.polarization}")
+            raise ValueError(f"polarization is not ample: {self.polarization}")
         self.mc  # validates the unit-fraction assumption
 
     @staticmethod
@@ -107,7 +89,7 @@ class ConeModel:
     @cached_property
     def mc(self) -> dict[str, int]:
         if not self.polarization.is_integral():
-            raise ConeError(f"polarization must be integral: {self.polarization}")
+            raise ValueError(f"polarization must be integral: {self.polarization}")
         return validate_assumption_a(self.psi, self.pulled_back_polarization)
 
     @cached_property
@@ -158,7 +140,7 @@ def cone_curve_numbers(model: ConeModel, curve: str) -> dict:
     m_C times R_C.
     """
     if curve not in model.psi.contracted:
-        raise ConeError(f"{curve} is not contracted")
+        raise ValueError(f"{curve} is not contracted")
     m = model.mc[curve]
     sq = model.surface.pairing(curve, curve)
     return {
@@ -181,7 +163,7 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     """
     d = model.d
     if not (1 <= i <= d and 1 <= j <= d):
-        raise ConeError(f"section indices out of range 1..{d}: ({i}, {j})")
+        raise ValueError(f"section indices out of range 1..{d}: ({i}, {j})")
 
     a_dot_ei = model.polarization_dot_e(i)
     a_dot_ej = model.polarization_dot_e(j)
@@ -211,7 +193,7 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
         + Fraction(1 - m_lp, m_lp)
     )
     if crepant_sum != printed:
-        raise ConeError(
+        raise InvariantError(
             f"crepant sum mismatch at i={i}: uniform {crepant_sum} vs printed {printed}"
         )
 
@@ -222,13 +204,13 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     closed_plus = unit_defect(m_gamma) - 1 - a_dot_ei + gamma_term
     closed_minus = unit_defect(m_gamma) - 1 + a_dot_ei + gamma_term
     if k_y_plus != closed_plus or k_y_minus != closed_minus:
-        raise ConeError(f"K_Y section numbers disagree at i={i}")
+        raise InvariantError(f"K_Y section numbers disagree at i={i}")
 
     e_y_dot = model.psi.target_intersect(
         NamedDivisor.of({f"E_{j}": 1}), NamedDivisor.of({f"E_{i}": 1})
     )
     if e_y_dot != Fraction(1, 2 * d - 4):
-        raise ConeError(
+        raise InvariantError(
             f"E^Y.f(E^+/-) is {e_y_dot} at (i,j)=({i},{j}), expected 1/(2d-4)"
         )
 
@@ -254,7 +236,7 @@ def plt_coefficient_b(model: ConeModel, i: int) -> dict:
     """
     p = model.polarization_dot_e(i)
     if p == 0:
-        raise ConeError(f"pullback(A).E_{i} = 0: coefficient undefined")
+        raise ValueError(f"pullback(A).E_{i} = 0: coefficient undefined")
     b = (p - Fraction(1, 2 * model.d - 4)) / p
     surface_class = model.surface_classification
     return {
@@ -345,7 +327,9 @@ def picard_chain(model: ConeModel) -> dict[str, int]:
     rho_y = rho_x - len(model.psi.contracted)
     rho_z = rho_y - 1
     if rho_t != 1 or rho_y != 2 or rho_z != 1:
-        raise ConeError(f"Picard chain inconsistent: {(rho_s, rho_t, rho_x, rho_y, rho_z)}")
+        raise InvariantError(
+            f"Picard chain inconsistent: {(rho_s, rho_t, rho_x, rho_y, rho_z)}"
+        )
     return dict(rho_s=rho_s, rho_t=rho_t, rho_x=rho_x, rho_y=rho_y, rho_z=rho_z)
 
 
@@ -424,22 +408,26 @@ def kvv_schedule(
     """
     e = tuple(multiplicities)
     if not e or not all(isinstance(x, int) and x >= 1 for x in e):
-        raise ConeError(f"multiplicities must be positive integers: {e}")
+        raise ValueError(f"multiplicities must be positive integers: {e}")
     delta = tuple(Fraction(x) for x in delta0)
     if len(delta) != len(e):
-        raise ConeError("delta0 and multiplicities must have equal length")
+        raise ValueError("delta0 and multiplicities must have equal length")
     if any(x < 0 or x >= 1 for x in delta):
         shown = ", ".join(map(format_rat, delta))
-        raise ConeError(f"initial coefficients must lie in [0,1): [{shown}]")
+        raise ValueError(f"initial coefficients must lie in [0,1): [{shown}]")
     target = Fraction(lambda_target)
     if target < 0:
-        raise ConeError(f"target must be nonnegative: {target}")
+        raise ValueError(f"target must be nonnegative: {target}")
     count = 0
     if target:
         count = 1 + sum(ceil(target * ev + dv) - 1 for ev, dv in zip(e, delta))
     if count > KVV_MAX_STEPS:
-        raise ConeError(
-            f"schedule needs {count} steps, above the limit of {KVV_MAX_STEPS}"
+        # a count past 64 bits is shown by its power of two, not in decimal,
+        # which can be too long to print (Python's int-to-str digit limit)
+        bits = count.bit_length()
+        shown = count if bits <= 64 else f"at least 2^{bits - 1}"
+        raise ValueError(
+            f"schedule needs {shown} steps, above the limit of {KVV_MAX_STEPS}"
         )
 
     den = lcm(*(ev * dv.denominator for ev, dv in zip(e, delta)))
@@ -457,13 +445,17 @@ def kvv_schedule(
         raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
         if not all(0 <= x <= den for x in raised):
             shown = ", ".join(format_rat(Fraction(x, den)) for x in raised)
-            raise ConeError(f"coefficient left [0,1] at step {len(steps)}: [{shown}]")
+            raise InvariantError(
+                f"coefficient left [0,1] at step {len(steps)}: [{shown}]"
+            )
         raised[i] -= den
         fired[i] += 1
         steps.append((i + 1, n - lam, n, tuple(raised)))
         lam = n
     if len(steps) != count:
-        raise ConeError(f"schedule took {len(steps)} steps, its closed form {count}")
+        raise InvariantError(
+            f"schedule took {len(steps)} steps, its closed form {count}"
+        )
     return KvvTrace(
         multiplicities=e, delta0=delta, target=target, den=den, steps=tuple(steps)
     )

@@ -37,10 +37,6 @@ from .qlattice import (
 )
 
 
-class ContractionError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Contraction:
     """Contraction of ``contracted`` (curve names) on ``surface``, kept in
@@ -59,7 +55,7 @@ class Contraction:
 
     def __post_init__(self):
         if len(set(self.contracted)) != len(self.contracted):
-            raise ContractionError("contracted curve names must be distinct")
+            raise ValueError("contracted curve names must be distinct")
         ordered = tuple(sorted(self.contracted, key=curve_sort_key))
         object.__setattr__(self, "contracted", ordered)
         self.gram_inverse  # raises unless the Gram block is negative definite
@@ -97,7 +93,7 @@ class Contraction:
             )
         pivots, swaps = _eliminate(rows, k)
         if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
-            raise ContractionError("contracted Gram block is not negative definite")
+            raise ValueError("contracted Gram block is not negative definite")
         return tuple(tuple(row[k:]) for row in rows)
 
     def _solve(self, dots: list[Rat]) -> NamedDivisor:
@@ -134,7 +130,7 @@ class Contraction:
     def _refuse_contracted(self, D: NamedDivisor) -> None:
         bad = [n for n in D.support() if n in self.contracted]
         if bad:
-            raise ContractionError(
+            raise ValueError(
                 f"divisor mentions contracted curves: {', '.join(bad)}"
             )
 
@@ -184,7 +180,7 @@ class Contraction:
     def is_ample_rho1(self, D: NamedDivisor) -> bool:
         """Ampleness on a rank-one target with ample -K: positive degree."""
         if not self._minus_k_target_ample:
-            raise ContractionError(
+            raise ValueError(
                 "target is not of Picard rank one with -K nonzero and effective"
             )
         return self.degree(D) > 0
@@ -223,7 +219,7 @@ class Contraction:
         boundary = boundary if boundary is not None else NamedDivisor.zero()
         for name, c in boundary.entries:
             if c < 0 or c > 1:
-                raise ContractionError(
+                raise ValueError(
                     f"boundary coefficient of {name} outside [0,1]: {format_rat(c)}"
                 )
         boundary_pull = self.pullback(boundary).terms

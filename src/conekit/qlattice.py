@@ -43,24 +43,10 @@ from typing import Iterable, KeysView, Mapping, Sequence
 Rat = Fraction
 
 
-class LatticeError(ValueError):
-    """Base class for exact-lattice failures."""
-
-
-class RankMismatchError(LatticeError):
-    """A class vector does not have the rank of the lattice using it."""
-
-
-class DependentSubsetError(LatticeError):
-    """A curve subset expected to be linearly independent is not."""
-
-
-class SingularBlockError(LatticeError):
-    """A Gram block expected to be invertible is singular."""
-
-
-class UnknownCurveError(LatticeError):
-    """A divisor mentions a curve name the registry does not know."""
+class InvariantError(Exception):
+    """The engine disagrees with itself: two independent routes to one number
+    (a closed form and the lattice, say) gave different answers.  Not a
+    ValueError, which every usage or precondition failure raises."""
 
 
 def format_rat(x: Rat) -> str:
@@ -89,18 +75,12 @@ class ClassVector:
     def of(values: Iterable) -> "ClassVector":
         return ClassVector(tuple(Fraction(v) for v in values))
 
-    @staticmethod
-    def zero(rank: int) -> "ClassVector":
-        return ClassVector((Fraction(0),) * rank)
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         if len(self) != len(other):
-            raise RankMismatchError(
-                f"rank mismatch: {len(self)} vs {len(other)}"
-            )
+            raise ValueError(f"rank mismatch: {len(self)} vs {len(other)}")
         return ClassVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
@@ -142,7 +122,7 @@ class IntersectionLattice:
 
     def check_rank(self, v: ClassVector) -> None:
         if len(v) != self.rank:
-            raise RankMismatchError(
+            raise ValueError(
                 f"vector has length {len(v)}, lattice rank is {self.rank}"
             )
 
@@ -198,11 +178,11 @@ def _eliminate(rows: list[list[Rat]], n_cols: int) -> tuple[list[Rat], int]:
 
 
 def solve_linear(matrix: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Rat]:
-    """Solve M x = b exactly; raises SingularBlockError when M is singular."""
+    """Solve M x = b exactly; raises ValueError when M is singular."""
     n = len(matrix)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if len(_eliminate(aug, n)[0]) < n:
-        raise SingularBlockError("singular linear system")
+        raise ValueError("singular linear system")
     return [row[n] for row in aug]
 
 
@@ -224,11 +204,10 @@ def is_negative_definite(
     criterion): the block is negative definite iff the elimination needs no
     row swap and every pivot is negative, since the k-th pivot is the ratio
     of the k-th and (k-1)-th leading principal minors.  A linearly dependent
-    subset is rejected with :class:`DependentSubsetError` instead of
-    returning False.
+    subset is rejected with a ValueError instead of returning False.
     """
     if not subset:
-        raise LatticeError("empty subset")
+        raise ValueError("empty subset")
     for v in subset:
         lattice.check_rank(v)
     k = len(subset)
@@ -237,7 +216,7 @@ def is_negative_definite(
         return True  # a nonsingular Gram block already proves independence
     coords = [list(v.coeffs) for v in subset]
     if len(_eliminate(coords, lattice.rank)[0]) < k:
-        raise DependentSubsetError("subset is linearly dependent")
+        raise ValueError("subset is linearly dependent")
     return False
 
 
@@ -278,12 +257,6 @@ class NamedDivisor:
     @cached_property
     def terms(self) -> dict[str, Rat]:
         return dict(self.entries)
-
-    def coefficient(self, name: str) -> Rat:
-        for n, c in self.entries:
-            if n == name:
-                return c
-        return Fraction(0)
 
     def support(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
@@ -405,7 +378,7 @@ class CurveRegistry:
     def _lookup(table: dict, name: str):
         value = table.get(name)
         if value is None:
-            raise UnknownCurveError(f"unknown curve name: {name!r}")
+            raise ValueError(f"unknown curve name: {name!r}")
         return value
 
     def names(self) -> tuple[str, ...]:
@@ -430,11 +403,17 @@ class CurveRegistry:
 
 
 def class_of(registry: CurveRegistry, D: NamedDivisor) -> ClassVector:
-    """The class of a named divisor: the matching combination of curve classes."""
-    out = ClassVector.zero(registry.lattice.rank)
+    """The class of a named divisor: the matching combination of curve classes.
+
+    Only the nonzero coordinates of each curve class are scaled and added: a
+    zero coordinate costs one test, not a ``Fraction`` product and sum.
+    """
+    out = [Fraction(0)] * registry.lattice.rank
     for name, coeff in D.entries:
-        out = out + registry.class_vector(name).scale(coeff)
-    return out
+        for i, a in enumerate(registry.class_vector(name).coeffs):
+            if a:
+                out[i] += coeff * a
+    return ClassVector(tuple(out))
 
 
 def pair(registry: CurveRegistry, D1: NamedDivisor, D2: NamedDivisor) -> Rat:

@@ -11,8 +11,9 @@ certified, as a pure boolean combination: if any entry it needs is Unknown,
 the verdict is None, never guessed.
 
 :func:`sweep_kvv` returns ``{scenario, params, rows}``, one row dict per
-(d, q1, q2); its row count is known in closed form and bounded by
-``SWEEP_MAX_ROWS`` before any contraction is built.
+(d, q1, q2); its row count is known in closed form, and its work (rows
+weighted by their cost in d) is bounded by ``SWEEP_MAX_WORK`` before any
+contraction is built.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from .cohom import (
     uniform_h2_chain_zero,
 )
 from .cone3fold import ConeModel, picard_chain, plt_coefficient_b
-
-
-class ScenarioError(ValueError):
-    """A named precondition of a verifier failed."""
-
-    def __init__(self, name: str, message: str):
-        self.name = name
-        super().__init__(f"{name}: {message}")
+from .km_surface import MAX_D
 
 
 def _certify(
@@ -85,12 +79,12 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
     (q-2)/(q-1); it is None while non-normality is unknown.
     """
     if q < 2:
-        raise ScenarioError("q>=2", f"q = {q}")
+        raise ValueError(f"q>=2: q = {q}")
     if d < q + 2:
-        raise ScenarioError("d>=q+2", f"(d, q) = ({d}, {q})")
+        raise ValueError(f"d>=q+2: (d, q) = ({d}, {q})")
     if (2 * d - 4) % (q - 1) != 0:
-        raise ScenarioError(
-            "(q-1)|(2d-4)", f"q - 1 = {q - 1} does not divide 2d - 4 = {2 * d - 4}"
+        raise ValueError(
+            f"(q-1)|(2d-4): q - 1 = {q - 1} does not divide 2d - 4 = {2 * d - 4}"
         )
 
     psi = target_context(d)
@@ -221,7 +215,7 @@ def verify_bad_fano(q: int) -> dict:
     unknown.
     """
     if q < 1:
-        raise ScenarioError("q>=1", f"q = {q}")
+        raise ValueError(f"q>=1: q = {q}")
     d = 4 * q + 2
     psi = target_context(d)
     fam = FamilyDescriptor(d, 3 * q, q)
@@ -270,8 +264,13 @@ def verify_bad_fano(q: int) -> dict:
     }
 
 
-# A sweep with more rows than this is refused before its first contraction.
-SWEEP_MAX_ROWS = 15_000
+# A sweep whose work, the sum over d of rows(d) * (2d+1), is above this is
+# refused before its first contraction: a row pulls back across the 2d+1
+# contracted curves of T(d).  One unit took about 50 us on a shared 2-vCPU
+# machine (Python 3.11; windows [3, 30], [50, 50] and [80, 80]), so an
+# admitted window runs in under a minute there.  [3, 42] (908,120 units) is
+# admitted; the single d = 171 (5,103,154 units) is not.
+SWEEP_MAX_WORK = 1_000_000
 
 
 def sweep_rows(d_min: int, d_max: int) -> int:
@@ -286,17 +285,19 @@ def sweep_kvv(d_min: int, d_max: int) -> dict:
     A row is flagged when the family divisor is ample yet has nonzero first
     cohomology: by duality this is exactly a failure of vanishing for the
     ample divisor A - K on the rank-one target.  Row order is lexicographic
-    in (d, q1, q2).  A window of more than ``SWEEP_MAX_ROWS`` rows is
-    refused before any contraction is built.
+    in (d, q1, q2).  A window with d_max above ``MAX_D``, or with more work
+    than ``SWEEP_MAX_WORK``, is refused before any contraction is built.
     """
     if not 3 <= d_min <= d_max:
-        raise ScenarioError("3<=d_min<=d_max", f"({d_min}, {d_max})")
-    count = sweep_rows(d_min, d_max)
-    if count > SWEEP_MAX_ROWS:
-        raise ScenarioError(
-            "rows<=SWEEP_MAX_ROWS",
-            f"window [{d_min}, {d_max}] has {count} rows, "
-            f"above the limit of {SWEEP_MAX_ROWS}",
+        raise ValueError(f"3<=d_min<=d_max: ({d_min}, {d_max})")
+    if d_max > MAX_D:
+        raise ValueError(f"d must be <= {MAX_D}, got {d_max}")
+    work = sum(sweep_rows(d, d) * (2 * d + 1) for d in range(d_min, d_max + 1))
+    if work > SWEEP_MAX_WORK:
+        raise ValueError(
+            f"work<=SWEEP_MAX_WORK: window [{d_min}, {d_max}] has "
+            f"{sweep_rows(d_min, d_max)} rows and {work} units of work, "
+            f"above the limit of {SWEEP_MAX_WORK}"
         )
     rows = []
     for d in range(d_min, d_max + 1):

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import math
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,14 +10,14 @@ import argparse
 
 import pytest
 
-from conekit import cli, km_surface, scenarios
+from conekit import cli, cohom, cone3fold, km_surface, scenarios
 from conekit.cli import build_parser, main, parse_divisor
 from conekit.cohom import CohStatus
 from conekit.cone3fold import KVV_MAX_STEPS
 from conekit.contract import Contraction
 from conekit.km_surface import MAX_D
 from conekit.qlattice import NamedDivisor
-from conekit.scenarios import SWEEP_MAX_ROWS
+from conekit.scenarios import SWEEP_MAX_WORK
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -216,8 +218,10 @@ def test_exponent_notation_is_a_usage_error(capsys, argv, literal):
         (["cohom", "--d", str(MAX_D + 1), "--q1", "1", "--q2", "0"], MAX_D + 1),
         (["cone", "--d", str(MAX_D + 1), "--q", "3", "--ledger", "sections"], MAX_D + 1),
         (["contract", "--d", str(MAX_D + 1), "--pullback", "E_1"], MAX_D + 1),
+        # refused before the sweep sums the work of 10^9 values of d
+        (["sweep", "--d-min", "3", "--d-max", "1000000000"], 1000000000),
     ],
-    ids=["km-surface", "verify-plt", "verify-fano", "cohom", "cone", "contract"],
+    ids=["km-surface", "verify-plt", "verify-fano", "cohom", "cone", "contract", "sweep"],
 )
 def test_d_over_the_budget_is_refused_before_any_lattice(monkeypatch, capsys, argv, d):
     replayed = []
@@ -250,19 +254,83 @@ def test_json_hook_renders_fractions_and_refuses_other_objects():
             cli._json({"value": [leaked]})
 
 
-def test_sweep_over_the_row_budget_is_refused_before_any_contraction(
+def test_sweep_over_the_work_budget_is_refused_before_any_contraction(
     monkeypatch, capsys
 ):
+    # one d = 171 has fewer rows than the admitted [3, 42], but more work
     built = []
     monkeypatch.setattr(scenarios, "target_context", built.append)
-    assert main(["sweep", "--d-min", "3", "--d-max", "1000000000"]) == 2
+    assert main(["sweep", "--d-min", "171", "--d-max", "171"]) == 2
     captured = capsys.readouterr()
     assert built == []
     assert captured.out == ""
-    rows = scenarios.sweep_rows(3, 1000000000)
+    rows = scenarios.sweep_rows(171, 171)
     assert captured.err == (
-        f"error: rows<=SWEEP_MAX_ROWS: window [3, 1000000000] has {rows} rows, "
-        f"above the limit of {SWEEP_MAX_ROWS}\n"
+        f"error: work<=SWEEP_MAX_WORK: window [171, 171] has {rows} rows and "
+        f"{rows * (2 * 171 + 1)} units of work, above the limit of {SWEEP_MAX_WORK}\n"
+    )
+
+
+@pytest.mark.parametrize("zeros", [4300, 4400])
+def test_literal_over_the_digit_limit_is_a_usage_error(capsys, zeros):
+    literal = "1" + "0" * zeros
+    assert main(["kvv-schedule", "--e", "1", "--target", literal]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: rational literal has {zeros + 1} characters, above the limit of "
+        f"{sys.get_int_max_str_digits()}\n"
+    )
+
+
+def test_step_count_too_long_for_decimal_is_shown_as_a_power_of_two(capsys):
+    # 10^4299 steps: 4300 digits, within the literal limit
+    literal = "1" + "0" * 4299
+    assert main(["kvv-schedule", "--e", "1", "--target", literal]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bits = (10**4299).bit_length()
+    assert captured.err == (
+        f"error: schedule needs at least 2^{bits - 1} steps, above the limit of "
+        f"{KVV_MAX_STEPS}\n"
+    )
+
+
+def _internal_check_fails(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {message}\n"
+
+
+def test_wrong_cohom_closed_form_is_an_internal_failure(monkeypatch, capsys):
+    # t = floor((q1-q2)/(2d-4)) one too high: the closed forms disagree with
+    # the lattice (t = 1 for 0 gives square -9 for -5 and dot -3 for 1)
+    monkeypatch.setattr(cohom, "floor", lambda x: math.floor(x) + 1)
+    _internal_check_fails(
+        capsys,
+        ["cohom", "--d", "5", "--q1", "3", "--q2", "2"],
+        "floor-pullback closed forms disagree with the lattice at "
+        "FamilyDescriptor(d=5, q1=3, q2=2): square -5 vs -9, dot 1 vs -3",
+    )
+
+
+def test_wrong_cone_closed_form_is_an_internal_failure(monkeypatch, capsys):
+    # c_C = (-C^2 - m_C)/(-C^2), without the factor 2: the uniform crepant
+    # sum at i = 1 is c_Gamma/m_Gamma = (1/2)/3, the printed form
+    # 0 + (1-2)/2 + (1-2)/2 with m = 3, 2, 2 for Gamma, l_1, lp_1
+    def crepant(self):
+        return {
+            name: Fraction(-self.surface.pairing(name, name) - self.mc[name],
+                           -self.surface.pairing(name, name))
+            for name in self.psi.contracted
+        }
+
+    monkeypatch.setattr(cone3fold.ConeModel, "crepant_coefficients", property(crepant))
+    _internal_check_fails(
+        capsys,
+        ["cone", "--d", "5", "--q", "3", "--ledger", "adjunction"],
+        "crepant sum mismatch at i=1: uniform 1/6 vs printed -1",
     )
 
 

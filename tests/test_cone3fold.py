@@ -7,8 +7,6 @@ from conekit.cohom import FamilyDescriptor, family_divisor, target_context
 from conekit import cone3fold
 from conekit.cone3fold import (
     KVV_MAX_STEPS,
-    AssumptionError,
-    ConeError,
     ConeModel,
     adjunction_consistency,
     cone_curve_numbers,
@@ -20,8 +18,8 @@ from conekit.cone3fold import (
     validate_assumption_a,
 )
 from conekit.qlattice import (
+    InvariantError,
     NamedDivisor,
-    UnknownCurveError,
     class_of,
     format_rat,
     intersect,
@@ -70,10 +68,10 @@ def test_m_table_for_doubled_single_curve():
 
 def test_assumption_violation_reports_curve():
     A = family_divisor(FamilyDescriptor(6, 4, 1))  # Gamma coefficient 3/8
-    with pytest.raises(AssumptionError) as err:
+    with pytest.raises(
+        ValueError, match=r"^fractional coefficient of Gamma is 3/8, not a unit fraction$"
+    ):
         validate_assumption_a(target_context(6), target_context(6).pullback(A))
-    assert err.value.curve == "Gamma"
-    assert err.value.coefficient == Fraction(3, 8)
 
 
 def test_unit_fraction_acceptance_tracks_divisibility():
@@ -81,14 +79,17 @@ def test_unit_fraction_acceptance_tracks_divisibility():
     for d, q in ((5, 3), (8, 3), (5, 4), (12, 6)):
         assert (2 * d - 4) % (q - 1) == 0
         plt_model(d, q)
-    for d, q in ((6, 4), (7, 5)):
+    for d, q, coefficient in ((6, 4, "3/8"), (7, 5, "2/5")):
         assert (2 * d - 4) % (q - 1) != 0
-        with pytest.raises(AssumptionError):
+        with pytest.raises(
+            ValueError,
+            match=rf"^fractional coefficient of Gamma is {coefficient}, not a unit fraction$",
+        ):
             plt_model(d, q)
 
 
 def test_non_ample_polarization_rejected():
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^polarization is not ample: 0$"):
         ConeModel.build(target_context(5), NamedDivisor.zero())
 
 
@@ -109,7 +110,7 @@ def test_section_curve_squares_and_disjointness():
 
 
 def test_curve_ledger_rejects_uncontracted():
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^E_1 is not contracted$"):
         cone_curve_numbers(M53, "E_1")
 
 
@@ -179,14 +180,14 @@ def test_polarization_dot_e_pairs_once_per_index(monkeypatch):
     assert paired == expected
     # an index outside 1..d raises on every call; nothing is cached for it
     for _ in range(2):
-        with pytest.raises(UnknownCurveError):
+        with pytest.raises(ValueError, match=r"^unknown curve name: 'E_9'$"):
             model.polarization_dot_e(model.d + 1)
 
 
 def test_section_index_out_of_range():
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^section indices out of range 1\.\.5: \(0, 1\)$"):
         section_numbers(M53, 0, 1)
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^section indices out of range 1\.\.5: \(1, 6\)$"):
         section_numbers(M53, 1, 6)
 
 
@@ -296,6 +297,14 @@ def test_picard_chain_values():
     assert tuple(picard_chain(model3).values()) == (8, 1, 9, 2, 1)
 
 
+def test_picard_chain_inconsistency_is_an_internal_failure(monkeypatch):
+    monkeypatch.setattr(type(M53.psi), "picard_rank_after", lambda self: 2)
+    with pytest.raises(
+        InvariantError, match=r"^Picard chain inconsistent: \(12, 2, 13, 2, 1\)$"
+    ):
+        picard_chain(M53)
+
+
 def test_rho_y_minus_rho_z_is_one():
     for model in (M53, fano_model(1)):
         chain = picard_chain(model)
@@ -371,15 +380,15 @@ def test_schedule_is_deterministic():
 
 
 def test_schedule_rejects_bad_inputs():
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^multiplicities must be positive integers: \(0,\)$"):
         kvv_schedule([0], [0], 1)
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^initial coefficients must lie in \[0,1\): \[1\]$"):
         kvv_schedule([1], [1], 1)
-    with pytest.raises(ConeError):
+    with pytest.raises(ValueError, match=r"^delta0 and multiplicities must have equal length$"):
         kvv_schedule([1, 2], [0], 1)
     # a non-integral multiplicity is refused, not truncated to an integer
     for e in ([Fraction(3, 2)], [1.5], [2, Fraction(7, 3)]):
-        with pytest.raises(ConeError, match="multiplicities must be positive integers"):
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
             kvv_schedule(e, [0] * len(e), 1)
 
 
@@ -387,7 +396,7 @@ def test_schedule_invariant_failure_renders_rationals(monkeypatch):
     # a heap that never advances fires index 2 again at the same lambda, so
     # its coefficient drops below zero and the invariant check reports it
     monkeypatch.setattr(cone3fold.heapq, "heapreplace", lambda heap, item: heap[0])
-    with pytest.raises(ConeError) as err:
+    with pytest.raises(InvariantError, match=r"^coefficient left") as err:
         kvv_schedule([1, 1], [0, Fraction(1, 2)], 2)
     assert str(err.value) == "coefficient left [0,1] at step 2: [1/2, -1]"
 
@@ -399,7 +408,7 @@ def test_schedule_refuses_an_over_budget_request_before_its_first_step(monkeypat
     # every step advances the heap once
     monkeypatch.setattr(cone3fold.heapq, "heapreplace", no_step)
     # e = (1,) and target T take 1 + (ceil(T) - 1) = T steps
-    with pytest.raises(ConeError) as err:
+    with pytest.raises(ValueError, match=r"^schedule needs ") as err:
         kvv_schedule([1], [0], KVV_MAX_STEPS + 1)
     assert str(err.value) == (
         f"schedule needs {KVV_MAX_STEPS + 1} steps, above the limit of {KVV_MAX_STEPS}"

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conekit.cli import main as cli_main
-from conekit.contract import Contraction, ContractionError, km_psi
+from conekit.contract import Contraction, km_psi
 from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupStep
 from conekit.qlattice import (
     ClassVector,
     CurveRegistry,
-    DependentSubsetError,
     IntersectionLattice,
     NamedDivisor,
     class_of,
@@ -51,18 +50,18 @@ def test_pullback_of_zero():
 
 def test_pullback_family_gamma_coefficient():
     A = NamedDivisor.of({"E_1": 1, "E_2": 1, "E_3": 1, "E_4": -1})
-    assert PSI5.pullback(A).coefficient("Gamma") == Fraction(1, 3)
+    assert PSI5.pullback(A).terms["Gamma"] == Fraction(1, 3)
 
 
 def test_pullback_rejects_contracted_names():
-    with pytest.raises(ContractionError):
+    with pytest.raises(ValueError, match=r"^divisor mentions contracted curves: Gamma$"):
         PSI5.pullback(NamedDivisor.of({"Gamma": 1}))
 
 
 @pytest.mark.parametrize("names", [("Gamma", "E_1"), ("E_1", "Gamma")], ids=["first", "second"])
 def test_target_intersect_refuses_contracted_names(names, capsys):
     D1, D2 = (NamedDivisor.of({n: 1}) for n in names)
-    with pytest.raises(ContractionError, match="divisor mentions contracted curves: Gamma"):
+    with pytest.raises(ValueError, match=r"^divisor mentions contracted curves: Gamma$"):
         PSI5.target_intersect(D1, D2)
     assert cli_main(["contract", "--d", "5", "--target-intersect", *names]) == 2
     captured = capsys.readouterr()
@@ -273,12 +272,16 @@ def test_contraction_is_possible_iff_negative_definite(surface, names):
     classes = [surface.registry.class_vector(n) for n in names]
     try:
         definite = is_negative_definite(surface.lattice, classes)
-    except DependentSubsetError:
+    except ValueError as exc:
+        if str(exc) != "subset is linearly dependent":
+            raise
         definite = False
     if definite:
         assert len(Contraction(surface=surface, contracted=names).gram_inverse) == len(names)
     else:
-        with pytest.raises(ContractionError, match="not negative definite"):
+        with pytest.raises(
+            ValueError, match=r"^contracted Gram block is not negative definite$"
+        ):
             Contraction(surface=surface, contracted=names)
 
 
@@ -315,7 +318,7 @@ def test_fractional_boundary_keeps_klt():
 
 
 def test_boundary_out_of_range_rejected():
-    with pytest.raises(ContractionError):
+    with pytest.raises(ValueError, match=r"^boundary coefficient of E_5 outside \[0,1\]: 2$"):
         PSI5.classify_singularities(NamedDivisor.of({"E_5": 2}))
 
 
@@ -371,7 +374,10 @@ def test_anticanonical_is_ample():
 
 def test_ampleness_requires_rank_one_flag():
     ctr = Contraction(surface=S5, contracted=("l_1",))
-    with pytest.raises(ContractionError):
+    with pytest.raises(
+        ValueError,
+        match=r"^target is not of Picard rank one with -K nonzero and effective$",
+    ):
         ctr.is_ample_rho1(NamedDivisor.of({"E_1": 1}))
 
 
@@ -386,7 +392,10 @@ def test_ampleness_requires_effective_minus_k(monkeypatch, minus_k):
     monkeypatch.setattr(Contraction, "minus_k_target", lambda self: minus_k)
     psi = km_psi(build_km_surface(5))
     assert psi.picard_rank_after() == 1
-    with pytest.raises(ContractionError, match="Picard rank one"):
+    with pytest.raises(
+        ValueError,
+        match=r"^target is not of Picard rank one with -K nonzero and effective$",
+    ):
         psi.is_ample_rho1(NamedDivisor.of({"E_1": 1}))
 
 

@@ -9,12 +9,8 @@ from conekit.km_surface import build_km_surface
 from conekit.qlattice import (
     ClassVector,
     CurveRegistry,
-    DependentSubsetError,
     IntersectionLattice,
     NamedDivisor,
-    RankMismatchError,
-    SingularBlockError,
-    UnknownCurveError,
     class_of,
     determinant,
     floor_divisor,
@@ -81,7 +77,7 @@ def test_canonical_class_of_the_blown_up_plane(d):
 
 
 def test_intersect_rank_mismatch():
-    with pytest.raises(RankMismatchError):
+    with pytest.raises(ValueError, match=r"^vector has length 2, lattice rank is 12$"):
         intersect(S5.lattice, vec(1, 2), vec(1, 2))
 
 
@@ -146,7 +142,7 @@ def test_solve_linear_is_exact_or_reports_singularity(m, b):
     n = len(m)
     rhs = b[:n]
     if _laplace_det(m) == 0:
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(ValueError, match=r"^singular linear system$"):
             solve_linear(m, rhs)
     else:
         x = solve_linear(m, rhs)
@@ -193,7 +189,7 @@ def test_minus_one_curve_negative_definite():
 
 def test_dependent_subset_reported():
     gamma = S5.registry.class_vector("Gamma")
-    with pytest.raises(DependentSubsetError):
+    with pytest.raises(ValueError, match=r"^subset is linearly dependent$"):
         is_negative_definite(S5.lattice, [gamma, gamma.scale(2)])
 
 
@@ -242,7 +238,7 @@ def test_negative_definite_matches_ldl_oracle_on_random_lattices(case):
     ]
     if _laplace_det(euclid) == 0:
         event("dependent")
-        with pytest.raises(DependentSubsetError):
+        with pytest.raises(ValueError, match=r"^subset is linearly dependent$"):
             is_negative_definite(lat, subset)
     else:
         expected = _oracle_negative_definite(lat, subset)
@@ -260,7 +256,7 @@ def test_solve_exceptional_correction_of_minus_one_curve():
         pulled = Contraction(s, ("Gamma", "l_1", "lp_1")).pullback(
             NamedDivisor.of({"E_1": 1})
         )
-        assert [pulled.coefficient(n) for n in ("Gamma", "l_1", "lp_1")] == [
+        assert [pulled.terms[n] for n in ("Gamma", "l_1", "lp_1")] == [
             Fraction(1, 2 * d - 4), Fraction(1, 2), Fraction(1, 2)
         ]
 
@@ -361,7 +357,7 @@ def test_unknown_curve_name():
         lambda: pair(reg, known, unknown),
         lambda: pair_canonical(reg, unknown),
     ):
-        with pytest.raises(UnknownCurveError, match=r"^unknown curve name: 'nope'$"):
+        with pytest.raises(ValueError, match=r"^unknown curve name: 'nope'$"):
             route()
 
 
@@ -408,6 +404,19 @@ def _check_pair_against_dense_route(reg, D1, D2):
     assert pair_canonical(reg, D1) == intersect(lat, lat.canonical, v1)
 
 
+@given(st.one_of(km_divisor_pairs(), random_class_divisor_pairs()))
+@settings(max_examples=100)
+def test_class_of_is_the_scale_and_add_sum(case):
+    # oracle: every curve class scaled in full, zeros included, and added
+    # coordinate by coordinate from the zero vector
+    reg, D, _ = case
+    expected = [Fraction(0)] * reg.lattice.rank
+    for name, c in D.entries:
+        scaled = [c * a for a in reg.class_vector(name).coeffs]
+        expected = [x + y for x, y in zip(expected, scaled)]
+    assert class_of(reg, D) == ClassVector(tuple(expected))
+
+
 @given(km_divisor_pairs())
 @settings(max_examples=80)
 def test_pair_matches_dense_route_on_km_surfaces(case):
@@ -433,7 +442,7 @@ def test_pair_matches_dense_route_on_random_lattices(case):
 def test_pair_rejects_an_unknown_name_on_either_side(d1, d2):
     # the first unknown name is reported, left divisor before right
     D1, D2 = NamedDivisor.of(d1), NamedDivisor.of(d2)
-    with pytest.raises(UnknownCurveError) as err:
+    with pytest.raises(ValueError, match=r"^unknown curve name: 'X_9'$") as err:
         pair(S5.registry, D1, D2)
     assert str(err.value) == "unknown curve name: 'X_9'"
 

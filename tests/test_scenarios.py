@@ -9,8 +9,7 @@ import pytest
 from conekit import cli, cohom, scenarios
 from conekit.cohom import CohStatus
 from conekit.scenarios import (
-    SWEEP_MAX_ROWS,
-    ScenarioError,
+    SWEEP_MAX_WORK,
     sweep_rows,
     sweep_kvv,
     verify_bad_fano,
@@ -188,15 +187,16 @@ def test_plt_h2_tail_reuses_the_n0_report(monkeypatch):
 
 
 def test_plt_named_preconditions():
-    with pytest.raises(ScenarioError) as err:
+    # each message starts with the name of the failed precondition
+    with pytest.raises(ValueError, match=r"^q>=2: q = 1$"):
         verify_plt_nonnormal(5, 1)
-    assert err.value.name == "q>=2"
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(ValueError, match=r"^d>=q\+2: \(d, q\) = \(4, 3\)$"):
         verify_plt_nonnormal(4, 3)
-    assert err.value.name == "d>=q+2"
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(
+        ValueError,
+        match=r"^\(q-1\)\|\(2d-4\): q - 1 = 3 does not divide 2d - 4 = 8$",
+    ):
         verify_plt_nonnormal(6, 4)
-    assert err.value.name == "(q-1)|(2d-4)"
 
 
 def test_plt_report_shape():
@@ -244,7 +244,7 @@ def test_fano_unknown_when_tail_fails(monkeypatch):
 
 
 def test_fano_rejects_nonpositive_q():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match=r"^q>=1: q = 0$"):
         verify_bad_fano(0)
 
 
@@ -287,8 +287,44 @@ def test_sweep_row_count_is_the_closed_form():
     for d_min in range(3, 13):
         for d_max in range(d_min, 13):
             assert sweep_rows(d_min, d_max) == len(sweep_kvv(d_min, d_max)["rows"])
-    # the budget admits the window [3, 40]
-    assert sweep_rows(3, 40) == 12_331 <= SWEEP_MAX_ROWS
+
+class _FirstContraction(Exception):
+    pass
+
+
+def _first_contraction(d):
+    raise _FirstContraction(d)
+
+
+@pytest.mark.parametrize("d_min, d_max", [(3, 40), (3, 42), (80, 80), (6, 13)])
+def test_sweep_budget_admits(monkeypatch, d_min, d_max):
+    # the window gets past the budget to its first contraction
+    monkeypatch.setattr(scenarios, "target_context", _first_contraction)
+    with pytest.raises(_FirstContraction):
+        sweep_kvv(d_min, d_max)
+
+
+@pytest.mark.parametrize(
+    "d_min, d_max, rows, work",
+    [(3, 45, 17_286, 1_184_736), (100, 100, 5_151, 1_035_351), (171, 171, 14_878, 5_103_154)],
+)
+def test_sweep_budget_bounds_work_not_rows(monkeypatch, d_min, d_max, rows, work):
+    # work is the sum over d of rows(d) * (2d+1); [171, 171] has fewer rows
+    # than the admitted [3, 42] but five times its work
+    monkeypatch.setattr(scenarios, "target_context", _first_contraction)
+    assert sweep_rows(d_min, d_max) == rows
+    with pytest.raises(ValueError) as err:
+        sweep_kvv(d_min, d_max)
+    assert str(err.value) == (
+        f"work<=SWEEP_MAX_WORK: window [{d_min}, {d_max}] has {rows} rows and "
+        f"{work} units of work, above the limit of {SWEEP_MAX_WORK}"
+    )
+
+
+def test_sweep_refuses_d_above_max_d_before_summing(monkeypatch):
+    monkeypatch.setattr(scenarios, "target_context", _first_contraction)
+    with pytest.raises(ValueError, match=r"^d must be <= 200, got 1000000000$"):
+        sweep_kvv(3, 10**9)
 
 
 def test_sweep_keeps_one_target_context():
@@ -298,9 +334,9 @@ def test_sweep_keeps_one_target_context():
 
 
 def test_sweep_rejects_bad_range():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match=r"^3<=d_min<=d_max: \(2, 5\)$"):
         sweep_kvv(2, 5)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match=r"^3<=d_min<=d_max: \(6, 5\)$"):
         sweep_kvv(6, 5)
 
 
