@@ -21,6 +21,7 @@ Curves are listed in the contraction's ``curve_sort_key`` order.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -404,7 +405,8 @@ def kvv_schedule(
     numerator delta_j*D + e_j*N - (times j has fired)*D.  The steps are those
     at lambda below the target and the first at or above it, so their number,
     1 + sum_i (ceil(target*e_i + delta_i) - 1) for a positive target, is
-    checked against ``KVV_MAX_STEPS`` before the first step.
+    checked against ``KVV_MAX_STEPS`` before the first step, and (target + 1)
+    * D, above every printed numerator, against Python's int-to-str limit.
     """
     e = tuple(multiplicities)
     if not e or not all(isinstance(x, int) and x >= 1 for x in e):
@@ -431,6 +433,12 @@ def kvv_schedule(
         )
 
     den = lcm(*(ev * dv.denominator for ev, dv in zip(e, delta)))
+    limit = sys.get_int_max_str_digits()
+    if limit and den * (ceil(target) + 1) >= 10**limit:
+        raise ValueError(
+            f"schedule denominator is at least 2^{den.bit_length() - 1}: numbers "
+            f"over it would exceed the limit of {limit} decimal digits"
+        )
     start = [dv.numerator * (den // dv.denominator) for dv in delta]
     period = [den // ev for ev in e]
     heap = [((den - s) // ev, i) for i, (s, ev) in enumerate(zip(start, e))]

@@ -6,9 +6,11 @@ divisors avoiding the contracted names; the numerical pullback is the unique
 extension orthogonal to every contracted curve.  Discrepancies, pair
 singularity classes, and all target intersection numbers derive from that one
 solve.  Pullback is linear, so the solve runs once per curve name, on that
-curve's row of the registry's named pairing table.  Ampleness on the target
-is a degree sign, used only where the contraction itself shows that the target
-has Picard rank one and that -K_T is nonzero and effective, hence ample.
+curve's row of the registry's named pairing table, as ints over the common
+denominator N of the block-wise Gram inverse; pullback(-K_T) is built once.
+Ampleness on the target is a degree sign, used only where the contraction
+itself shows that the target has Picard rank one and that -K_T is nonzero and
+effective, hence ample.
 
 The discrepancies and the singularity classification are returned as the
 plain dicts the CLI prints, with exact ``Fraction`` values;
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .km_surface import KMSurface
 from .qlattice import (
@@ -58,7 +61,7 @@ class Contraction:
             raise ValueError("contracted curve names must be distinct")
         ordered = tuple(sorted(self.contracted, key=curve_sort_key))
         object.__setattr__(self, "contracted", ordered)
-        self.gram_inverse  # raises unless the Gram block is negative definite
+        self._inverse_den  # reads gram_inverse: raises unless G is negative definite
 
     @property
     def lattice(self):
@@ -73,59 +76,66 @@ class Contraction:
         return tuple(self.registry.class_vector(n) for n in self.contracted)
 
     @cached_property
-    def gram_inverse(self) -> tuple[tuple[Rat, ...], ...]:
-        """Inverse of the contracted Gram block, computed once and reused by
-        every pullback/discrepancy solve.
-
-        The block is read from the registry's named pairing table.  One
-        elimination of [G | I] also certifies the contraction (read by
-        construction): as in ``is_negative_definite``, G is negative definite
-        iff the elimination makes no row swap and all k pivots are negative.
-        A linearly dependent set has a singular G and fails too.
-        """
-        k = len(self.contracted)
-        rows = []
-        for i, name in enumerate(self.contracted):
-            row = self.registry.pairing_row(name)
-            rows.append(
-                [row.get(other, Fraction(0)) for other in self.contracted]
-                + [Fraction(int(i == j)) for j in range(k)]
-            )
-        pivots, swaps = _eliminate(rows, k)
-        if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
-            raise ValueError("contracted Gram block is not negative definite")
-        return tuple(tuple(row[k:]) for row in rows)
-
-    def _solve(self, dots: list[Rat]) -> NamedDivisor:
-        """The combination x of contracted curves with (D + x).C_j = 0 for
-        every contracted C_j, given dots[j] = D.C_j: x = -G^{-1}(D.C_j).
-
-        Zero right-hand-side entries are skipped, and so are zero entries of
-        the inverse (G^{-1} is symmetric, so its row j is its column j).
-        """
-        acc: dict[str, Rat] = {}
-        for dot, inverse_row in zip(dots, self.gram_inverse):
-            if dot:
-                for name, g in zip(self.contracted, inverse_row):
-                    if g:
-                        acc[name] = acc.get(name, 0) - g * dot
-        return NamedDivisor.of(acc)
+    def gram_inverse(self) -> dict[str, dict[str, Rat]]:
+        """Inverse of the contracted Gram block G as sparse rows keyed by curve
+        name, in contraction order.  G, read from the named pairing table, has
+        one block per connected component of the curves' intersection graph
+        (S(d) has 2d+1 one-curve blocks), each inverted by one elimination of
+        [G_b | I] over ``Fraction`` that also certifies it: G is negative
+        definite iff no elimination swaps rows or has a pivot >= 0.  A linearly
+        dependent set has a singular block and fails too."""
+        rows_of = {name: self.registry.pairing_row(name) for name in self.contracted}
+        inverse: dict[str, dict[str, Rat]] = {}
+        for start in self.contracted:
+            if start in inverse:
+                continue
+            block = [start]
+            for a in block:  # breadth-first: the block grows while it is read
+                block.extend(o for o in rows_of[a] if o in rows_of and o not in block)
+            block.sort(key=curve_sort_key)
+            k = len(block)
+            rows = [
+                [Fraction(rows_of[a].get(b, 0)) for b in block]
+                + [Fraction(int(a == b)) for b in block]
+                for a in block
+            ]
+            pivots, swaps = _eliminate(rows, k)
+            if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
+                raise ValueError("contracted Gram block is not negative definite")
+            for a, row in zip(block, rows):
+                inverse[a] = {b: x for b, x in zip(block, row[k:]) if x}
+        return {name: inverse[name] for name in self.contracted}
 
     @cached_property
-    def _corrections(self) -> dict[str, NamedDivisor]:
+    def _inverse_den(self) -> int:
+        """N, the common denominator of G^{-1}; corrections are ints over N."""
+        rows = self.gram_inverse.values()
+        return lcm(*(x.denominator for row in rows for x in row.values()))
+
+    def _solve(self, dots: dict[str, int]) -> dict[str, int]:
+        """Numerators over N of x = -G^{-1}(D.C_j), the combination of
+        contracted curves with (D + x).C_j = 0 for every C_j, given
+        dots[C_j] = D.C_j (G^{-1} is symmetric: row C_j is column C_j)."""
+        den = self._inverse_den
+        acc: dict[str, int] = {}
+        for j, dot in dots.items():
+            for name, g in self.gram_inverse[j].items():
+                g_num = g.numerator * (den // g.denominator)
+                acc[name] = acc.get(name, 0) - g_num * dot
+        return {name: x for name, x in acc.items() if x}
+
+    @cached_property
+    def _corrections(self) -> dict[str, dict[str, int]]:
         return {}
 
-    def _correction(self, name: str) -> NamedDivisor:
-        """Exceptional part of the pullback of one named curve, solved once
-        from that curve's row of the named pairing table."""
+    def _correction(self, name: str) -> dict[str, int]:
+        """Exceptional part of the pullback of one named curve, as numerators
+        over N, solved once from that curve's row of the named pairing table."""
         memo = self._corrections
-        hit = memo.get(name)
-        if hit is None:
-            row = self.registry.pairing_row(name)
-            hit = memo[name] = self._solve(
-                [row.get(other, 0) for other in self.contracted]
-            )
-        return hit
+        if name not in memo:
+            inverse, row = self.gram_inverse, self.registry.pairing_row(name)
+            memo[name] = self._solve({o: x for o, x in row.items() if o in inverse})
+        return memo[name]
 
     def _refuse_contracted(self, D: NamedDivisor) -> None:
         bad = [n for n in D.support() if n in self.contracted]
@@ -136,12 +146,17 @@ class Contraction:
 
     def pullback(self, D: NamedDivisor) -> NamedDivisor:
         """Numerical pullback of a target divisor given via proper transforms:
-        D plus the sum of c * (the correction of C) over the terms c*C of D."""
+        D plus the sum of c * (the correction of C) over the terms c*C of D,
+        summed as ints over den(D) * N, one ``Fraction`` per new term."""
         self._refuse_contracted(D)
-        terms = list(D.entries)
-        for name, c in D.entries:
-            terms.extend((other, c * x) for other, x in self._correction(name).entries)
-        return NamedDivisor.of(terms)
+        den, nums = D.numerators
+        acc: dict[str, int] = {}
+        for name, a in nums.items():
+            for other, x in self._correction(name).items():
+                acc[other] = acc.get(other, 0) + a * x
+        den *= self._inverse_den
+        terms = D.entries + tuple((n, Fraction(x, den)) for n, x in acc.items() if x)
+        return NamedDivisor(tuple(sorted(terms, key=lambda t: curve_sort_key(t[0]))))
 
     def pushforward(self, D: NamedDivisor) -> NamedDivisor:
         """Drop the contracted-curve terms."""
@@ -164,9 +179,14 @@ class Contraction:
     def minus_k_target(self) -> NamedDivisor:
         return -self.target_canonical()
 
+    @cached_property
+    def _minus_k_pullback(self) -> NamedDivisor:
+        return self.pullback(self.minus_k_target())
+
     def degree(self, D: NamedDivisor) -> Rat:
-        """D . (-K) on the target."""
-        return self.target_intersect(D, self.minus_k_target())
+        """D . (-K) on the target, against the one cached pullback(-K_T)."""
+        self._refuse_contracted(D)
+        return pair(self.registry, D, self._minus_k_pullback)
 
     @cached_property
     def _minus_k_target_ample(self) -> bool:
@@ -186,13 +206,13 @@ class Contraction:
         return self.degree(D) > 0
 
     @cached_property
-    def _canonical_correction(self) -> NamedDivisor:
-        return self._solve([self.registry.canonical_dot(n) for n in self.contracted])
+    def _canonical_correction(self) -> dict[str, int]:
+        return self._solve({n: self.registry.canonical_dot(n) for n in self.contracted})
 
     def relative_canonical(self) -> dict[str, Rat]:
         """Discrepancies {C: a_C} with K_source = pullback(K_target) + sum a_C C."""
-        correction = self._canonical_correction.terms
-        return {name: -correction.get(name, Fraction(0)) for name in self.contracted}
+        correction, den = self._canonical_correction, self._inverse_den
+        return {n: Fraction(-correction.get(n, 0), den) for n in self.contracted}
 
     def residual_checks(self) -> bool:
         """(K_source - sum a_C C) . C' == 0 for every contracted C', exactly,

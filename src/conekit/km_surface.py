@@ -35,8 +35,8 @@ from .qlattice import (
 
 MIN_D = 3  # below this Gamma^2 >= 0 and the contraction of Gamma is unavailable
 # The work of every command grows as d^2; at d = 200 the costliest one,
-# km-surface --check, takes about 2 s and 56 MiB and prints 3.2 MB
-# (Python 3.11 on a 2-vCPU Xeon).
+# km-surface --check, takes about 0.6 s and 56 MiB and prints 3.2 MB
+# (Python 3.11 on a shared 2-vCPU machine).
 MAX_D = 200
 
 
@@ -61,19 +61,16 @@ def replay(degrees: dict[str, int], plan: tuple[BlowupStep, ...]) -> CurveRegist
 
     Each step adds a (-1) class orthogonal to the others (the lattice's
     canonical class gains it too) and reduces every named curve through the
-    centre by its multiplicity.
+    centre by its multiplicity.  Curve coordinates are ints.
     """
-    zero = Fraction(0)  # one shared zero: most coordinates are zero
     rank = 1 + len(plan)  # H, then one exceptional class per step
-    curves: dict[str, list[Fraction]] = {
-        n: [Fraction(deg)] + [zero] * len(plan) for n, deg in degrees.items()
-    }
+    curves = {n: [deg] + [0] * len(plan) for n, deg in degrees.items()}
     for k, step in enumerate(plan, start=1):
         for curve_name, mult in step.through:
-            curves[curve_name][k] = Fraction(-mult)
+            curves[curve_name][k] = -mult
         if step.register is not None:
-            curves[step.register] = [zero] * rank
-            curves[step.register][k] = Fraction(1)
+            curves[step.register] = [0] * rank
+            curves[step.register][k] = 1
 
     lattice = IntersectionLattice(("H",) + tuple(step.exceptional for step in plan))
     return CurveRegistry.of(
@@ -121,7 +118,7 @@ class KMSurface:
     def pairing(self, a: str, b: str):
         row = self.registry.pairing_row(a)
         self.registry.pairing_row(b)  # an unknown name on either side raises
-        return row.get(b, Fraction(0))
+        return Fraction(row.get(b, 0))
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,10 +1,11 @@
 """Exact rational divisor-class lattices.
 
 Everything here is exact: coefficients are `fractions.Fraction` (exported as
-``Rat``), intersection numbers come from the diagonal form of the blown-up
-plane (H^2 = 1, E_k^2 = -1, see :class:`IntersectionLattice`), and every
-elimination is the fraction-exact Gauss-Jordan :func:`_eliminate`, with
-which ``Contraction.gram_inverse`` certifies negative definiteness.  The dense
+``Rat``) at the API and Python ints inside where they can be, intersection
+numbers come from the diagonal form of the blown-up plane (H^2 = 1, E_k^2 =
+-1, see :class:`IntersectionLattice`), and every elimination is the
+fraction-exact Gauss-Jordan :func:`_eliminate`, with which
+``Contraction.gram_inverse`` certifies negative definiteness.  The dense
 :func:`determinant`, :func:`solve_linear`, :func:`is_negative_definite`,
 :func:`gram_block` and ``Contraction.pullback_class`` remain for the benchmark
 tracer and the test oracles.  No floating point is used anywhere.
@@ -20,7 +21,7 @@ Two distinct representations of a divisor coexist:
 
 A :class:`CurveRegistry` links the two.  It maps curve names to their classes
 (:func:`class_of` builds the class of a named divisor), and it holds the
-named pairing table: the nonzero C.C' over its curves plus a K.C column,
+named pairing table: the nonzero C.C' of its curves plus a K.C column, as ints
 built once as a sparse product.  :func:`pair` and :func:`pair_canonical` read
 intersection numbers of named divisors from that table without building a
 class vector; the dense route through :func:`class_of` and :func:`intersect`
@@ -36,8 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import floor, prod
+from functools import cached_property, lru_cache
+from math import floor, lcm, prod
 from typing import Iterable, KeysView, Mapping, Sequence
 
 Rat = Fraction
@@ -57,6 +58,7 @@ def format_rat(x: Rat) -> str:
 _NAME_SPLIT = re.compile(r"(\d+)")
 
 
+@lru_cache(maxsize=4096)  # bounded: names can come from the command line
 def curve_sort_key(name: str) -> tuple:
     """Deterministic name ordering with numeric suffixes compared as numbers.
 
@@ -245,7 +247,8 @@ class NamedDivisor:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[str, Fraction] = {}
         for name, coeff in items:
-            acc[name] = acc.get(name, Fraction(0)) + Fraction(coeff)
+            coeff = Fraction(coeff)
+            acc[name] = acc[name] + coeff if name in acc else coeff
         cleaned = [(n, c) for n, c in acc.items() if c != 0]
         cleaned.sort(key=lambda item: curve_sort_key(item[0]))
         return NamedDivisor(tuple(cleaned))
@@ -257,6 +260,12 @@ class NamedDivisor:
     @cached_property
     def terms(self) -> dict[str, Rat]:
         return dict(self.entries)
+
+    @cached_property
+    def numerators(self) -> tuple[int, dict[str, int]]:
+        """``(den, {name: c * den})``, den the coefficients' lcm denominator."""
+        den = lcm(*(c.denominator for _, c in self.entries))
+        return den, {n: c.numerator * (den // c.denominator) for n, c in self.entries}
 
     def support(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
@@ -306,7 +315,7 @@ class NamedDivisor:
 
 
 def _map_coeffs(D: NamedDivisor, fn) -> NamedDivisor:
-    return NamedDivisor.of({n: Fraction(fn(c)) for n, c in D.entries})
+    return NamedDivisor.of((n, fn(c)) for n, c in D.entries)
 
 
 def floor_divisor(D: NamedDivisor) -> NamedDivisor:
@@ -321,7 +330,7 @@ def frac_divisor(D: NamedDivisor) -> NamedDivisor:
 
 @dataclass(frozen=True)
 class CurveRegistry:
-    """Curve name -> class table; all classes share one lattice."""
+    """Curve name -> class table; the classes are integral, on one lattice."""
 
     lattice: IntersectionLattice
     entries: tuple[tuple[str, ClassVector], ...]
@@ -331,8 +340,11 @@ class CurveRegistry:
         lattice: IntersectionLattice, entries: Mapping[str, ClassVector]
     ) -> "CurveRegistry":
         ordered = sorted(entries.items(), key=lambda item: curve_sort_key(item[0]))
-        for _, cls in ordered:
+        for name, cls in ordered:
             lattice.check_rank(cls)
+            not_int = set(map(type, cls.coeffs)) - {int}  # replay builds ints
+            if not_int and any(a.denominator != 1 for a in cls.coeffs):
+                raise ValueError(f"class of curve {name} is not integral: {cls}")
         return CurveRegistry(lattice, tuple(ordered))
 
     @cached_property
@@ -340,8 +352,8 @@ class CurveRegistry:
         return dict(self.entries)
 
     @cached_property
-    def _pairing_rows(self) -> dict[str, dict[str, Rat]]:
-        """Nonzero C.C' per named curve C, keyed by the name of C'.
+    def _pairing_rows(self) -> dict[str, dict[str, int]]:
+        """Nonzero C.C' per named curve C, keyed by the name of C', as ints.
 
         A sparse product over the diagonal form: each nonzero coordinate of C,
         negated on the E_k, is carried through an index to the curves with a
@@ -349,16 +361,16 @@ class CurveRegistry:
         share no coordinate costs nothing.
         """
         coords = {
-            name: [(i, a) for i, a in enumerate(cls.coeffs) if a]
+            name: [(i, int(a)) for i, a in enumerate(cls.coeffs) if a]
             for name, cls in self.entries
         }
-        touching: dict[int, list[tuple[str, Rat]]] = {}
+        touching: dict[int, list[tuple[str, int]]] = {}
         for name, nonzero in coords.items():
             for j, b in nonzero:
                 touching.setdefault(j, []).append((name, b))
         rows = {}
         for name, nonzero in coords.items():
-            row: dict[str, Rat] = {}
+            row: dict[str, int] = {}
             for i, a in nonzero:
                 signed = a if i == 0 else -a
                 for other, b in touching.get(i, ()):
@@ -367,11 +379,12 @@ class CurveRegistry:
         return rows
 
     @cached_property
-    def _canonical_dots(self) -> dict[str, Rat]:
-        """K.C per named curve C, read from the lattice's canonical class."""
+    def _canonical_dots(self) -> dict[str, int]:
+        """K.C per named curve C, as ints, from the canonical class through the
+        dense :func:`intersect`."""
         lat = self.lattice
         return {
-            name: intersect(lat, lat.canonical, cls) for name, cls in self.entries
+            name: int(intersect(lat, lat.canonical, cls)) for name, cls in self.entries
         }
 
     @staticmethod
@@ -387,7 +400,7 @@ class CurveRegistry:
     def class_vector(self, name: str) -> ClassVector:
         return self._lookup(self._by_name, name)
 
-    def pairing_row(self, name: str) -> dict[str, Rat]:
+    def pairing_row(self, name: str) -> dict[str, int]:
         """The nonzero C.C' of the named curve C, keyed by the name of C'."""
         return self._lookup(self._pairing_rows, name)
 
@@ -397,7 +410,7 @@ class CurveRegistry:
         if not names <= known.keys():
             self._lookup(known, next(n for n in names if n not in known))
 
-    def canonical_dot(self, name: str) -> Rat:
+    def canonical_dot(self, name: str) -> int:
         """K.C for the named curve C."""
         return self._lookup(self._canonical_dots, name)
 
@@ -421,22 +434,24 @@ def pair(registry: CurveRegistry, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
 
     Equal to ``intersect(lattice, class_of(registry, D1), class_of(registry,
     D2))`` without building either class vector; an unknown curve name
-    raises as in :func:`class_of`.
+    raises as in :func:`class_of`, D1's first.  The sum runs over both
+    divisors' integer numerators and is divided by their denominators once.
     """
-    rows = [(c, registry.pairing_row(name)) for name, c in D1.entries]
-    coeffs = D2.terms
+    rows = [registry.pairing_row(name) for name, _ in D1.entries]
+    (den1, nums), (den2, coeffs) = D1.numerators, D2.numerators
     registry.check_names(coeffs.keys())
-    total = Fraction(0)
-    for c, row in rows:
+    total = 0
+    for a, row in zip(nums.values(), rows):
         for name, x in row.items():
             b = coeffs.get(name)
             if b:
-                total += c * b * x
-    return total
+                total += a * b * x
+    return Fraction(total, den1 * den2)
 
 
 def pair_canonical(registry: CurveRegistry, D: NamedDivisor) -> Rat:
     """K.D read from the K.C column of the named pairing table, exact."""
-    return sum(
-        (c * registry.canonical_dot(name) for name, c in D.entries), Fraction(0)
+    den, nums = D.numerators
+    return Fraction(
+        sum(a * registry.canonical_dot(name) for name, a in nums.items()), den
     )

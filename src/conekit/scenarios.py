@@ -266,9 +266,9 @@ def verify_bad_fano(q: int) -> dict:
 
 # A sweep whose work, the sum over d of rows(d) * (2d+1), is above this is
 # refused before its first contraction: a row pulls back across the 2d+1
-# contracted curves of T(d).  One unit took about 50 us on a shared 2-vCPU
+# contracted curves of T(d).  One unit took 9 to 11 us on a shared 2-vCPU
 # machine (Python 3.11; windows [3, 30], [50, 50] and [80, 80]), so an
-# admitted window runs in under a minute there.  [3, 42] (908,120 units) is
+# admitted window runs in about 10 s there.  [3, 42] (908,120 units) is
 # admitted; the single d = 171 (5,103,154 units) is not.
 SWEEP_MAX_WORK = 1_000_000
 

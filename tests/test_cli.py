@@ -16,7 +16,7 @@ from conekit.cohom import CohStatus
 from conekit.cone3fold import KVV_MAX_STEPS
 from conekit.contract import Contraction
 from conekit.km_surface import MAX_D
-from conekit.qlattice import NamedDivisor
+from conekit.qlattice import NamedDivisor, pair, pair_canonical
 from conekit.scenarios import SWEEP_MAX_WORK
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -254,6 +254,67 @@ def test_json_hook_renders_fractions_and_refuses_other_objects():
             cli._json({"value": [leaked]})
 
 
+def _floats(value, path="payload"):
+    """Paths of every float in a payload; ``json`` would print each one
+    without passing it through the Fraction hook."""
+    if isinstance(value, float):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _floats(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _floats(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "plt", "--d", "5", "--q", "3"],
+        ["verify", "fano", "--q", "2"],
+        ["sweep", "--d-min", "3", "--d-max", "6", "--format", "json"],
+        *(
+            ["cone", "--d", "7", "--q", "3", "--ledger", ledger]
+            for ledger in ("curve", "sections", "resolution", "picard", "adjunction")
+        ),
+        ["contract", "--d", "7", "--pullback", "E_1+1/3*E_2-F", "--discrepancies",
+         "--classify", "--boundary", "1/2*E_3", "--target-intersect", "E_1", "1/5*E_2"],
+        ["cohom", "--d", "5", "--q1", "3", "--q2", "2", "--n", "2"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2] + argv[-1:]),
+)
+def test_payloads_hold_no_float(monkeypatch, argv):
+    payloads = []
+    monkeypatch.setattr(
+        cli, "_write", lambda args, payload, **views: payloads.append(payload)
+    )
+    assert main(argv) == 0
+    assert len(payloads) == 1
+    assert list(_floats(payloads[0])) == []
+
+
+def test_lattice_results_are_fractions():
+    # an int would print as -6 where the goldens have "-6"
+    psi = cohom.target_context(7)
+    reg = psi.registry
+    entries = [x for row in psi.gram_inverse.values() for x in row.values()]
+    pulled = psi.pullback(NamedDivisor.of({"E_1": 1, "E_2": Fraction(1, 3), "F": -1}))
+    D = NamedDivisor.of({"E_1": 2, "l_1": 1})
+    values = [
+        *entries,
+        *pulled.terms.values(),
+        *psi.relative_canonical().values(),
+        km_surface.build_km_surface(5).pairing("Gamma", "Gamma"),
+        pair(reg, D, D),
+        pair(reg, D, NamedDivisor.zero()),
+        pair_canonical(reg, D),
+        psi.degree(NamedDivisor.of({"E_1": 1})),
+        psi.target_intersect(NamedDivisor.of({"E_1": 1}), NamedDivisor.of({"E_2": 1})),
+    ]
+    assert len(entries) == 2 * 7 + 1
+    assert [type(x) for x in values] == [Fraction] * len(values)
+
+
 def test_sweep_over_the_work_budget_is_refused_before_any_contraction(
     monkeypatch, capsys
 ):
@@ -293,6 +354,30 @@ def test_step_count_too_long_for_decimal_is_shown_as_a_power_of_two(capsys):
     assert captured.err == (
         f"error: schedule needs at least 2^{bits - 1} steps, above the limit of "
         f"{KVV_MAX_STEPS}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "e, zeros, target, den",
+    [
+        # a 4,300-character delta: D = lcm(10^4 * 10^4297) has 4,302 digits
+        ("10000", 4297, "1", 10**4301),
+        # D = 10^4297 fits, but lambda's numerators reach 1000 * D
+        ("1", 4297, "1000", 10**4297),
+    ],
+    ids=["denominator", "numerators"],
+)
+def test_schedule_denominator_over_the_digit_limit_is_a_usage_error(
+    capsys, e, zeros, target, den
+):
+    delta = "1/1" + "0" * zeros
+    assert main(["kvv-schedule", "--e", e, "--delta", delta, "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: schedule denominator is at least 2^{den.bit_length() - 1}: numbers "
+        f"over it would exceed the limit of {sys.get_int_max_str_digits()} decimal "
+        "digits\n"
     )
 
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from test_qlattice import lattices_with_subsets
 
 from conekit.cli import main as cli_main
 from conekit.contract import Contraction, km_psi
@@ -13,7 +14,9 @@ from conekit.qlattice import (
     CurveRegistry,
     IntersectionLattice,
     NamedDivisor,
+    _eliminate,
     class_of,
+    curve_sort_key,
     gram_block,
     intersect,
     is_negative_definite,
@@ -222,7 +225,7 @@ def _one_point_blowup() -> KMSurface:
     )
 
 
-def _a2_chain():
+def _a2_chain_surface():
     """P^2 blown up three times along a chain: E1 and E2 become (-2)-curves
     meeting once, E3 is the last (-1)-curve, meeting E2."""
     registry = replay(
@@ -233,13 +236,20 @@ def _a2_chain():
             BlowupStep(exceptional="e3", through=(("E2", 1),), register="E3"),
         ),
     )
-    return Contraction(surface=SimpleNamespace(registry=registry), contracted=("E1", "E2"))
+    return SimpleNamespace(registry=registry)
+
+
+def _a2_chain():
+    return Contraction(surface=_a2_chain_surface(), contracted=("E1", "E2"))
 
 
 def test_a2_chain_contraction():
     ctr = _a2_chain()
     third = Fraction(1, 3)
-    assert ctr.gram_inverse == ((-2 * third, -third), (-third, -2 * third))
+    assert ctr.gram_inverse == {
+        "E1": {"E1": -2 * third, "E2": -third},
+        "E2": {"E1": -third, "E2": -2 * third},
+    }
     assert ctr.pullback(NamedDivisor.of({"E3": 1})) == NamedDivisor.of(
         {"E1": third, "E2": 2 * third, "E3": 1}
     )
@@ -283,6 +293,73 @@ def test_contraction_is_possible_iff_negative_definite(surface, names):
             ValueError, match=r"^contracted Gram block is not negative definite$"
         ):
             Contraction(surface=surface, contracted=names)
+
+
+def _dense_gram_inverse(surface, names):
+    """Oracle: one elimination of the whole dense [G | I], G paired on class
+    vectors; None when G is not negative definite (a swap, a missing or a
+    nonnegative pivot)."""
+    ordered = sorted(names, key=curve_sort_key)
+    classes = [surface.registry.class_vector(n) for n in ordered]
+    k = len(classes)
+    rows = [
+        row + [Fraction(int(i == j)) for j in range(k)]
+        for i, row in enumerate(gram_block(surface.registry.lattice, classes))
+    ]
+    pivots, swaps = _eliminate(rows, k)
+    if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
+        return None
+    return {
+        a: {b: x for b, x in zip(ordered, row[k:]) if x} for a, row in zip(ordered, rows)
+    }
+
+
+def _check_block_inverse_against_dense(surface, names) -> str:
+    """The block-wise inverse equals the dense one entry for entry, in the
+    same curve order, and both accept or both refuse; returns which."""
+    expected = _dense_gram_inverse(surface, names)
+    if expected is None:
+        with pytest.raises(
+            ValueError, match=r"^contracted Gram block is not negative definite$"
+        ):
+            Contraction(surface=surface, contracted=names)
+        return "refused"
+    got = Contraction(surface=surface, contracted=names).gram_inverse
+    assert got == expected
+    assert list(got) == list(expected)
+    coupled = any(len(row) > 1 for row in got.values())
+    return "accepted, non-diagonal" if coupled else "accepted, diagonal"
+
+
+@given(lattices_with_subsets())
+@settings(max_examples=200)
+def test_block_inverse_matches_dense_oracle_on_random_lattices(case):
+    lat, subset = case
+    registry = CurveRegistry.of(lat, {f"c_{i}": v for i, v in enumerate(subset)})
+    surface = SimpleNamespace(registry=registry)
+    event(_check_block_inverse_against_dense(surface, registry.names()))
+
+
+@pytest.mark.parametrize(
+    "surface,names,outcome",
+    [
+        (_a2_chain_surface(), ("E1", "E2"), "accepted, non-diagonal"),
+        # the whole chain blows down to a smooth point
+        (_a2_chain_surface(), ("E1", "E2", "E3"), "accepted, non-diagonal"),
+        (_swap_block_surface(), ("b0", "b1"), "refused"),
+        (S5, S5.exceptional_names(), "accepted, diagonal"),
+        (S5, ("E_1", "l_1", "Gamma", "l_2"), "accepted, non-diagonal"),
+        # F = 2E_1 + l_1 + lp_1 lies in the span and F^2 = 0
+        (S5, ("E_1", "l_1", "lp_1", "l_2"), "refused"),
+        (S5, ("E_1", "l_1", "lp_1", "F"), "refused"),
+    ],
+    ids=[
+        "a2-chain", "a2-chain-and-minus-one", "swap", "s5", "s5-star",
+        "s5-fibre", "s5-dependent",
+    ],
+)
+def test_block_inverse_matches_dense_oracle(surface, names, outcome):
+    assert _check_block_inverse_against_dense(surface, names) == outcome
 
 
 def test_contracted_curves_are_kept_in_curve_order():

@@ -90,8 +90,9 @@ def test_deterministic_call_counts():
     assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
     # a target pairing D1 . pullback(D2) pulls back one side only, and nothing
     # keeps a pulled-back divisor but the model's pullback(A), which is also
-    # what the multiplicity table is read from
-    assert calls["contract.pullback"] == 21
+    # what the multiplicity table is read from, and the contraction's one
+    # pullback(-K_T), which every degree pairs against
+    assert calls["contract.pullback"] == 11
     # contract shares the one cached contraction per d
     calls = _traced_calls(["contract", "--d", "5", "--pullback", "E_1"])
     assert calls["cohom.target_context"] == 1
@@ -102,9 +103,9 @@ def test_deterministic_call_counts():
     calls = _traced_calls(["sweep", "--d-min", "5", "--d-max", "5"])
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls["qlattice.intersect"] == 17
-    # two pullbacks for each of the 21 rows: -K_T for the ampleness degree,
-    # and the family divisor for its floor
-    assert calls["contract.pullback"] == 2 * 21
+    # one pullback for each of the 21 rows, the family divisor for its floor,
+    # and -K_T once for every row's ampleness degree
+    assert calls["contract.pullback"] == 21 + 1
     calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
     assert calls.get("qlattice.class_of", 0) == 0
     # the cone ledger, the surface sanity check and the discrepancy solve read
@@ -113,8 +114,9 @@ def test_deterministic_call_counts():
     assert calls.get("qlattice.intersect", 0) == 17
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls.get("contract.pullback_class", 0) == 0
-    # -K_T for the ampleness of A, A once for the model's cached pullback(A)
-    # (the multiplicities read it too), and E_i for each of the 5 sections
+    # -K_T once for the ampleness of A, A once for the model's cached
+    # pullback(A) (the multiplicities read it too), and E_i for each of the 5
+    # sections
     assert calls["contract.pullback"] == 2 + 5
     calls = _traced_calls(["km-surface", "--d", "5", "--check"])
     assert calls.get("qlattice.intersect", 0) == 0

@@ -363,27 +363,51 @@ def test_unknown_curve_name():
 
 # --- the named pairing table (dense route as the oracle) ---------------------
 
+
+def test_registry_refuses_a_non_integral_curve_class():
+    # the pairing table and the K.C column hold ints
+    lat = _blown_up_plane(2)
+    CurveRegistry.of(lat, {"c": ClassVector.of([1, -1])})
+    message = r"^class of curve c is not integral: \(1/2, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        CurveRegistry.of(lat, {"b": ClassVector.of([1, 0]), "c": vec(Fraction(1, 2), 0)})
+
 SURFACES = {d: build_km_surface(d) for d in (3, 5, 8)}
 
 
-def _divisors(draw, names, count):
+def _divisors(draw, names, coeffs=(small_rats, small_rats)):
+    """One named divisor over ``names`` per coefficient strategy."""
     return [
-        NamedDivisor.of(draw(st.dictionaries(st.sampled_from(names), small_rats, max_size=6)))
-        for _ in range(count)
+        NamedDivisor.of(draw(st.dictionaries(st.sampled_from(names), c, max_size=6)))
+        for c in coeffs
     ]
+
+
+def _over(primes):
+    """Rationals n/p, p one of the given primes and |n| <= 10^20, so a
+    divisor's common denominator is a product of them."""
+    return st.builds(
+        lambda n, p: Fraction(n, p),
+        st.integers(min_value=-10**20, max_value=10**20),
+        st.sampled_from(primes),
+    )
+
+
+# large denominators, coprime between the two divisors of a pair
+LARGE_COPRIME = (_over((10**9 + 7, 2**61 - 1)), _over((998_244_353, 2**31 - 1)))
 
 
 @st.composite
 def km_divisor_pairs(draw):
     s = SURFACES[draw(st.sampled_from(sorted(SURFACES)))]
-    return (s.registry, *_divisors(draw, s.registry.names(), 2))
+    return (s.registry, *_divisors(draw, s.registry.names()))
 
 
 @st.composite
-def random_class_divisor_pairs(draw):
+def random_class_divisor_pairs(draw, coeffs=(small_rats, small_rats)):
     """A registry of up to six sparse random curve classes on the plane
     blown up n - 1 times, sharing coordinates, plus two named divisors over
-    its curves."""
+    its curves with coefficients drawn from ``coeffs``."""
     n = draw(st.integers(min_value=1, max_value=5))
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
     k = draw(st.integers(min_value=1, max_value=6))
@@ -394,7 +418,7 @@ def random_class_divisor_pairs(draw):
             for i in range(k)
         },
     )
-    return (reg, *_divisors(draw, reg.names(), 2))
+    return (reg, *_divisors(draw, reg.names(), coeffs))
 
 
 def _check_pair_against_dense_route(reg, D1, D2):
@@ -423,8 +447,10 @@ def test_pair_matches_dense_route_on_km_surfaces(case):
     _check_pair_against_dense_route(*case)
 
 
-@given(random_class_divisor_pairs())
-@settings(max_examples=150)
+@given(
+    st.one_of(random_class_divisor_pairs(), random_class_divisor_pairs(LARGE_COPRIME))
+)
+@settings(max_examples=200)
 def test_pair_matches_dense_route_on_random_lattices(case):
     _check_pair_against_dense_route(*case)
 
