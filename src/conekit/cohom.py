@@ -17,7 +17,6 @@ certified lower bound, or ``Unknown``.  The rules implemented are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
@@ -34,12 +33,23 @@ from .qlattice import (
 )
 
 
-@dataclass(frozen=True)
 class CohStatus:
     """A certified cohomology dimension: exact, a lower bound, or unknown."""
 
-    kind: str  # "exact" | "at_least_one" | "unknown"
-    value: int | None = None
+    def __init__(self, kind: str, value: int | None = None) -> None:
+        self.kind = kind  # "exact" | "at_least_one" | "unknown"
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value))
+
+    def __repr__(self) -> str:
+        return f"CohStatus(kind={self.kind!r}, value={self.value!r})"
 
     @staticmethod
     def exact(n: int) -> "CohStatus":
@@ -73,13 +83,26 @@ class CohStatus:
         return "?"
 
 
-@dataclass(frozen=True)
 class CohomReport:
-    h0: CohStatus
-    h1: CohStatus
-    h2: CohStatus
-    chi: int
-    certificates: tuple[str, ...]
+    def __init__(
+        self,
+        h0: CohStatus,
+        h1: CohStatus,
+        h2: CohStatus,
+        chi: int,
+        certificates: tuple[str, ...],
+    ) -> None:
+        self.h0 = h0
+        self.h1 = h1
+        self.h2 = h2
+        self.chi = chi
+        self.certificates = certificates
+
+    def __repr__(self) -> str:
+        return (
+            f"CohomReport(h0={self.h0!r}, h1={self.h1!r}, h2={self.h2!r}, "
+            f"chi={self.chi!r}, certificates={self.certificates!r})"
+        )
 
     def euler_consistent(self) -> bool:
         """h0 - h1 + h2 == chi whenever all three entries are exact."""
@@ -97,23 +120,22 @@ class CohomReport:
         }
 
 
-@dataclass(frozen=True)
 class FamilyDescriptor:
     """Parameters of the divisor sum_{i<=q1} E_i - sum_{q1<j<=q1+q2} E_j on T(d)."""
 
-    d: int
-    q1: int
-    q2: int
-
-    def __post_init__(self):
-        if self.d < MIN_D:
-            raise ValueError(f"d must be >= {MIN_D}, got {self.d}")
-        if self.q1 < 0 or self.q2 < 0:
+    def __init__(self, d: int, q1: int, q2: int) -> None:
+        if d < MIN_D:
+            raise ValueError(f"d must be >= {MIN_D}, got {d}")
+        if q1 < 0 or q2 < 0:
             raise ValueError("q1 and q2 must be nonnegative")
-        if self.q1 + self.q2 > self.d:
-            raise ValueError(
-                f"q1 + q2 = {self.q1 + self.q2} exceeds d = {self.d}"
-            )
+        if q1 + q2 > d:
+            raise ValueError(f"q1 + q2 = {q1 + q2} exceeds d = {d}")
+        self.d = d
+        self.q1 = q1
+        self.q2 = q2
+
+    def __repr__(self) -> str:
+        return f"FamilyDescriptor(d={self.d!r}, q1={self.q1!r}, q2={self.q2!r})"
 
 
 @lru_cache(maxsize=1)
@@ -363,10 +385,12 @@ def cohomology_of_nA(
                 raise InvariantError(
                     f"absorbed family chi {report.chi} != divisor chi {chi}"
                 )
-            return replace(
-                report,
-                certificates=report.certificates
-                + ("subtract:absorbed-into-negative-block",),
+            return CohomReport(
+                report.h0,
+                report.h1,
+                report.h2,
+                report.chi,
+                report.certificates + ("subtract:absorbed-into-negative-block",),
             )
         return CohomReport(
             h0=CohStatus.unknown(),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, gcd, lcm
@@ -61,18 +60,16 @@ def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[s
     return {name: c.denominator for name, c in coeffs.items()}
 
 
-@dataclass(frozen=True)
 class ConeModel:
     """A contraction of S(d) and an ample integral polarization on the
     target satisfying the unit-fraction assumption, plus the derived
     multiplicity table."""
 
-    psi: Contraction
-    polarization: NamedDivisor
-
-    def __post_init__(self):
-        if not self.psi.is_ample_rho1(self.polarization):
-            raise ValueError(f"polarization is not ample: {self.polarization}")
+    def __init__(self, psi: Contraction, polarization: NamedDivisor) -> None:
+        if not psi.is_ample_rho1(polarization):
+            raise ValueError(f"polarization is not ample: {polarization}")
+        self.psi = psi
+        self.polarization = polarization
         self.mc  # validates the unit-fraction assumption
 
     @staticmethod
@@ -353,18 +350,36 @@ class _RatText(dict):
         return text
 
 
-@dataclass(frozen=True)
 class KvvTrace:
     """A schedule: step j is ``steps[j] = (chosen, mu_num, lam_num,
     delta_num)``, the 1-based index whose coefficient reached one and the
     numerators over ``den`` (shared by every step) of mu, lambda and the
     coefficients after the step."""
 
-    multiplicities: tuple[int, ...]
-    delta0: tuple[Rat, ...]
-    target: Rat
-    den: int
-    steps: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+    def __init__(
+        self,
+        multiplicities: tuple[int, ...],
+        delta0: tuple[Rat, ...],
+        target: Rat,
+        den: int,
+        steps: tuple[tuple[int, int, int, tuple[int, ...]], ...],
+    ) -> None:
+        self.multiplicities = multiplicities
+        self.delta0 = delta0
+        self.target = target
+        self.den = den
+        self.steps = steps
+
+    def _fields(self) -> tuple:
+        return self.multiplicities, self.delta0, self.target, self.den, self.steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def to_json_dict(self) -> dict:
         text = _RatText(self.den)

@@ -20,7 +20,6 @@ class vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -40,7 +39,6 @@ from .qlattice import (
 )
 
 
-@dataclass(frozen=True)
 class Contraction:
     """Contraction of ``contracted`` (curve names) on ``surface``, kept in
     ``curve_sort_key`` order, the order of every table read from it.
@@ -53,14 +51,11 @@ class Contraction:
     Fraction(-2, 3)
     """
 
-    surface: object  # anything with .registry (e.g. KMSurface)
-    contracted: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.contracted)) != len(self.contracted):
+    def __init__(self, surface, contracted: tuple[str, ...]) -> None:
+        if len(set(contracted)) != len(contracted):
             raise ValueError("contracted curve names must be distinct")
-        ordered = tuple(sorted(self.contracted, key=curve_sort_key))
-        object.__setattr__(self, "contracted", ordered)
+        self.surface = surface  # anything with .registry (e.g. KMSurface)
+        self.contracted = tuple(sorted(contracted, key=curve_sort_key))
         self._inverse_den  # reads gram_inverse: raises unless G is negative definite
 
     @property

@@ -21,7 +21,6 @@ Resulting data, in the orthogonal basis (H, e0, e_1_1, e_1_2, ..., e_d_1, e_d_2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qlattice import (
@@ -40,7 +39,6 @@ MIN_D = 3  # below this Gamma^2 >= 0 and the contraction of Gamma is unavailable
 MAX_D = 200
 
 
-@dataclass(frozen=True)
 class BlowupStep:
     """One blow-up: new orthogonal basis element plus affected named curves.
 
@@ -50,9 +48,15 @@ class BlowupStep:
     registry under the given name.
     """
 
-    exceptional: str
-    through: tuple[tuple[str, int], ...] = ()
-    register: str | None = None
+    def __init__(
+        self,
+        exceptional: str,
+        through: tuple[tuple[str, int], ...] = (),
+        register: str | None = None,
+    ) -> None:
+        self.exceptional = exceptional
+        self.through = through
+        self.register = register
 
 
 def replay(degrees: dict[str, int], plan: tuple[BlowupStep, ...]) -> CurveRegistry:
@@ -78,7 +82,6 @@ def replay(degrees: dict[str, int], plan: tuple[BlowupStep, ...]) -> CurveRegist
     )
 
 
-@dataclass(frozen=True)
 class KMSurface:
     """S(d) with its rank 2+2d lattice and the named curves used downstream.
 
@@ -91,8 +94,9 @@ class KMSurface:
     Fraction(1, 1)
     """
 
-    d: int
-    registry: CurveRegistry
+    def __init__(self, d: int, registry: CurveRegistry) -> None:
+        self.d = d
+        self.registry = registry
 
     @property
     def lattice(self) -> IntersectionLattice:

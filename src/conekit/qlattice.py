@@ -35,11 +35,10 @@ and the test oracles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, KeysView, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor, lcm, prod
-from typing import Iterable, KeysView, Mapping, Sequence
 
 Rat = Fraction
 
@@ -67,11 +66,19 @@ def curve_sort_key(name: str) -> tuple:
     return tuple(int(p) if p.isdigit() else p for p in _NAME_SPLIT.split(name))
 
 
-@dataclass(frozen=True)
 class ClassVector:
     """A divisor class: rational coordinates in an ordered lattice basis."""
 
-    coeffs: tuple[Rat, ...]
+    def __init__(self, coeffs: tuple[Rat, ...]) -> None:
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(values: Iterable) -> "ClassVector":
@@ -105,13 +112,13 @@ class ClassVector:
         return "(" + ", ".join(format_rat(a) for a in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
     """The Picard lattice of the plane blown up ``rank - 1`` times, in the
     orthogonal basis (H, E_1, ..., E_{rank-1}) that ``basis_names`` names:
     H^2 = 1, E_k^2 = -1 and all other products 0."""
 
-    basis_names: tuple[str, ...]
+    def __init__(self, basis_names: tuple[str, ...]) -> None:
+        self.basis_names = basis_names
 
     @property
     def rank(self) -> int:
@@ -222,7 +229,6 @@ def is_negative_definite(
     return False
 
 
-@dataclass(frozen=True)
 class NamedDivisor:
     """Finite formal rational combination of named irreducible curves.
 
@@ -240,7 +246,16 @@ class NamedDivisor:
     1/2*l_2
     """
 
-    entries: tuple[tuple[str, Rat], ...]
+    def __init__(self, entries: tuple[tuple[str, Rat], ...]) -> None:
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @staticmethod
     def of(terms: Mapping[str, object] | Iterable[tuple[str, object]]) -> "NamedDivisor":
@@ -328,12 +343,14 @@ def frac_divisor(D: NamedDivisor) -> NamedDivisor:
     return _map_coeffs(D, lambda c: c - floor(c))
 
 
-@dataclass(frozen=True)
 class CurveRegistry:
     """Curve name -> class table; the classes are integral, on one lattice."""
 
-    lattice: IntersectionLattice
-    entries: tuple[tuple[str, ClassVector], ...]
+    def __init__(
+        self, lattice: IntersectionLattice, entries: tuple[tuple[str, ClassVector], ...]
+    ) -> None:
+        self.lattice = lattice
+        self.entries = entries
 
     @staticmethod
     def of(

@@ -400,6 +400,49 @@ def test_wrong_cohom_closed_form_is_an_internal_failure(monkeypatch, capsys):
     )
 
 
+def test_wrong_riemann_roch_is_an_internal_failure(monkeypatch, capsys):
+    # Riemann-Roch one too high: chi of the floor no longer meets the closed form
+    real = cohom._riemann_roch
+    monkeypatch.setattr(cohom, "_riemann_roch", lambda x: real(x) + 1)
+    _internal_check_fails(
+        capsys,
+        ["cohom", "--d", "5", "--q1", "3", "--q2", "2"],
+        "chi closed form -1 != Riemann-Roch 0 at FamilyDescriptor(d=5, q1=3, q2=2)",
+    )
+
+
+def test_inconsistent_family_table_is_an_internal_failure(monkeypatch, capsys):
+    # h0 = h2 = 1 where the table certifies 0: 1 - 0 + 1 != chi = 0
+    monkeypatch.setattr(CohStatus, "zero", staticmethod(lambda: CohStatus.exact(1)))
+    _internal_check_fails(
+        capsys,
+        ["cohom", "--d", "6", "--q1", "4", "--q2", "1"],
+        "Euler consistency failed at FamilyDescriptor(d=6, q1=4, q2=1): "
+        "CohomReport(h0=CohStatus(kind='exact', value=1), "
+        "h1=CohStatus(kind='exact', value=0), "
+        "h2=CohStatus(kind='exact', value=1), chi=0, "
+        "certificates=('chi:closed-form', 'chi:riemann-roch-on-floor-pullback', "
+        "'h0:no-sections-by-fibre-restriction', 'h2:duality-to-no-sections', "
+        "'h1:rank-one-family-table(q1>=q2>0)'))",
+    )
+
+
+def test_euler_failure_prints_a_lower_bound_entry(monkeypatch, capsys):
+    # the q2 = 0 < q1 row holds h0 >= 1, whose record has no value
+    monkeypatch.setattr(cohom.CohomReport, "euler_consistent", lambda self: False)
+    _internal_check_fails(
+        capsys,
+        ["cohom", "--d", "5", "--q1", "2", "--q2", "0"],
+        "Euler consistency failed at FamilyDescriptor(d=5, q1=2, q2=0): "
+        "CohomReport(h0=CohStatus(kind='at_least_one', value=None), "
+        "h1=CohStatus(kind='exact', value=0), "
+        "h2=CohStatus(kind='exact', value=0), chi=1, "
+        "certificates=('chi:closed-form', 'chi:riemann-roch-on-floor-pullback', "
+        "'h0:effective-floor', 'h2:duality-to-no-sections', "
+        "'h1:rank-one-family-table(q2=0)'))",
+    )
+
+
 def test_wrong_cone_closed_form_is_an_internal_failure(monkeypatch, capsys):
     # c_C = (-C^2 - m_C)/(-C^2), without the factor 2: the uniform crepant
     # sum at i = 1 is c_Gamma/m_Gamma = (1/2)/3, the printed form
