@@ -8,21 +8,24 @@ tables, so the formats never disagree on a number.
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
 fails or a verdict is not the expected one, 2 on usage errors (any
 ValueError), a malformed rational (a zero denominator, exponent notation or
-more characters than Python's int-to-str digit limit included) and a d
-outside ``km_surface.MIN_D`` to ``MAX_D`` (3 to 200) among them, and 3 when an
+more characters than Python's int-to-str digit limit included), a d
+outside ``km_surface.MIN_D`` to ``MAX_D`` (3 to 200) and a ``sweep --out``
+file that cannot be written among them, and 3 when an
 internal check fails (``qlattice.InvariantError``: two independent routes to
 one number disagree), with nothing printed on stdout.  All output is
-deterministic; rationals are serialized as p/q strings, by one JSON hook
-that refuses every other non-JSON type.
+deterministic.  Every JSON text comes from one writer, ``_json``, which
+prints what ``json.dumps(indent=2)`` would, except that a Fraction is a
+p/q string and every other type outside JSON's, a float included, is
+refused with a TypeError rather than printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .cohom import FamilyDescriptor, cohomology_of_nA, family_divisor, target_context
 from .cone3fold import (
@@ -113,28 +116,70 @@ def _csv(records, keys) -> str:
 
 
 def _rat_json(value) -> str:
-    """The JSON hook: a Fraction prints as ``p/q`` (plain ``p`` when q == 1);
-    any other object outside JSON's types is an error, never its repr."""
+    """The writer's last case: a Fraction prints as ``p/q`` (plain ``p`` when
+    q == 1); any other object outside JSON's types is an error, never its
+    repr."""
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable: {value!r}")
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, default=_rat_json)
+def _json(value, newline: str = "\n") -> str:
+    """The one JSON writer: the text ``json.dumps(value, indent=2)`` prints,
+    built by one recursion on ``type(value)`` instead of CPython's
+    pure-Python indenting encoder.  Strings and keys go through json's own C
+    escaper, which raises TypeError on anything but a str (so a list of
+    strings is escaped in one join, and any other list item by item); ints
+    go through ``int.__repr__``, so the int-to-str digit limit still raises
+    ValueError; every other type goes through ``_rat_json``: a Fraction
+    prints as ``p/q``, and a float, tuple, set or any other object is a
+    TypeError, as is a dict key that is not a str."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join(
+            [f"{_escape(key)}: {_json(item, inner)}" for key, item in value.items()]
+        )
+        return "{" + inner + body + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(_escape, value))
+        except TypeError:
+            body = ("," + inner).join([_json(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return _escape(_rat_json(value))
 
 
 def _write(args, payload: dict, **views) -> None:
     """Print the command's payload: as JSON for ``--format json``, otherwise
     through ``views[args.format]``, a function of the payload.  ``--out``
-    (sweep only) sends the text to a file instead of stdout."""
+    (sweep only) sends the text to a file instead of stdout; a file that
+    cannot be opened or written is a usage error (ValueError)."""
     if args.format == "json":
         text = _json(payload) + "\n"
     else:
         text = views[args.format](payload)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -357,7 +402,7 @@ def cmd_verify(args) -> int:
     def md(p: dict) -> str:
         params = " ".join(f"{k}={v}" for k, v in p["params"].items())
         return (
-            f"# {p['scenario']} {params}\n\nverdict: {json.dumps(p['verdict'])}\n\n"
+            f"# {p['scenario']} {params}\n\nverdict: {_json(p['verdict'])}\n\n"
             + _table(p["certificates"], ("claim", "value", "rule"))
         )
 

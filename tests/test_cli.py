@@ -1,5 +1,8 @@
+import ast
 import contextlib
+import errno
 import io
+import json
 import math
 import os
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 import argparse
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit import cli, cohom, cone3fold, km_surface, scenarios
 from conekit.cli import build_parser, main, parse_divisor
@@ -246,12 +251,92 @@ def test_json_hook_renders_fractions_and_refuses_other_objects():
     assert cli._rat_json(Fraction(1, 2)) == "1/2"
     assert cli._rat_json(Fraction(3)) == "3"
     assert cli._json({"b": Fraction(1, 2), "m": 3}) == '{\n  "b": "1/2",\n  "m": 3\n}'
-    # an object leaked into a payload fails loudly instead of printing its repr
-    for leaked in (NamedDivisor.of({"E_1": 1}), CohStatus.exact(1)):
+    # an object leaked into a payload fails loudly instead of printing its
+    # repr; json.dumps would print the float and the tuple
+    for leaked in (NamedDivisor.of({"E_1": 1}), CohStatus.exact(1), 0.5, (1, 2)):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             cli._rat_json(leaked)
         with pytest.raises(TypeError):
             cli._json({"value": [leaked]})
+    with pytest.raises(TypeError):
+        cli._json({1: "one"})
+    # int-to-str digit limit: a usage error (exit 2), as for json.dumps
+    with pytest.raises(ValueError):
+        cli._json([10 ** (sys.get_int_max_str_digits() + 1)])
+
+
+_JSON_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f600", "a\"b\\c\n"]
+    ),
+)
+_JSON_LEAF = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+)
+_PAYLOADS = st.recursive(
+    _JSON_LEAF,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.dictionaries(_JSON_TEXT, inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2, default=cli._rat_json)
+
+
+def _payload_of(monkeypatch, argv):
+    """The payload a command hands to ``_write``, with its exit code."""
+    payloads = []
+    monkeypatch.setattr(
+        cli, "_write", lambda args, payload, **views: payloads.append(payload)
+    )
+    code = main(argv)
+    assert len(payloads) == 1
+    return code, payloads[0]
+
+
+# every --format json leaf of the parser tree has a golden case
+# (test_every_command_and_format_has_a_golden)
+_JSON_CASES = [
+    argv for _, argv in GOLDEN_CASES if build_parser().parse_args(argv).format == "json"
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*_JSON_CASES, ["kvv-schedule", "--e", "2,4", "--delta", "1/2,0", "--target", "300"]],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2] + argv[-1:]),
+)
+def test_json_writer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
+    code, payload = _payload_of(monkeypatch, argv)
+    assert code == 0
+    if argv[-1] == "300":
+        assert len(payload["steps"]) == 1800
+        assert any(step["mu"] == "0" for step in payload["steps"])  # tie steps
+    assert cli._json(payload) == json.dumps(payload, indent=2, default=cli._rat_json)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(cli.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_source_has_no_second_json_serializer(path):
+    # _json is the one writer; json.dumps stays in the tests, as its oracle
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert (node.value.id, node.attr) != ("json", "dumps"), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            assert "dumps" not in {alias.name for alias in node.names}, node.lineno
 
 
 def _floats(value, path="payload"):
@@ -284,13 +369,9 @@ def _floats(value, path="payload"):
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2] + argv[-1:]),
 )
 def test_payloads_hold_no_float(monkeypatch, argv):
-    payloads = []
-    monkeypatch.setattr(
-        cli, "_write", lambda args, payload, **views: payloads.append(payload)
-    )
-    assert main(argv) == 0
-    assert len(payloads) == 1
-    assert list(_floats(payloads[0])) == []
+    code, payload = _payload_of(monkeypatch, argv)
+    assert code == 0
+    assert list(_floats(payload)) == []
 
 
 def test_lattice_results_are_fractions():
@@ -498,6 +579,19 @@ def test_sweep_out_writes_file(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "d,q1,q2,ample,h1,kvv_violation"
     assert len(lines) == 1 + 10 + 15
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/sweep.csv", errno.ENOENT), (".", errno.EISDIR)],
+    ids=["missing-directory", "directory"],
+)
+def test_sweep_out_unwritable_is_a_usage_error(tmp_path, capsys, target, reason):
+    out = tmp_path / target
+    assert main(["sweep", "--d-min", "3", "--d-max", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {os.strerror(reason)}\n"
 
 
 def test_parse_divisor():
