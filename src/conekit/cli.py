@@ -9,8 +9,8 @@ Exit codes: 0 when every verdict/check is as expected, 1 when some check
 fails or a verdict is not the expected one, 2 on usage errors (any
 ValueError), a malformed rational (a zero denominator, exponent notation or
 more characters than Python's int-to-str digit limit included), a d
-outside ``km_surface.MIN_D`` to ``MAX_D`` (3 to 200) and a ``sweep --out``
-file that cannot be written among them, and 3 when an
+outside ``km_surface.MIN_D`` to ``MAX_D`` (3 to 200), a ``sweep --out``
+file and a stdout that cannot be written among them, and 3 when an
 internal check fails (``qlattice.InvariantError``: two independent routes to
 one number disagree), with nothing printed on stdout.  All output is
 deterministic.  Every JSON text comes from one writer, ``_json``, which
@@ -169,7 +169,8 @@ def _write(args, payload: dict, **views) -> None:
     """Print the command's payload: as JSON for ``--format json``, otherwise
     through ``views[args.format]``, a function of the payload.  ``--out``
     (sweep only) sends the text to a file instead of stdout; a file that
-    cannot be opened or written is a usage error (ValueError)."""
+    cannot be opened or written, or a stdout that cannot be written or
+    flushed, is a usage error (ValueError)."""
     if args.format == "json":
         text = _json(payload) + "\n"
     else:
@@ -181,7 +182,11 @@ def _write(args, payload: dict, **views) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
 
 
 # --- km-surface -------------------------------------------------------------

@@ -70,6 +70,7 @@ class ConeModel:
             raise ValueError(f"polarization is not ample: {polarization}")
         self.psi = psi
         self.polarization = polarization
+        self._dot_e_memo: dict[int, Rat] = {}  # by polarization_dot_e
         self.mc  # validates the unit-fraction assumption
 
     @staticmethod
@@ -99,10 +100,6 @@ class ConeModel:
     @cached_property
     def pulled_back_polarization(self) -> NamedDivisor:
         return self.psi.pullback(self.polarization)
-
-    @cached_property
-    def _dot_e_memo(self) -> dict[int, Rat]:
-        return {}
 
     def polarization_dot_e(self, i: int) -> Rat:
         """pullback(A) . E_i on the source surface, paired once per i."""
@@ -369,17 +366,6 @@ class KvvTrace:
         self.target = target
         self.den = den
         self.steps = steps
-
-    def _fields(self) -> tuple:
-        return self.multiplicities, self.delta0, self.target, self.den, self.steps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def to_json_dict(self) -> dict:
         text = _RatText(self.den)

@@ -56,6 +56,7 @@ class Contraction:
             raise ValueError("contracted curve names must be distinct")
         self.surface = surface  # anything with .registry (e.g. KMSurface)
         self.contracted = tuple(sorted(contracted, key=curve_sort_key))
+        self._corrections: dict[str, dict[str, int]] = {}  # by _correction
         self._inverse_den  # reads gram_inverse: raises unless G is negative definite
 
     @property
@@ -118,10 +119,6 @@ class Contraction:
                 g_num = g.numerator * (den // g.denominator)
                 acc[name] = acc.get(name, 0) - g_num * dot
         return {name: x for name, x in acc.items() if x}
-
-    @cached_property
-    def _corrections(self) -> dict[str, dict[str, int]]:
-        return {}
 
     def _correction(self, name: str) -> dict[str, int]:
         """Exceptional part of the pullback of one named curve, as numerators

@@ -29,6 +29,7 @@ from .qlattice import (
     IntersectionLattice,
     NamedDivisor,
     class_of,
+    curve_sort_key,
     format_rat,
 )
 
@@ -65,20 +66,23 @@ def replay(degrees: dict[str, int], plan: tuple[BlowupStep, ...]) -> CurveRegist
 
     Each step adds a (-1) class orthogonal to the others (the lattice's
     canonical class gains it too) and reduces every named curve through the
-    centre by its multiplicity.  Curve coordinates are ints.
+    centre by its multiplicity; a curve listed twice in one step keeps the
+    last multiplicity.  Curves are built as their nonzero int coordinates.
     """
-    rank = 1 + len(plan)  # H, then one exceptional class per step
-    curves = {n: [deg] + [0] * len(plan) for n, deg in degrees.items()}
+    curves = {n: [(0, deg)] if deg else [] for n, deg in degrees.items()}
     for k, step in enumerate(plan, start=1):
         for curve_name, mult in step.through:
-            curves[curve_name][k] = -mult
+            nonzero = curves[curve_name]
+            if nonzero and nonzero[-1][0] == k:
+                nonzero.pop()
+            if mult:
+                nonzero.append((k, -mult))
         if step.register is not None:
-            curves[step.register] = [0] * rank
-            curves[step.register][k] = 1
+            curves[step.register] = [(k, 1)]
 
     lattice = IntersectionLattice(("H",) + tuple(step.exceptional for step in plan))
-    return CurveRegistry.of(
-        lattice, {n: ClassVector(tuple(v)) for n, v in curves.items()}
+    return CurveRegistry(
+        lattice, {n: curves[n] for n in sorted(curves, key=curve_sort_key)}
     )
 
 
@@ -125,14 +129,15 @@ class KMSurface:
         return Fraction(row.get(b, 0))
 
     def to_json_dict(self) -> dict:
+        reg = self.registry
         return {
             "d": self.d,
             "rank": self.lattice.rank,
             "basis": list(self.lattice.basis_names),
             "canonical": [format_rat(c) for c in self.canonical.coeffs],
             "curves": {
-                name: [format_rat(c) for c in cls.coeffs]
-                for name, cls in self.registry.entries
+                name: [format_rat(c) for c in reg.class_vector(name).coeffs]
+                for name in reg.names()
             },
         }
 

@@ -19,17 +19,17 @@ Two distinct representations of a divisor coexist:
   this representation only, because floors are basis-dependent and the
   geometry floors in the curve basis.
 
-A :class:`CurveRegistry` links the two.  It maps curve names to their classes
-(:func:`class_of` builds the class of a named divisor), and it holds the
-named pairing table: the nonzero C.C' of its curves plus a K.C column, as ints
-built once as a sparse product.  :func:`pair` and :func:`pair_canonical` read
+A :class:`CurveRegistry` links the two.  It stores each curve class once, as
+its nonzero integer coordinates (:func:`class_of` builds the class of a named
+divisor from them), and it holds the named pairing table: the nonzero C.C' of
+its curves plus a K.C column, as ints built once as a sparse product from
+those coordinates.  :func:`pair` and :func:`pair_canonical` read
 intersection numbers of named divisors from that table without building a
 class vector; the dense route through :func:`class_of` and :func:`intersect`
 gives the same numbers.  Above this module the table is the one pairing
 route, and the dense one runs only as a check or a reference:
-``Contraction.residual_checks``, the K.C column itself, the two
-class identities of ``km_sanity``, the functions the benchmark tracer names,
-and the test oracles.
+``Contraction.residual_checks``, the two class identities of ``km_sanity``,
+the functions the benchmark tracer names, and the test oracles.
 """
 
 from __future__ import annotations
@@ -344,29 +344,28 @@ def frac_divisor(D: NamedDivisor) -> NamedDivisor:
 
 
 class CurveRegistry:
-    """Curve name -> class table; the classes are integral, on one lattice."""
+    """Curve name -> class table on one lattice.  Each class is stored once,
+    as its nonzero ``(index, int)`` coordinates in index order, and the names
+    are kept in ``curve_sort_key`` order."""
 
     def __init__(
-        self, lattice: IntersectionLattice, entries: tuple[tuple[str, ClassVector], ...]
+        self, lattice: IntersectionLattice, coords: dict[str, list[tuple[int, int]]]
     ) -> None:
         self.lattice = lattice
-        self.entries = entries
+        self.coords = coords
 
     @staticmethod
     def of(
         lattice: IntersectionLattice, entries: Mapping[str, ClassVector]
     ) -> "CurveRegistry":
+        coords = {}
         ordered = sorted(entries.items(), key=lambda item: curve_sort_key(item[0]))
         for name, cls in ordered:
             lattice.check_rank(cls)
-            not_int = set(map(type, cls.coeffs)) - {int}  # replay builds ints
-            if not_int and any(a.denominator != 1 for a in cls.coeffs):
+            if any(a.denominator != 1 for a in cls.coeffs):
                 raise ValueError(f"class of curve {name} is not integral: {cls}")
-        return CurveRegistry(lattice, tuple(ordered))
-
-    @cached_property
-    def _by_name(self) -> dict[str, ClassVector]:
-        return dict(self.entries)
+            coords[name] = [(i, int(a)) for i, a in enumerate(cls.coeffs) if a]
+        return CurveRegistry(lattice, coords)
 
     @cached_property
     def _pairing_rows(self) -> dict[str, dict[str, int]]:
@@ -377,16 +376,12 @@ class CurveRegistry:
         nonzero coefficient on the same coordinate, so a pair of curves that
         share no coordinate costs nothing.
         """
-        coords = {
-            name: [(i, int(a)) for i, a in enumerate(cls.coeffs) if a]
-            for name, cls in self.entries
-        }
         touching: dict[int, list[tuple[str, int]]] = {}
-        for name, nonzero in coords.items():
+        for name, nonzero in self.coords.items():
             for j, b in nonzero:
                 touching.setdefault(j, []).append((name, b))
         rows = {}
-        for name, nonzero in coords.items():
+        for name, nonzero in self.coords.items():
             row: dict[str, int] = {}
             for i, a in nonzero:
                 signed = a if i == 0 else -a
@@ -397,11 +392,11 @@ class CurveRegistry:
 
     @cached_property
     def _canonical_dots(self) -> dict[str, int]:
-        """K.C per named curve C, as ints, from the canonical class through the
-        dense :func:`intersect`."""
-        lat = self.lattice
+        """K.C per named curve C: K = -3H + sum_k E_k, so K.C = -3 c_0 -
+        sum_{k>=1} c_k over the nonzero coordinates of C."""
         return {
-            name: int(intersect(lat, lat.canonical, cls)) for name, cls in self.entries
+            name: sum(-3 * a if i == 0 else -a for i, a in nonzero)
+            for name, nonzero in self.coords.items()
         }
 
     @staticmethod
@@ -412,10 +407,14 @@ class CurveRegistry:
         return value
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
+        return tuple(self.coords)
 
     def class_vector(self, name: str) -> ClassVector:
-        return self._lookup(self._by_name, name)
+        """The dense class of the named curve, built on request."""
+        out = [0] * self.lattice.rank
+        for i, a in self._lookup(self.coords, name):
+            out[i] = a
+        return ClassVector(tuple(out))
 
     def pairing_row(self, name: str) -> dict[str, int]:
         """The nonzero C.C' of the named curve C, keyed by the name of C'."""
@@ -423,7 +422,7 @@ class CurveRegistry:
 
     def check_names(self, names: KeysView[str]) -> None:
         """Raise on the first of ``names`` the registry does not know."""
-        known = self._pairing_rows
+        known = self.coords
         if not names <= known.keys():
             self._lookup(known, next(n for n in names if n not in known))
 
@@ -433,16 +432,12 @@ class CurveRegistry:
 
 
 def class_of(registry: CurveRegistry, D: NamedDivisor) -> ClassVector:
-    """The class of a named divisor: the matching combination of curve classes.
-
-    Only the nonzero coordinates of each curve class are scaled and added: a
-    zero coordinate costs one test, not a ``Fraction`` product and sum.
-    """
+    """The class of a named divisor: the matching combination of curve classes,
+    summed over each curve's stored nonzero coordinates."""
     out = [Fraction(0)] * registry.lattice.rank
     for name, coeff in D.entries:
-        for i, a in enumerate(registry.class_vector(name).coeffs):
-            if a:
-                out[i] += coeff * a
+        for i, a in registry._lookup(registry.coords, name):
+            out[i] += coeff * a
     return ClassVector(tuple(out))
 
 

@@ -31,7 +31,7 @@ from .cohom import (
     uniform_h2_chain_zero,
 )
 from .cone3fold import ConeModel, picard_chain, plt_coefficient_b
-from .km_surface import MAX_D
+from .km_surface import MAX_D, MIN_D
 
 
 def _certify(
@@ -288,8 +288,8 @@ def sweep_kvv(d_min: int, d_max: int) -> dict:
     in (d, q1, q2).  A window with d_max above ``MAX_D``, or with more work
     than ``SWEEP_MAX_WORK``, is refused before any contraction is built.
     """
-    if not 3 <= d_min <= d_max:
-        raise ValueError(f"3<=d_min<=d_max: ({d_min}, {d_max})")
+    if not MIN_D <= d_min <= d_max:
+        raise ValueError(f"{MIN_D}<=d_min<=d_max: ({d_min}, {d_max})")
     if d_max > MAX_D:
         raise ValueError(f"d must be <= {MAX_D}, got {d_max}")
     work = sum(sweep_rows(d, d) * (2 * d + 1) for d in range(d_min, d_max + 1))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -592,6 +593,46 @@ def test_sweep_out_unwritable_is_a_usage_error(tmp_path, capsys, target, reason)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: {os.strerror(reason)}\n"
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_unwritable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    argv = ["kvv-schedule", "--e", "1,7,10", "--delta", "2/3,2/5,5/6"]
+    assert main([*argv, "--target", "278"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kvv-schedule", "--e", "1,7,10", "--delta", "2/3,2/5,5/6", "--target", "278"],
+        ["verify", "plt", "--d", "5", "--q", "3"],
+    ],
+    ids=["kvv-schedule", "verify-plt"],
+)
+def test_full_device_on_stdout_exits_2_without_traceback(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conekit.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_parse_divisor():

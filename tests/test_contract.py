@@ -78,7 +78,7 @@ def test_pullback_keeps_no_per_divisor_state():
     attributes = set(vars(psi))
     for k in range(1, 201):
         psi.pullback(NamedDivisor.of({f"E_{1 + k % 5}": k, "F": Fraction(1, k)}))
-    assert set(vars(psi)) == attributes | {"_corrections"}
+    assert set(vars(psi)) == attributes
     assert len(psi._corrections) <= len(psi.registry.names())
 
 

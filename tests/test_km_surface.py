@@ -2,9 +2,17 @@ import json
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conekit.km_surface import KMSurface, build_km_surface, km_sanity
-from conekit.qlattice import CurveRegistry, intersect
+from conekit.km_surface import (
+    BlowupStep,
+    KMSurface,
+    build_km_surface,
+    km_sanity,
+    replay,
+)
+from conekit.qlattice import ClassVector, CurveRegistry, IntersectionLattice, intersect
 
 
 def test_rank_and_gamma_square_d5():
@@ -91,7 +99,7 @@ def _with_lp1_moved(s):
     """S(d) with lp_1 re-registered as lp_1 + E_1, which breaks the fibre
     decomposition, the orthogonality and the meets of E_1."""
     reg = s.registry
-    entries = dict(reg.entries)
+    entries = {name: reg.class_vector(name) for name in reg.names()}
     entries["lp_1"] = entries["lp_1"] + entries["E_1"]
     return KMSurface(s.d, CurveRegistry.of(s.lattice, entries))
 
@@ -116,3 +124,58 @@ def test_pairing_unknown_name_raises_on_either_side():
     for a, b in (("X", "Gamma"), ("Gamma", "X"), ("X", "Y")):
         with pytest.raises(ValueError, match=r"^unknown curve name: 'X'$"):
             s.pairing(a, b)
+
+
+def _dense_replay(degrees, plan):
+    """The blow-up replay on rank-length coordinate lists, as the oracle."""
+    rank = 1 + len(plan)
+    curves = {n: [deg] + [0] * len(plan) for n, deg in degrees.items()}
+    for k, step in enumerate(plan, start=1):
+        for name, mult in step.through:
+            curves[name][k] = -mult
+        if step.register is not None:
+            curves[step.register] = [0] * rank
+            curves[step.register][k] = 1
+    lattice = IntersectionLattice(("H",) + tuple(s.exceptional for s in plan))
+    return CurveRegistry.of(lattice, {n: ClassVector.of(v) for n, v in curves.items()})
+
+
+def _same_registry(reg, oracle):
+    """Same basis, names, classes, pairing table and K.C column, and ``reg``
+    stores each class as nonzero coordinates in index order."""
+    assert reg.lattice.basis_names == oracle.lattice.basis_names
+    assert reg.names() == oracle.names()
+    for name in oracle.names():
+        stored = reg.coords[name]
+        assert all(a for _, a in stored)
+        assert [i for i, _ in stored] == sorted({i for i, _ in stored})
+        assert reg.class_vector(name) == oracle.class_vector(name)
+        assert reg.pairing_row(name) == oracle.pairing_row(name)
+        assert reg.canonical_dot(name) == oracle.canonical_dot(name)
+
+
+@st.composite
+def blowup_plans(draw):
+    """Degrees of up to four plane curves and a plan of up to five steps,
+    each through a few of the curves so far (a name may repeat, with a zero
+    multiplicity among the choices), some registering a new curve."""
+    n = draw(st.integers(0, 4))
+    degrees = {f"c_{i}": draw(st.integers(0, 3)) for i in range(n)}
+    names, plan = list(degrees), []
+    for k in range(1, draw(st.integers(1, 5)) + 1):
+        through = draw(
+            st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2)), max_size=4)
+            if names
+            else st.just([])
+        )
+        register = draw(st.sampled_from([None, f"E_{k}", *names]))
+        plan.append(BlowupStep(f"e{k}", tuple(through), register))
+        if register is not None and register not in names:
+            names.append(register)
+    return degrees, tuple(plan)
+
+
+@given(blowup_plans())
+def test_replay_matches_the_dense_replay_on_random_plans(case):
+    degrees, plan = case
+    _same_registry(replay(degrees, plan), _dense_replay(degrees, plan))

@@ -98,20 +98,20 @@ def test_deterministic_call_counts():
     assert calls["cohom.target_context"] == 1
     assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
     # sweep and the family table pair named divisors through the registry's
-    # pairing table, so they build no class vector; the only dense pairings
-    # fill its K.C column, one per named curve of S(5) (3d + 2 = 17)
+    # pairing table, so they build no class vector, and its K.C column is
+    # summed from the stored coordinates: no dense pairing at all
     calls = _traced_calls(["sweep", "--d-min", "5", "--d-max", "5"])
     assert calls.get("qlattice.class_of", 0) == 0
-    assert calls["qlattice.intersect"] == 17
+    assert calls.get("qlattice.intersect", 0) == 0
     # one pullback for each of the 21 rows, the family divisor for its floor,
     # and -K_T once for every row's ampleness degree
     assert calls["contract.pullback"] == 21 + 1
     calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
     assert calls.get("qlattice.class_of", 0) == 0
     # the cone ledger, the surface sanity check and the discrepancy solve read
-    # the pairing table; the only dense pairings left are the K.C column
+    # the pairing table and its K.C column, so no dense pairing is left
     calls = _traced_calls(["cone", "--d", "5", "--q", "3", "--ledger", "adjunction"])
-    assert calls.get("qlattice.intersect", 0) == 17
+    assert calls.get("qlattice.intersect", 0) == 0
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls.get("contract.pullback_class", 0) == 0
     # -K_T once for the ampleness of A, A once for the model's cached

@@ -475,9 +475,14 @@ def test_pair_rejects_an_unknown_name_on_either_side(d1, d2):
 
 def test_pairing_rows_keep_only_nonzero_entries():
     reg = SURFACES[5].registry
+    lat = reg.lattice
     for name in reg.names():
         row = reg.pairing_row(name)
         assert all(x != 0 for x in row.values())
+        # the sparse K.C column against the dense canonical class
+        assert reg.canonical_dot(name) == intersect(
+            lat, lat.canonical, reg.class_vector(name)
+        )
         for other in reg.names():
             expected = intersect(
                 reg.lattice, reg.class_vector(name), reg.class_vector(other)
