@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
 
 from .contract import Contraction, km_psi
 from .km_surface import MIN_D, build_km_surface
@@ -155,11 +154,17 @@ def _minus_e(d: int, subtract: int | None) -> NamedDivisor:
 
 
 def family_divisor(fam: FamilyDescriptor) -> NamedDivisor:
-    terms = {f"E_{i}": 1 for i in range(1, fam.q1 + 1)}
-    terms.update(
-        {f"E_{j}": -1 for j in range(fam.q1 + 1, fam.q1 + fam.q2 + 1)}
+    """sum_{i<=q1} E_i - sum_{q1<j<=q1+q2} E_j, built from its numerators: the
+    names E_1, E_2, ... are already in ``curve_sort_key`` order."""
+    q1 = fam.q1
+    return NamedDivisor(
+        1, {f"E_{i}": 1 if i <= q1 else -1 for i in range(1, q1 + fam.q2 + 1)}
     )
-    return NamedDivisor.of(terms)
+
+
+def _family_shift(fam: FamilyDescriptor) -> int:
+    """t = floor((q1-q2)/(2d-4)), the one shift in every family closed form."""
+    return (fam.q1 - fam.q2) // (2 * fam.d - 4)
 
 
 def chi_rr(surface, D: NamedDivisor) -> int:
@@ -200,9 +205,9 @@ def floor_pullback_stats(fam: FamilyDescriptor) -> tuple[NamedDivisor, Rat, Rat]
     dot = -pair_canonical(psi.registry, floored)
 
     d, q1, q2 = fam.d, fam.q1, fam.q2
-    t = floor(Fraction(q1 - q2, 2 * d - 4))
-    square_closed = Fraction(-(q1 + q2) + 2 * (q1 - q2) * t + t * t * (4 - 2 * d))
-    dot_closed = Fraction((6 - 2 * d) * t + (q1 - q2))
+    t = _family_shift(fam)
+    square_closed = -(q1 + q2) + 2 * (q1 - q2) * t + t * t * (4 - 2 * d)
+    dot_closed = (6 - 2 * d) * t + (q1 - q2)
     if square != square_closed or dot != dot_closed:
         raise InvariantError(
             f"floor-pullback closed forms disagree with the lattice at {fam}: "
@@ -221,7 +226,7 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     rank-one family table.
     """
     d, q1, q2 = fam.d, fam.q1, fam.q2
-    t = floor(Fraction(q1 - q2, 2 * d - 4))
+    t = _family_shift(fam)
     chi_closed = 1 - q2 + (q1 - q2 - d + 3) * t - t * t * (d - 2)
     # Riemann-Roch on the floor D: D.(D - K) = D.D + D.(-K)
     _, square, dot = floor_pullback_stats(fam)
@@ -303,7 +308,7 @@ def effective_ample_rewrite(
         _e_index_check = _e_index(name)
         if not 1 <= _e_index_check <= psi.surface.d:
             raise ValueError(f"curve index out of range: {name}")
-    coeffs = {n: int(c) for n, c in D.entries}
+    coeffs = D.nums  # integral: den is 1
     total = sum(coeffs.values())
     parities = {n: c % 2 for n, c in coeffs.items()}
     needed = sum(parities.values())

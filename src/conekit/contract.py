@@ -7,7 +7,10 @@ extension orthogonal to every contracted curve.  Discrepancies, pair
 singularity classes, and all target intersection numbers derive from that one
 solve.  Pullback is linear, so the solve runs once per curve name, on that
 curve's row of the registry's named pairing table, as ints over the common
-denominator N of the block-wise Gram inverse; pullback(-K_T) is built once.
+denominator N of the block-wise Gram inverse; a pulled-back divisor is
+returned as its integer numerators over den(D) * N, and no step from the
+divisor to its degree builds a ``Fraction`` per term.  pullback(-K_T) is
+built once.
 Ampleness on the target is a degree sign, used only where the contraction
 itself shows that the target has Picard rank one and that -K_T is nonzero and
 effective, hence ample.
@@ -56,6 +59,7 @@ class Contraction:
             raise ValueError("contracted curve names must be distinct")
         self.surface = surface  # anything with .registry (e.g. KMSurface)
         self.contracted = tuple(sorted(contracted, key=curve_sort_key))
+        self._contracted_set = frozenset(contracted)
         self._corrections: dict[str, dict[str, int]] = {}  # by _correction
         self._inverse_den  # reads gram_inverse: raises unless G is negative definite
 
@@ -130,7 +134,7 @@ class Contraction:
         return memo[name]
 
     def _refuse_contracted(self, D: NamedDivisor) -> None:
-        bad = [n for n in D.support() if n in self.contracted]
+        bad = [n for n in D.nums if n in self._contracted_set]
         if bad:
             raise ValueError(
                 f"divisor mentions contracted curves: {', '.join(bad)}"
@@ -139,16 +143,16 @@ class Contraction:
     def pullback(self, D: NamedDivisor) -> NamedDivisor:
         """Numerical pullback of a target divisor given via proper transforms:
         D plus the sum of c * (the correction of C) over the terms c*C of D,
-        summed as ints over den(D) * N, one ``Fraction`` per new term."""
+        returned as its integer numerators over den(D) * N."""
         self._refuse_contracted(D)
-        den, nums = D.numerators
-        acc: dict[str, int] = {}
-        for name, a in nums.items():
+        n_den = self._inverse_den
+        acc = {name: a * n_den for name, a in D.nums.items()}
+        for name, a in D.nums.items():
             for other, x in self._correction(name).items():
                 acc[other] = acc.get(other, 0) + a * x
-        den *= self._inverse_den
-        terms = D.entries + tuple((n, Fraction(x, den)) for n, x in acc.items() if x)
-        return NamedDivisor(tuple(sorted(terms, key=lambda t: curve_sort_key(t[0]))))
+        return NamedDivisor.reduced(
+            D.den * n_den, {n: acc[n] for n in sorted(acc, key=curve_sort_key)}
+        )
 
     def pushforward(self, D: NamedDivisor) -> NamedDivisor:
         """Drop the contracted-curve terms."""
@@ -161,7 +165,7 @@ class Contraction:
         """Intersection number on the target, computed as D1 . pullback(D2):
         the exceptional part of pullback(D1) is orthogonal to pullback(D2)."""
         self._refuse_contracted(D1)
-        self.registry.check_names(D1.terms.keys())  # report D1's errors first
+        self.registry.check_names(D1.nums.keys())  # report D1's errors first
         return pair(self.registry, D1, self.pullback(D2))
 
     def target_canonical(self) -> NamedDivisor:
@@ -186,8 +190,8 @@ class Contraction:
         projective surface of Picard rank one a nonzero effective divisor is."""
         if self.picard_rank_after() != 1:
             return False
-        minus_k = self.minus_k_target().entries
-        return bool(minus_k) and all(c > 0 for _, c in minus_k)
+        minus_k = self.minus_k_target().nums
+        return bool(minus_k) and all(x > 0 for x in minus_k.values())
 
     def is_ample_rho1(self, D: NamedDivisor) -> bool:
         """Ampleness on a rank-one target with ample -K: positive degree."""

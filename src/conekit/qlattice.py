@@ -14,10 +14,12 @@ Two distinct representations of a divisor coexist:
 
 * :class:`ClassVector` -- coordinates in a fixed lattice basis.  Intersection
   numbers live here.
-* :class:`NamedDivisor` -- a finite formal sum of *named* irreducible curves.
-  Rounding operations (:func:`floor_divisor`, :func:`frac_divisor`) act on
-  this representation only, because floors are basis-dependent and the
-  geometry floors in the curve basis.
+* :class:`NamedDivisor` -- a finite formal sum of *named* irreducible curves,
+  stored as integer numerators over one denominator; its ``Fraction``
+  coefficients are derived only when read.  Rounding operations
+  (:func:`floor_divisor`, :func:`frac_divisor`: ``x // den`` and
+  ``x % den`` on the numerators) act on this representation only, because
+  floors are basis-dependent and the geometry floors in the curve basis.
 
 A :class:`CurveRegistry` links the two.  It stores each curve class once, as
 its nonzero integer coordinates (:func:`class_of` builds the class of a named
@@ -25,7 +27,8 @@ divisor from them), and it holds the named pairing table: the nonzero C.C' of
 its curves plus a K.C column, as ints built once as a sparse product from
 those coordinates.  :func:`pair` and :func:`pair_canonical` read
 intersection numbers of named divisors from that table without building a
-class vector; the dense route through :func:`class_of` and :func:`intersect`
+class vector, summing the divisors' numerators into one ``Fraction`` per
+call; the dense route through :func:`class_of` and :func:`intersect`
 gives the same numbers.  Above this module the table is the one pairing
 route, and the dense one runs only as a check or a reference:
 ``Contraction.residual_checks``, the two class identities of ``km_sanity``,
@@ -38,7 +41,7 @@ import re
 from collections.abc import Iterable, KeysView, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, lcm, prod
+from math import gcd, lcm, prod
 
 Rat = Fraction
 
@@ -232,10 +235,16 @@ def is_negative_definite(
 class NamedDivisor:
     """Finite formal rational combination of named irreducible curves.
 
-    Terms are kept sorted by curve name (numeric-aware) with no zero
-    coefficients, so equal divisors compare and serialize identically.
+    Stored as integer numerators over one denominator: ``den`` > 0 and
+    ``nums`` ``{name: int}``, with the names in ``curve_sort_key`` order, no
+    zero numerator, and ``den`` the least common denominator (no prime
+    divides it and every numerator), so equal divisors compare and serialize
+    identically.  The ``Fraction`` coefficients (``entries``, ``terms``) are
+    derived on first use; the arithmetic here reads the numerators.
 
     >>> D = NamedDivisor.of({"E_1": 1, "l_2": Fraction(-1, 2)})
+    >>> D.den, D.nums
+    (2, {'E_1': 2, 'l_2': -1})
     >>> print(D)
     E_1 - 1/2*l_2
     >>> print(D + NamedDivisor.of({"E_1": -1}))
@@ -246,16 +255,29 @@ class NamedDivisor:
     1/2*l_2
     """
 
-    def __init__(self, entries: tuple[tuple[str, Rat], ...]) -> None:
-        self.entries = entries
+    def __init__(self, den: int, nums: dict[str, int]) -> None:
+        self.den = den
+        self.nums = nums
+
+    @staticmethod
+    def reduced(den: int, nums: dict[str, int]) -> "NamedDivisor":
+        """The divisor sum (x/den) C over ``nums``, names given in
+        ``curve_sort_key`` order: zero numerators are dropped and the common
+        factor of den and the numerators divided out."""
+        nums = {n: x for n, x in nums.items() if x}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {n: x // g for n, x in nums.items()}
+        return NamedDivisor(den, nums)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash((self.den, tuple(self.nums.items())))
 
     @staticmethod
     def of(terms: Mapping[str, object] | Iterable[tuple[str, object]]) -> "NamedDivisor":
@@ -264,32 +286,36 @@ class NamedDivisor:
         for name, coeff in items:
             coeff = Fraction(coeff)
             acc[name] = acc[name] + coeff if name in acc else coeff
-        cleaned = [(n, c) for n, c in acc.items() if c != 0]
-        cleaned.sort(key=lambda item: curve_sort_key(item[0]))
-        return NamedDivisor(tuple(cleaned))
+        # over the lcm of reduced denominators the numerators share no factor
+        # with den, so only zeros need dropping
+        den = lcm(*(c.denominator for c in acc.values()))
+        return NamedDivisor(den, {
+            n: acc[n].numerator * (den // acc[n].denominator)
+            for n in sorted(acc, key=curve_sort_key)
+            if acc[n]
+        })
 
     @staticmethod
     def zero() -> "NamedDivisor":
-        return NamedDivisor(())
+        return NamedDivisor(1, {})
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, Rat], ...]:
+        den = self.den
+        return tuple((n, Fraction(x, den)) for n, x in self.nums.items())
 
     @cached_property
     def terms(self) -> dict[str, Rat]:
         return dict(self.entries)
 
-    @cached_property
-    def numerators(self) -> tuple[int, dict[str, int]]:
-        """``(den, {name: c * den})``, den the coefficients' lcm denominator."""
-        den = lcm(*(c.denominator for _, c in self.entries))
-        return den, {n: c.numerator * (den // c.denominator) for n, c in self.entries}
-
     def support(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
+        return tuple(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.entries)
+        return self.den == 1
 
     def __add__(self, other: "NamedDivisor") -> "NamedDivisor":
         return NamedDivisor.of(list(self.entries) + list(other.entries))
@@ -304,14 +330,19 @@ class NamedDivisor:
         c = Fraction(c)
         if c == 0:
             return NamedDivisor.zero()
-        return NamedDivisor(tuple((n, c * a) for n, a in self.entries))
+        p = c.numerator
+        return NamedDivisor.reduced(
+            self.den * c.denominator, {n: p * x for n, x in self.nums.items()}
+        )
 
     def __rmul__(self, c) -> "NamedDivisor":
         return self.scale(c)
 
     def drop(self, names: Iterable[str]) -> "NamedDivisor":
         omit = set(names)
-        return NamedDivisor(tuple((n, c) for n, c in self.entries if n not in omit))
+        return NamedDivisor.reduced(
+            self.den, {n: x for n, x in self.nums.items() if n not in omit}
+        )
 
     def __str__(self) -> str:
         if not self.entries:
@@ -329,18 +360,18 @@ class NamedDivisor:
         return out
 
 
-def _map_coeffs(D: NamedDivisor, fn) -> NamedDivisor:
-    return NamedDivisor.of((n, fn(c)) for n, c in D.entries)
-
-
 def floor_divisor(D: NamedDivisor) -> NamedDivisor:
-    """Componentwise floor of the named-curve coefficients."""
-    return _map_coeffs(D, floor)
+    """Componentwise floor of the named-curve coefficients: x // den on each
+    numerator."""
+    den = D.den
+    return NamedDivisor(1, {n: q for n, x in D.nums.items() if (q := x // den)})
 
 
 def frac_divisor(D: NamedDivisor) -> NamedDivisor:
-    """Componentwise fractional part; floor_divisor(D) + frac_divisor(D) == D."""
-    return _map_coeffs(D, lambda c: c - floor(c))
+    """Componentwise fractional part, x % den on each numerator;
+    floor_divisor(D) + frac_divisor(D) == D."""
+    den = D.den
+    return NamedDivisor.reduced(den, {n: x % den for n, x in D.nums.items()})
 
 
 class CurveRegistry:
@@ -449,21 +480,21 @@ def pair(registry: CurveRegistry, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
     raises as in :func:`class_of`, D1's first.  The sum runs over both
     divisors' integer numerators and is divided by their denominators once.
     """
-    rows = [registry.pairing_row(name) for name, _ in D1.entries]
-    (den1, nums), (den2, coeffs) = D1.numerators, D2.numerators
+    nums, coeffs = D1.nums, D2.nums
+    registry.check_names(nums.keys())
     registry.check_names(coeffs.keys())
+    rows = registry._pairing_rows
     total = 0
-    for a, row in zip(nums.values(), rows):
-        for name, x in row.items():
-            b = coeffs.get(name)
+    for name, a in nums.items():
+        for other, x in rows[name].items():
+            b = coeffs.get(other)
             if b:
                 total += a * b * x
-    return Fraction(total, den1 * den2)
+    return Fraction(total, D1.den * D2.den)
 
 
 def pair_canonical(registry: CurveRegistry, D: NamedDivisor) -> Rat:
     """K.D read from the K.C column of the named pairing table, exact."""
-    den, nums = D.numerators
-    return Fraction(
-        sum(a * registry.canonical_dot(name) for name, a in nums.items()), den
-    )
+    registry.check_names(D.nums.keys())
+    dots = registry._canonical_dots
+    return Fraction(sum(a * dots[name] for name, a in D.nums.items()), D.den)

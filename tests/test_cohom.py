@@ -72,10 +72,15 @@ def test_floor_stats_trivial_family():
     assert dot == 0
 
 
+@pytest.mark.slow
 def test_chi_closed_form_equals_riemann_roch_on_grid():
-    # the family engine raises on any mismatch; sweep the whole grid
-    for fam in grid(3, 12):
+    # the family engine raises on any mismatch of chi, the floor's square or
+    # its degree with their closed forms; run it on the whole d <= 60 grid
+    rows = 0
+    for fam in grid(3, 60):
         km_family_cohomology(fam)
+        rows += 1
+    assert rows == 39_701
 
 
 # --- family table ---------------------------------------------------------------

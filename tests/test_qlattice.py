@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import floor, gcd
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conekit.cohom import FamilyDescriptor, family_divisor, target_context
 from conekit.contract import Contraction
 from conekit.km_surface import build_km_surface
 from conekit.qlattice import (
@@ -12,6 +14,7 @@ from conekit.qlattice import (
     IntersectionLattice,
     NamedDivisor,
     class_of,
+    curve_sort_key,
     determinant,
     floor_divisor,
     format_rat,
@@ -488,6 +491,107 @@ def test_pairing_rows_keep_only_nonzero_entries():
                 reg.lattice, reg.class_vector(name), reg.class_vector(other)
             )
             assert row.get(other, 0) == expected
+
+
+# --- the numerator route against a Fraction oracle ---------------------------
+
+
+def _oracle_floor(D):
+    """Componentwise floor on the Fraction coefficients, zeros dropped."""
+    return {n: Fraction(floor(c)) for n, c in D.entries if floor(c)}
+
+
+def _oracle_frac(D):
+    return {n: c - floor(c) for n, c in D.entries if c != floor(c)}
+
+
+def _oracle_pullback(psi, D):
+    """D plus c * (-G^{-1}(C.C_j)) for every term c*C, one Fraction product
+    per term, from the Fraction Gram inverse and the pairing table."""
+    out = dict(D.entries)
+    for name, c in D.entries:
+        for j, dot in psi.registry.pairing_row(name).items():
+            for k, g in psi.gram_inverse.get(j, {}).items():
+                out[k] = out.get(k, 0) - c * g * dot
+    return {n: x for n, x in out.items() if x}
+
+
+def _oracle_pair(reg, D1, D2):
+    """D1.D2 from the pairing table, one Fraction product per term."""
+    t2 = D2.terms
+    return sum(
+        (c * t2[o] * x for n, c in D1.entries
+         for o, x in reg.pairing_row(n).items() if o in t2),
+        Fraction(0),
+    )
+
+
+def _check_numerator_route(psi, D):
+    """floor, frac, pullback, pair and pair_canonical on integer numerators
+    against the Fraction oracles."""
+    reg = psi.registry
+    pulled = psi.pullback(D)
+    assert pulled.terms == _oracle_pullback(psi, D)
+    assert pair(reg, D, pulled) == _oracle_pair(reg, D, pulled)
+    for X in (D, pulled):
+        floored, frac = floor_divisor(X), frac_divisor(X)
+        assert floored.terms == _oracle_floor(X)
+        assert frac.terms == _oracle_frac(X)
+        for Y in (X, floored, frac):  # the stored form is the canonical one
+            assert list(Y.nums) == sorted(Y.nums, key=curve_sort_key)
+            assert 0 not in Y.nums.values()
+            assert Y.den > 0 and gcd(Y.den, *Y.nums.values()) == 1
+        assert pair(reg, floored, floored) == _oracle_pair(reg, floored, floored)
+        assert pair_canonical(reg, X) == sum(
+            (c * reg.canonical_dot(n) for n, c in X.entries), Fraction(0)
+        )
+
+
+class _Surface:
+    def __init__(self, registry):
+        self.registry = registry
+
+
+# negative coefficients, and denominators coprime within one divisor
+MIXED_RATS = st.one_of(small_rats, *LARGE_COPRIME)
+
+
+@given(lattices_with_subsets(), st.data())
+@settings(max_examples=200)
+def test_numerator_route_matches_fraction_oracle_on_random_lattices(case, data):
+    # the subset's curves are contracted and the divisor is drawn over one
+    # curve per basis class; a subset that is not negative definite is left
+    # uncontracted, the pullback is then the identity and the divisor may
+    # use its curves too
+    lat, subset = case
+    classes = {f"c_{i}": v for i, v in enumerate(subset)}
+    for k in range(lat.rank):
+        classes[f"b_{k}"] = ClassVector.of([int(i == k) for i in range(lat.rank)])
+    reg = CurveRegistry.of(lat, classes)
+    try:
+        psi = Contraction(_Surface(reg), tuple(f"c_{i}" for i in range(len(subset))))
+        event("contracted")
+    except ValueError:
+        psi = Contraction(_Surface(reg), ())
+    names = [n for n in reg.names() if n not in psi.contracted]
+    D = NamedDivisor.of(
+        data.draw(st.dictionaries(st.sampled_from(names), MIXED_RATS, max_size=6))
+    )
+    _check_numerator_route(psi, D)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_numerator_route_matches_fraction_oracle_on_family_divisors(d):
+    # n.A - E_j for every family A on S(d), n = 0..3, without a subtracted
+    # curve and with the first fresh one (E_d when there is none)
+    psi = target_context(d)
+    for q1 in range(d + 1):
+        for q2 in range(d - q1 + 1):
+            A = family_divisor(FamilyDescriptor(d, q1, q2))
+            for n in range(4):
+                for j in (None, min(q1 + q2 + 1, d)):
+                    minus_e = NamedDivisor.of({f"E_{j}": -1} if j else {})
+                    _check_numerator_route(psi, A.scale(n) + minus_e)
 
 
 # --- serialization -----------------------------------------------------------

@@ -289,6 +289,29 @@ def test_sweep_row_count_is_the_closed_form():
         for d_max in range(d_min, 13):
             assert sweep_rows(d_min, d_max) == len(sweep_kvv(d_min, d_max)["rows"])
 
+
+@pytest.mark.parametrize("d", [10, 20])
+def test_sweep_builds_a_constant_number_of_fractions_per_row(monkeypatch, d):
+    # a deterministic counter, not a clock: a row carries integer numerators
+    # from the family divisor to chi, and builds a Fraction only for the
+    # values it compares (7 per row, whatever d is); T(d) is built outside
+    # the count, once per d
+    cohom.target_context(d)
+    real_new = Fraction.__new__
+    built = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    rows = sweep_kvv(d, d)["rows"]
+    monkeypatch.undo()
+    assert len(rows) == sweep_rows(d, d)
+    assert built <= 8 * len(rows)
+
+
 class _FirstContraction(Exception):
     pass
 
