@@ -35,6 +35,11 @@ GOLDEN_CASES = [
     ),
     ("contract_pullback", ["contract", "--d", "5", "--pullback", "E_1^T"]),
     (
+        "contract_queries",
+        ["contract", "--d", "5", "--pushforward", "1/2*Gamma+E_1",
+         "--ample", "E_1+E_2-E_3", "--target-intersect", "E_1", "E_2"],
+    ),
+    (
         "contract_tables",
         ["contract", "--d", "5", "--discrepancies", "--classify", "--picard-rank"],
     ),
