@@ -374,12 +374,14 @@ def cmd_cone(args) -> int:
 
 
 def cmd_kvv_schedule(args) -> int:
+    # an empty item (as in "2,,3") is malformed, not skipped; an empty --e
+    # or --delta is an empty list, the latter meaning all zeros
     try:
-        e = [int(x) for x in args.e.split(",") if x]
+        e = [int(x) for x in args.e.split(",")] if args.e else []
     except ValueError:
         raise ValueError(f"multiplicities must be positive integers: {args.e}")
     delta = (
-        [_parse_rat(x) for x in args.delta.split(",") if x]
+        [_parse_rat(x) for x in args.delta.split(",")]
         if args.delta
         else [Fraction(0)] * len(e)
     )

@@ -32,7 +32,6 @@ from .qlattice import (
     InvariantError,
     NamedDivisor,
     Rat,
-    format_rat,
     frac_divisor,
     pair,
     pair_canonical,
@@ -54,7 +53,7 @@ def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[s
     ]
     if bad:
         raise ValueError(
-            f"fractional coefficient of {bad[0]} is {format_rat(frac[bad[0]])}, "
+            f"fractional coefficient of {bad[0]} is {frac[bad[0]]}, "
             "not a unit fraction"
         )
     return {name: c.denominator for name, c in coeffs.items()}
@@ -182,8 +181,9 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     # printed form of the same sum: Gamma term plus (1-m)/m for the two
     # (-2)-curves of the i-th fibre
     gamma_sq = model.surface.pairing("Gamma", "Gamma")
+    gamma_term = Fraction(-gamma_sq - 2 * m_gamma, -gamma_sq * m_gamma)
     printed = (
-        Fraction(-gamma_sq - 2 * m_gamma, -gamma_sq * m_gamma)
+        gamma_term
         + Fraction(1 - m_l, m_l)
         + Fraction(1 - m_lp, m_lp)
     )
@@ -195,7 +195,6 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     k_y_plus = k_x_plus + crepant_sum
     k_y_minus = k_x_minus + crepant_sum
     # Gamma-only closed form for the same numbers
-    gamma_term = Fraction(-gamma_sq - 2 * m_gamma, -gamma_sq * m_gamma)
     closed_plus = unit_defect(m_gamma) - 1 - a_dot_ei + gamma_term
     closed_minus = unit_defect(m_gamma) - 1 + a_dot_ei + gamma_term
     if k_y_plus != closed_plus or k_y_minus != closed_minus:
@@ -334,7 +333,8 @@ KVV_MAX_STEPS = 1_000_000
 
 
 class _RatText(dict):
-    """``format_rat(n / den)`` keyed on the numerator n, each rendered once."""
+    """The text ``str(Fraction(n, den))`` prints, keyed on the numerator n and
+    built from gcd(n, den) without a ``Fraction``, each rendered once."""
 
     def __init__(self, den: int) -> None:
         super().__init__()
@@ -371,8 +371,8 @@ class KvvTrace:
         text = _RatText(self.den)
         return {
             "multiplicities": list(self.multiplicities),
-            "delta0": [format_rat(x) for x in self.delta0],
-            "target": format_rat(self.target),
+            "delta0": list(map(str, self.delta0)),
+            "target": str(self.target),
             "steps": [
                 {
                     "j": j,
@@ -416,7 +416,7 @@ def kvv_schedule(
     if len(delta) != len(e):
         raise ValueError("delta0 and multiplicities must have equal length")
     if any(x < 0 or x >= 1 for x in delta):
-        shown = ", ".join(map(format_rat, delta))
+        shown = ", ".join(map(str, delta))
         raise ValueError(f"initial coefficients must lie in [0,1): [{shown}]")
     target = Fraction(lambda_target)
     if target < 0:
@@ -453,7 +453,7 @@ def kvv_schedule(
         heapq.heapreplace(heap, (n + period[i], i))
         raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
         if not all(0 <= x <= den for x in raised):
-            shown = ", ".join(format_rat(Fraction(x, den)) for x in raised)
+            shown = ", ".join(str(Fraction(x, den)) for x in raised)
             raise InvariantError(
                 f"coefficient left [0,1] at step {len(steps)}: [{shown}]"
             )

@@ -18,7 +18,7 @@ effective, hence ample.
 The discrepancies and the singularity classification are returned as the
 plain dicts the CLI prints, with exact ``Fraction`` values;
 :meth:`Contraction.residual_checks` re-checks the discrepancy solve on dense
-class vectors.
+classes.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ from math import lcm
 
 from .km_surface import KMSurface
 from .qlattice import (
-    ClassVector,
     NamedDivisor,
     Rat,
     _eliminate,
     class_of,
     curve_sort_key,
     floor_divisor,
-    format_rat,
     intersect,
     pair,
 )
@@ -72,7 +70,7 @@ class Contraction:
         return self.surface.registry
 
     @cached_property
-    def contracted_classes(self) -> tuple[ClassVector, ...]:
+    def contracted_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.registry.class_vector(n) for n in self.contracted)
 
     @cached_property
@@ -155,10 +153,11 @@ class Contraction:
         )
 
     def pushforward(self, D: NamedDivisor) -> NamedDivisor:
-        """Drop the contracted-curve terms."""
+        """Drop the contracted-curve terms; an unknown curve name raises."""
+        self.registry.check_names(D.nums.keys())
         return D.drop(self.contracted)
 
-    def pullback_class(self, D: NamedDivisor) -> ClassVector:
+    def pullback_class(self, D: NamedDivisor) -> tuple[Rat, ...]:
         return class_of(self.registry, self.pullback(D))
 
     def target_intersect(self, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
@@ -212,12 +211,12 @@ class Contraction:
 
     def residual_checks(self) -> bool:
         """(K_source - sum a_C C) . C' == 0 for every contracted C', exactly,
-        on dense class vectors: the check of the discrepancy solve."""
+        on dense classes: the check of the discrepancy solve."""
         correction = class_of(
             self.registry,
             NamedDivisor.of({n: -a for n, a in self.relative_canonical().items()}),
         )
-        relative = self.lattice.canonical + correction
+        relative = tuple(k + c for k, c in zip(self.lattice.canonical, correction))
         return all(
             intersect(self.lattice, relative, c) == 0 for c in self.contracted_classes
         )
@@ -236,7 +235,7 @@ class Contraction:
         for name, c in boundary.entries:
             if c < 0 or c > 1:
                 raise ValueError(
-                    f"boundary coefficient of {name} outside [0,1]: {format_rat(c)}"
+                    f"boundary coefficient of {name} outside [0,1]: {c}"
                 )
         boundary_pull = self.pullback(boundary).terms
         table = {

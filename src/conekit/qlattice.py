@@ -10,29 +10,25 @@ fraction-exact Gauss-Jordan :func:`_eliminate`, with which
 :func:`gram_block` and ``Contraction.pullback_class`` remain for the benchmark
 tracer and the test oracles.  No floating point is used anywhere.
 
-Two distinct representations of a divisor coexist:
+There is one divisor class, :class:`NamedDivisor`: a finite formal sum of
+*named* irreducible curves, stored as integer numerators over one
+denominator, whose ``Fraction`` coefficients are derived only when read.
+Rounding (:func:`floor_divisor`, :func:`frac_divisor`: ``x // den`` and
+``x % den`` on the numerators) acts on it, because floors are
+basis-dependent and the geometry floors in the curve basis.
 
-* :class:`ClassVector` -- coordinates in a fixed lattice basis.  Intersection
-  numbers live here.
-* :class:`NamedDivisor` -- a finite formal sum of *named* irreducible curves,
-  stored as integer numerators over one denominator; its ``Fraction``
-  coefficients are derived only when read.  Rounding operations
-  (:func:`floor_divisor`, :func:`frac_divisor`: ``x // den`` and
-  ``x % den`` on the numerators) act on this representation only, because
-  floors are basis-dependent and the geometry floors in the curve basis.
-
-A :class:`CurveRegistry` links the two.  It stores each curve class once, as
-its nonzero integer coordinates (:func:`class_of` builds the class of a named
-divisor from them), and it holds the named pairing table: the nonzero C.C' of
-its curves plus a K.C column, as ints built once as a sparse product from
-those coordinates.  :func:`pair` and :func:`pair_canonical` read
-intersection numbers of named divisors from that table without building a
-class vector, summing the divisors' numerators into one ``Fraction`` per
-call; the dense route through :func:`class_of` and :func:`intersect`
-gives the same numbers.  Above this module the table is the one pairing
-route, and the dense one runs only as a check or a reference:
-``Contraction.residual_checks``, the two class identities of ``km_sanity``,
-the functions the benchmark tracer names, and the test oracles.
+A :class:`CurveRegistry` stores each curve class once, as its nonzero integer
+coordinates in the lattice basis, and holds the named pairing table: the
+nonzero C.C' of its curves plus a K.C column, as ints built once as a sparse
+product from those coordinates.  :func:`pair` and :func:`pair_canonical`
+read intersection numbers of named divisors from that table, summing the
+divisors' numerators into one ``Fraction`` per call.  That table is the one
+pairing route.  A dense class -- a plain tuple of coordinates in the basis,
+from ``CurveRegistry.class_vector`` or :func:`class_of` -- is built only for
+checks and output: ``Contraction.residual_checks``, the two class
+identities of ``km_sanity``, the ``km-surface`` table, the functions the
+benchmark tracer names, and the test oracles.  Paired by :func:`intersect`,
+it gives the same numbers as the table.
 """
 
 from __future__ import annotations
@@ -52,11 +48,6 @@ class InvariantError(Exception):
     ValueError, which every usage or precondition failure raises."""
 
 
-def format_rat(x: Rat) -> str:
-    """Serialize a rational as ``p/q`` (plain ``p`` when q == 1)."""
-    return str(Fraction(x))
-
-
 _NAME_SPLIT = re.compile(r"(\d+)")
 
 
@@ -67,52 +58,6 @@ def curve_sort_key(name: str) -> tuple:
     Sorts ``l_2`` before ``l_10``; purely lexicographic order would not.
     """
     return tuple(int(p) if p.isdigit() else p for p in _NAME_SPLIT.split(name))
-
-
-class ClassVector:
-    """A divisor class: rational coordinates in an ordered lattice basis."""
-
-    def __init__(self, coeffs: tuple[Rat, ...]) -> None:
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    @staticmethod
-    def of(values: Iterable) -> "ClassVector":
-        return ClassVector(tuple(Fraction(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        if len(self) != len(other):
-            raise ValueError(f"rank mismatch: {len(self)} vs {len(other)}")
-        return ClassVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ClassVector") -> "ClassVector":
-        return self + (-other)
-
-    def __neg__(self) -> "ClassVector":
-        return ClassVector(tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "ClassVector":
-        c = Fraction(c)
-        return ClassVector(tuple(c * a for a in self.coeffs))
-
-    def __rmul__(self, c) -> "ClassVector":
-        return self.scale(c)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(format_rat(a) for a in self.coeffs) + ")"
 
 
 class IntersectionLattice:
@@ -128,29 +73,28 @@ class IntersectionLattice:
         return len(self.basis_names)
 
     @cached_property
-    def canonical(self) -> ClassVector:
+    def canonical(self) -> tuple[int, ...]:
         """The canonical class K = -3H + sum_k E_k."""
-        return ClassVector((Fraction(-3),) + (Fraction(1),) * (self.rank - 1))
+        return (-3,) + (1,) * (self.rank - 1)
 
-    def check_rank(self, v: ClassVector) -> None:
+    def check_rank(self, v: Sequence) -> None:
         if len(v) != self.rank:
             raise ValueError(
                 f"vector has length {len(v)}, lattice rank is {self.rank}"
             )
 
 
-def intersect(lattice: IntersectionLattice, v: ClassVector, w: ClassVector) -> Rat:
-    """Intersection number v.w = v_0 w_0 - sum_{k>=1} v_k w_k, exact."""
+def intersect(lattice: IntersectionLattice, v: Sequence, w: Sequence) -> Rat:
+    """Intersection number v.w = v_0 w_0 - sum_{k>=1} v_k w_k of two dense
+    classes (int or ``Fraction`` coordinates), exact."""
     lattice.check_rank(v)
     lattice.check_rank(w)
-    exceptional = sum(
-        (a * b for a, b in zip(v.coeffs[1:], w.coeffs[1:]) if a and b), Fraction(0)
-    )
-    return v.coeffs[0] * w.coeffs[0] - exceptional
+    exceptional = sum((a * b for a, b in zip(v[1:], w[1:]) if a and b), Fraction(0))
+    return v[0] * w[0] - exceptional
 
 
 def gram_block(
-    lattice: IntersectionLattice, subset: Sequence[ClassVector]
+    lattice: IntersectionLattice, subset: Sequence[Sequence]
 ) -> list[list[Rat]]:
     return [[intersect(lattice, v, w) for w in subset] for v in subset]
 
@@ -208,7 +152,7 @@ def determinant(matrix: Sequence[Sequence[Rat]]) -> Rat:
 
 
 def is_negative_definite(
-    lattice: IntersectionLattice, subset: Sequence[ClassVector]
+    lattice: IntersectionLattice, subset: Sequence[Sequence]
 ) -> bool:
     """True iff the Gram pairing restricted to ``subset`` is negative definite.
 
@@ -226,7 +170,7 @@ def is_negative_definite(
     pivots, swaps = _eliminate(gram_block(lattice, subset), k)
     if swaps == 0 and len(pivots) == k and all(p < 0 for p in pivots):
         return True  # a nonsingular Gram block already proves independence
-    coords = [list(v.coeffs) for v in subset]
+    coords = [list(map(Fraction, v)) for v in subset]
     if len(_eliminate(coords, lattice.rank)[0]) < k:
         raise ValueError("subset is linearly dependent")
     return False
@@ -351,7 +295,7 @@ class NamedDivisor:
         for name, c in self.entries:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            body = name if mag == 1 else f"{format_rat(mag)}*{name}"
+            body = name if mag == 1 else f"{mag}*{name}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -384,19 +328,6 @@ class CurveRegistry:
     ) -> None:
         self.lattice = lattice
         self.coords = coords
-
-    @staticmethod
-    def of(
-        lattice: IntersectionLattice, entries: Mapping[str, ClassVector]
-    ) -> "CurveRegistry":
-        coords = {}
-        ordered = sorted(entries.items(), key=lambda item: curve_sort_key(item[0]))
-        for name, cls in ordered:
-            lattice.check_rank(cls)
-            if any(a.denominator != 1 for a in cls.coeffs):
-                raise ValueError(f"class of curve {name} is not integral: {cls}")
-            coords[name] = [(i, int(a)) for i, a in enumerate(cls.coeffs) if a]
-        return CurveRegistry(lattice, coords)
 
     @cached_property
     def _pairing_rows(self) -> dict[str, dict[str, int]]:
@@ -440,12 +371,12 @@ class CurveRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(self.coords)
 
-    def class_vector(self, name: str) -> ClassVector:
+    def class_vector(self, name: str) -> tuple[int, ...]:
         """The dense class of the named curve, built on request."""
         out = [0] * self.lattice.rank
         for i, a in self._lookup(self.coords, name):
             out[i] = a
-        return ClassVector(tuple(out))
+        return tuple(out)
 
     def pairing_row(self, name: str) -> dict[str, int]:
         """The nonzero C.C' of the named curve C, keyed by the name of C'."""
@@ -462,21 +393,21 @@ class CurveRegistry:
         return self._lookup(self._canonical_dots, name)
 
 
-def class_of(registry: CurveRegistry, D: NamedDivisor) -> ClassVector:
-    """The class of a named divisor: the matching combination of curve classes,
-    summed over each curve's stored nonzero coordinates."""
+def class_of(registry: CurveRegistry, D: NamedDivisor) -> tuple[Rat, ...]:
+    """The dense class of a named divisor: the matching combination of curve
+    classes, summed over each curve's stored nonzero coordinates."""
     out = [Fraction(0)] * registry.lattice.rank
     for name, coeff in D.entries:
         for i, a in registry._lookup(registry.coords, name):
             out[i] += coeff * a
-    return ClassVector(tuple(out))
+    return tuple(out)
 
 
 def pair(registry: CurveRegistry, D1: NamedDivisor, D2: NamedDivisor) -> Rat:
     """Intersection number D1.D2 read from the named pairing table, exact.
 
     Equal to ``intersect(lattice, class_of(registry, D1), class_of(registry,
-    D2))`` without building either class vector; an unknown curve name
+    D2))`` without building either dense class; an unknown curve name
     raises as in :func:`class_of`, D1's first.  The sum runs over both
     divisors' integer numerators and is divided by their denominators once.
     """

@@ -176,7 +176,11 @@ def test_kvv_schedule_over_the_step_budget_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "e, shown", [("1.5", "1.5"), ("x", "x"), ("1,2.5", "1,2.5"), ("0", "(0,)")]
+    "e, shown",
+    [
+        ("1.5", "1.5"), ("x", "x"), ("1,2.5", "1,2.5"), ("0", "(0,)"),
+        ("2,,3", "2,,3"), ("2,3,", "2,3,"),
+    ],
 )
 def test_kvv_schedule_bad_multiplicity_is_a_usage_error(capsys, e, shown):
     assert main(["kvv-schedule", "--e", e, "--target", "1"]) == 2
@@ -185,6 +189,15 @@ def test_kvv_schedule_bad_multiplicity_is_a_usage_error(capsys, e, shown):
     assert captured.err == f"error: multiplicities must be positive integers: {shown}\n"
     assert "invalid literal" not in captured.err
     assert "Fraction(" not in captured.err
+
+
+def test_kvv_schedule_empty_delta_item_is_a_usage_error(capsys):
+    # an empty item is a malformed rational, as "x" is, not a skipped one
+    argv = ["kvv-schedule", "--e", "2,3", "--delta", "1/2,,0", "--target", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Invalid literal for Fraction: ''\n"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from conekit.qlattice import (
     InvariantError,
     NamedDivisor,
     class_of,
-    format_rat,
     intersect,
 )
 
@@ -283,7 +282,7 @@ def test_ledger_pairings_match_dense_route(build):
         cls = reg.class_vector(name)
         assert model.surface.pairing(name, name) == intersect(lat, cls, cls)
     boundary = NamedDivisor.of({n: Fraction(m - 1, m) for n, m in model.mc.items()})
-    adjoint = lat.canonical + class_of(reg, boundary)
+    adjoint = tuple(k + b for k, b in zip(lat.canonical, class_of(reg, boundary)))
     report = adjunction_consistency(model)
     assert len(report["checks"]) == 2 * model.d + len(psi.contracted)
     for check in report["checks"]:
@@ -477,15 +476,15 @@ def _stepwise_schedule(e, delta0, target):
 def _stepwise_json(e, delta0, target, steps):
     return {
         "multiplicities": list(e),
-        "delta0": [format_rat(Fraction(x)) for x in delta0],
-        "target": format_rat(target),
+        "delta0": [str(Fraction(x)) for x in delta0],
+        "target": str(target),
         "steps": [
             {
                 "j": j,
-                "mu": format_rat(mu),
+                "mu": str(mu),
                 "chosen": chosen,
-                "lambda": format_rat(lam),
-                "delta": [format_rat(x) for x in delta],
+                "lambda": str(lam),
+                "delta": [str(x) for x in delta],
             }
             for j, (mu, chosen, lam, delta) in enumerate(steps)
         ],

@@ -4,14 +4,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from test_qlattice import lattices_with_subsets
+from test_qlattice import lattices_with_subsets, registry_of, vec
 
 from conekit.cli import main as cli_main
 from conekit.contract import Contraction, km_psi
 from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupStep
 from conekit.qlattice import (
-    ClassVector,
-    CurveRegistry,
     IntersectionLattice,
     NamedDivisor,
     _eliminate,
@@ -140,10 +138,11 @@ def test_pullback_matches_dense_solve(case):
     "argv",
     [
         ["--pullback", "X_9"],
+        ["--pushforward", "X_9"],
         ["--target-intersect", "X_9", "E_1"],
         ["--target-intersect", "E_1", "X_9"],
     ],
-    ids=["pullback", "target-intersect", "target-intersect-second"],
+    ids=["pullback", "pushforward", "target-intersect", "target-intersect-second"],
 )
 def test_unknown_curve_name_at_the_cli(argv, capsys):
     assert cli_main(["contract", "--d", "5", *argv]) == 2
@@ -263,7 +262,7 @@ def _swap_block_surface():
     plane blown up once: elimination swaps rows, both pivots are then -1, yet
     the block is indefinite."""
     lat = IntersectionLattice(("H", "E_1"))
-    registry = CurveRegistry.of(lat, {"b0": ClassVector.of([1, -1]), "b1": ClassVector.of([0, -1])})
+    registry = registry_of(lat, {"b0": vec(1, -1), "b1": vec(0, -1)})
     return SimpleNamespace(lattice=lat, registry=registry)
 
 
@@ -335,7 +334,7 @@ def _check_block_inverse_against_dense(surface, names) -> str:
 @settings(max_examples=200)
 def test_block_inverse_matches_dense_oracle_on_random_lattices(case):
     lat, subset = case
-    registry = CurveRegistry.of(lat, {f"c_{i}": v for i, v in enumerate(subset)})
+    registry = registry_of(lat, {f"c_{i}": v for i, v in enumerate(subset)})
     surface = SimpleNamespace(registry=registry)
     event(_check_block_inverse_against_dense(surface, registry.names()))
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conekit.cli import _rat_json
 from conekit.cohom import FamilyDescriptor, family_divisor, target_context
 from conekit.contract import Contraction
 from conekit.km_surface import build_km_surface
 from conekit.qlattice import (
-    ClassVector,
     CurveRegistry,
     IntersectionLattice,
     NamedDivisor,
@@ -17,7 +17,6 @@ from conekit.qlattice import (
     curve_sort_key,
     determinant,
     floor_divisor,
-    format_rat,
     frac_divisor,
     gram_block,
     intersect,
@@ -32,8 +31,23 @@ S5 = build_km_surface(5)
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-def vec(*values) -> ClassVector:
-    return ClassVector.of(values)
+def vec(*values) -> tuple[Fraction, ...]:
+    """A dense class with ``Fraction`` coordinates."""
+    return tuple(map(Fraction, values))
+
+
+def registry_of(lattice, classes) -> CurveRegistry:
+    """A registry of the dense classes ``{name: tuple}``, which must be
+    integral and of the lattice's rank, stored as their nonzero coordinates."""
+    coords = {}
+    for name in sorted(classes, key=curve_sort_key):
+        cls = classes[name]
+        lattice.check_rank(cls)
+        if any(a.denominator != 1 for a in cls):
+            shown = ", ".join(map(str, cls))
+            raise ValueError(f"class of curve {name} is not integral: ({shown})")
+        coords[name] = [(i, int(a)) for i, a in enumerate(cls) if a]
+    return CurveRegistry(lattice, coords)
 
 
 def _blown_up_plane(rank: int) -> IntersectionLattice:
@@ -93,9 +107,11 @@ def test_intersect_rank_mismatch():
 @settings(max_examples=60)
 def test_intersect_symmetric_bilinear(a, b, c, scalar):
     lat = S5.lattice
-    u, v, w = ClassVector.of(a), ClassVector.of(b), ClassVector.of(c)
+    u, v, w = vec(*a), vec(*b), vec(*c)
     assert intersect(lat, u, v) == intersect(lat, v, u)
-    assert intersect(lat, u + w.scale(scalar), v) == intersect(lat, u, v) + scalar * intersect(lat, w, v)
+    u_plus_sw = tuple(x + scalar * y for x, y in zip(u, w))
+    expected = intersect(lat, u, v) + scalar * intersect(lat, w, v)
+    assert intersect(lat, u_plus_sw, v) == expected
 
 
 # --- elimination kernel: determinant and solve ------------------------------
@@ -193,7 +209,7 @@ def test_minus_one_curve_negative_definite():
 def test_dependent_subset_reported():
     gamma = S5.registry.class_vector("Gamma")
     with pytest.raises(ValueError, match=r"^subset is linearly dependent$"):
-        is_negative_definite(S5.lattice, [gamma, gamma.scale(2)])
+        is_negative_definite(S5.lattice, [gamma, tuple(2 * a for a in gamma)])
 
 
 @given(st.lists(st.sampled_from(S5.exceptional_names()), min_size=1, max_size=6, unique=True))
@@ -215,7 +231,7 @@ def lattices_with_subsets(draw):
     h = st.sampled_from([0, 0, 0, 1, -1, 2])
     ints = st.lists(st.integers(min_value=-2, max_value=2), min_size=n - 1, max_size=n - 1)
     k = draw(st.integers(min_value=1, max_value=n))
-    subset = [ClassVector.of([draw(h)] + draw(ints)) for _ in range(k)]
+    subset = [vec(draw(h), *draw(ints)) for _ in range(k)]
     return _blown_up_plane(n), subset
 
 
@@ -224,7 +240,7 @@ def test_negative_definite_rejects_swap_with_negative_pivots():
     # -1, yet the block has determinant -1 and is indefinite
     # block of H - E_1 and -E_1 on the plane blown up once
     lat = _blown_up_plane(2)
-    subset = [ClassVector.of([1, -1]), ClassVector.of([0, -1])]
+    subset = [vec(1, -1), vec(0, -1)]
     assert gram_block(lat, subset) == [[0, -1], [-1, -1]]
     assert not is_negative_definite(lat, subset)
     assert not _oracle_negative_definite(lat, subset)
@@ -236,7 +252,7 @@ def test_negative_definite_matches_ldl_oracle_on_random_lattices(case):
     lat, subset = case
     # v_1..v_k are independent iff their Euclidean Gram matrix is nonsingular
     euclid = [
-        [sum(x * y for x, y in zip(v.coeffs, w.coeffs)) for w in subset]
+        [sum(x * y for x, y in zip(v, w)) for w in subset]
         for v in subset
     ]
     if _laplace_det(euclid) == 0:
@@ -343,12 +359,12 @@ def test_singular_fibre_class():
 
 
 def test_empty_divisor_class_is_zero():
-    assert class_of(S5.registry, NamedDivisor.zero()).is_zero()
+    assert not any(class_of(S5.registry, NamedDivisor.zero()))
 
 
 def test_anticanonical_class():
     combo = class_of(S5.registry, NamedDivisor.of({"Gamma": 1, "F": 1}))
-    assert combo == -S5.canonical
+    assert combo == tuple(-k for k in S5.lattice.canonical)
 
 
 def test_unknown_curve_name():
@@ -370,10 +386,10 @@ def test_unknown_curve_name():
 def test_registry_refuses_a_non_integral_curve_class():
     # the pairing table and the K.C column hold ints
     lat = _blown_up_plane(2)
-    CurveRegistry.of(lat, {"c": ClassVector.of([1, -1])})
+    registry_of(lat, {"c": vec(1, -1)})
     message = r"^class of curve c is not integral: \(1/2, 0\)$"
     with pytest.raises(ValueError, match=message):
-        CurveRegistry.of(lat, {"b": ClassVector.of([1, 0]), "c": vec(Fraction(1, 2), 0)})
+        registry_of(lat, {"b": vec(1, 0), "c": vec(Fraction(1, 2), 0)})
 
 SURFACES = {d: build_km_surface(d) for d in (3, 5, 8)}
 
@@ -414,10 +430,10 @@ def random_class_divisor_pairs(draw, coeffs=(small_rats, small_rats)):
     n = draw(st.integers(min_value=1, max_value=5))
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
     k = draw(st.integers(min_value=1, max_value=6))
-    reg = CurveRegistry.of(
+    reg = registry_of(
         _blown_up_plane(n),
         {
-            f"c_{i}": ClassVector.of(draw(st.lists(entries, min_size=n, max_size=n)))
+            f"c_{i}": vec(*draw(st.lists(entries, min_size=n, max_size=n)))
             for i in range(k)
         },
     )
@@ -439,9 +455,9 @@ def test_class_of_is_the_scale_and_add_sum(case):
     reg, D, _ = case
     expected = [Fraction(0)] * reg.lattice.rank
     for name, c in D.entries:
-        scaled = [c * a for a in reg.class_vector(name).coeffs]
+        scaled = [c * a for a in reg.class_vector(name)]
         expected = [x + y for x, y in zip(expected, scaled)]
-    assert class_of(reg, D) == ClassVector(tuple(expected))
+    assert class_of(reg, D) == tuple(expected)
 
 
 @given(km_divisor_pairs())
@@ -566,8 +582,8 @@ def test_numerator_route_matches_fraction_oracle_on_random_lattices(case, data):
     lat, subset = case
     classes = {f"c_{i}": v for i, v in enumerate(subset)}
     for k in range(lat.rank):
-        classes[f"b_{k}"] = ClassVector.of([int(i == k) for i in range(lat.rank)])
-    reg = CurveRegistry.of(lat, classes)
+        classes[f"b_{k}"] = vec(*[int(i == k) for i in range(lat.rank)])
+    reg = registry_of(lat, classes)
     try:
         psi = Contraction(_Surface(reg), tuple(f"c_{i}" for i in range(len(subset))))
         event("contracted")
@@ -594,15 +610,15 @@ def test_numerator_route_matches_fraction_oracle_on_family_divisors(d):
                     _check_numerator_route(psi, A.scale(n) + minus_e)
 
 
-# --- serialization -----------------------------------------------------------
+# --- serialization: the CLI's hook for every printed Fraction ---------------
 
 
 @given(small_rats)
 def test_rat_round_trip(x):
-    assert Fraction(format_rat(x)) == x
+    assert Fraction(_rat_json(x)) == x
 
 
 def test_rat_format():
-    assert format_rat(Fraction(1, 2)) == "1/2"
-    assert format_rat(Fraction(-6, 4)) == "-3/2"
-    assert format_rat(Fraction(3)) == "3"
+    assert _rat_json(Fraction(1, 2)) == "1/2"
+    assert _rat_json(Fraction(-6, 4)) == "-3/2"
+    assert _rat_json(Fraction(3)) == "3"

@@ -34,20 +34,34 @@ def definitions(module: str, tree: ast.Module) -> list[tuple[str, str]]:
 def unused_api(sources: dict[str, str]) -> list[str]:
     """Qualified names of the definitions in ``sources`` ({module: source})
     that no source names as a variable or an attribute (dunders aside: Python
-    calls them)."""
+    calls them).  An attribute read through a class of ``sources``, ``C.name``,
+    names only the ``name`` defined in C; any other attribute or variable
+    names every definition so called."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    named = set()
+    classes = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    named, owned = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                owner = node.value
+                if isinstance(owner, ast.Name) and owner.id in classes:
+                    owned.add(f"{owner.id}.{node.attr}")
+                else:
+                    named.add(node.attr)
     return [
         qualname
         for module, tree in trees.items()
         for qualname, name in definitions(module, tree)
-        if name not in named and not (name.startswith("__") and name.endswith("__"))
+        if name not in named
+        and ".".join(qualname.split(".")[-2:]) not in owned
+        and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
@@ -74,6 +88,19 @@ def test_checker_sees_an_unused_function():
         "    return A().run()\n"
     )
     assert unused_api({"m": source}) == ["m.orphan"]
+    # B.of is read through its class; A.of, which shares the name, is unused
+    # until an attribute read through anything but a class names it
+    source = (
+        "class A:\n"
+        "    def of(self):\n"
+        "        return 1\n"
+        "class B:\n"
+        "    def of(self):\n"
+        "        return A\n"
+        "B.of(None)\n"
+    )
+    assert unused_api({"m": source}) == ["m.A.of"]
+    assert unused_api({"m": source + "B().of()\n"}) == []
 
 
 def test_no_unused_api():
