@@ -222,6 +222,8 @@ def cmd_km_surface(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    if args.boundary is not None and not args.classify:
+        raise ValueError("--boundary needs --classify")
     psi = target_context(args.d)
     results: dict = {}
     if args.pullback is not None:

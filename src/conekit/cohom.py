@@ -71,8 +71,9 @@ class CohStatus:
         return self.kind == "exact"
 
     @property
-    def is_exact_zero(self) -> bool:
-        return self.kind == "exact" and self.value == 0
+    def is_exact_zero(self) -> bool | None:
+        """True for an exact 0, False for a certified nonzero, None if unknown."""
+        return None if self.kind == "unknown" else self.value == 0
 
     def __str__(self) -> str:
         if self.kind == "exact":
@@ -397,23 +398,15 @@ def cohomology_of_nA(
                 report.chi,
                 report.certificates + ("subtract:absorbed-into-negative-block",),
             )
-        return CohomReport(
-            h0=CohStatus.unknown(),
-            h1=CohStatus.unknown(),
-            h2=CohStatus.unknown(),
-            chi=chi,
-            certificates=tuple(certs + ["coverage:subtracted-curve-not-fresh"]),
-        )
+        unknown = CohStatus.unknown()
+        certs.append("coverage:subtracted-curve-not-fresh")
+        return CohomReport(unknown, unknown, unknown, chi, tuple(certs))
 
     # n >= 2
     if fam.q1 <= fam.q2:
-        return CohomReport(
-            h0=CohStatus.unknown(),
-            h1=CohStatus.unknown(),
-            h2=CohStatus.unknown(),
-            chi=chi,
-            certificates=tuple(certs + ["coverage:family-not-ample"]),
-        )
+        unknown = CohStatus.unknown()
+        certs.append("coverage:family-not-ample")
+        return CohomReport(unknown, unknown, unknown, chi, tuple(certs))
 
     h1 = CohStatus.unknown()
     shifted = divisor + _minus_k_as_e(fam.d)  # divisor - K, with -K ~ 2 E_d
@@ -447,10 +440,11 @@ def cohomology_of_nA(
 
 def uniform_h1_chain_zero(
     fam: FamilyDescriptor, at_two: CohomReport
-) -> tuple[bool, tuple[str, ...]]:
+) -> tuple[bool | None, tuple[str, ...]]:
     """``(holds, tokens)``: one certificate covering h1(nA) = 0 for all
     n >= 2, given the report ``at_two = cohomology_of_nA(fam, 2)`` the caller
-    already holds; the verifier that prints it names the claim.
+    already holds; the verifier that prints it names the claim.  ``holds``
+    is True when certified and None (unknown) otherwise, never False.
 
     Validity rests on a finite check plus monotonicity: feasibility of the
     pair-shift rewrite depends on the coefficient sum (strictly increasing in
@@ -458,11 +452,11 @@ def uniform_h1_chain_zero(
     in n), so checking one even and one odd n certifies the whole tail.
     """
     if fam.q1 <= fam.q2:
-        return False, ("coverage:family-not-ample",)
+        return None, ("coverage:family-not-ample",)
     for n in (2, 3):  # one even and one odd case; the sum grows with n
         report = at_two if n == 2 else cohomology_of_nA(fam, n)
         if not report.h1.is_exact_zero:
-            return False, (f"coverage:gap-at-n={n}",)
+            return None, (f"coverage:gap-at-n={n}",)
     return True, (
         "rewrite:pair-shifts",
         "h1:vanishing-effective-nef-big",
@@ -472,17 +466,18 @@ def uniform_h1_chain_zero(
 
 def uniform_h2_chain_zero(
     fam: FamilyDescriptor, at_zero: CohomReport
-) -> tuple[bool, tuple[str, ...]]:
+) -> tuple[bool | None, tuple[str, ...]]:
     """``(holds, tokens)``: one certificate covering h2(nA - E) = 0 for all
     n >= 0, given the report ``at_zero = cohomology_of_nA(fam, 0,
-    subtract=j)`` the caller already holds, E = E_j.
+    subtract=j)`` the caller already holds, E = E_j; ``holds`` is True or
+    None, as for :func:`uniform_h1_chain_zero`.
 
     The Serre dual K - nA + E has degree strictly decreasing in n (the family
     divisor has positive degree), so the negative degree that certifies
     h2(-E) = 0 at n = 0 certifies every larger n.
     """
     if target_context(fam.d).degree(family_divisor(fam)) <= 0:
-        return False, ("coverage:family-not-ample",)
+        return None, ("coverage:family-not-ample",)
     if at_zero.h2.is_exact_zero:
         return True, ("h2:duality+negative-degree", "uniform:degree-strictly-decreasing")
-    return False, ("coverage:degree-not-negative",)
+    return None, ("coverage:degree-not-negative",)

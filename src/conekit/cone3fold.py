@@ -411,7 +411,8 @@ def kvv_schedule(
     """
     e = tuple(multiplicities)
     if not e or not all(isinstance(x, int) and x >= 1 for x in e):
-        raise ValueError(f"multiplicities must be positive integers: {e}")
+        shown = ", ".join(map(str, e))
+        raise ValueError(f"multiplicities must be positive integers: [{shown}]")
     delta = tuple(Fraction(x) for x in delta0)
     if len(delta) != len(e):
         raise ValueError("delta0 and multiplicities must have equal length")

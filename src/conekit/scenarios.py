@@ -6,9 +6,11 @@ certificates, verdict}``.  Every numerical claim is a certificate dict
 provenance marker (``derived:*`` for numbers computed here, ``cited:*`` for
 the few facts consumed as external citations rather than recomputed).
 Every certificate is built by :func:`_certify`, the one place a value is
-rendered to text.  The verdict is computed inline from the values just
-certified, as a pure boolean combination: if any entry it needs is Unknown,
-the verdict is None, never guessed.
+rendered to text.  Each derived claim and each verdict is one expression over
+values already certified, evaluated by :func:`all_of` (Kleene's strong AND),
+:func:`given` and :func:`lifted`, with None for unknown: a conjunction is
+false if any conjunct is false, otherwise unknown if any is, and a guarded
+claim is unknown until its premises are certified.
 
 :func:`sweep_kvv` returns ``{scenario, params, rows}``, one row dict per
 (d, q1, q2); its row count is known in closed form, and its work (rows
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import eq, gt
 
 from .cohom import (
     FamilyDescriptor,
@@ -32,6 +35,24 @@ from .cohom import (
 )
 from .cone3fold import ConeModel, picard_chain, plt_coefficient_b
 from .km_surface import MAX_D, MIN_D
+
+
+def all_of(*values: bool | None) -> bool | None:
+    """Kleene's strong AND: False if any value is False, otherwise None
+    (unknown) if any is None, otherwise True."""
+    if any(v is False for v in values):
+        return False
+    return None if None in values else True
+
+
+def given(premise: bool | None, value):
+    """``value`` where ``premise`` is certified True, otherwise None (unknown)."""
+    return value if premise is True else None
+
+
+def lifted(test, *args):
+    """``test(*args)``, or None (unknown) if any argument is None."""
+    return None if None in args else test(*args)
 
 
 def _certify(
@@ -70,13 +91,13 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
 
     Pipeline: ampleness and the unit-fraction assumption for the polarization
     sum E_1..E_q - E_{q+1}; the h1(nA) chain (exact at n = 0, 1, 2, one
-    uniform certificate for the tail); h1(A - E_{q+2}) > 0 and the h2 chain
-    of the twisted sequence; the cone boundary coefficient b.  The verdict
-    combines the chain exactly as the direct-image argument does: the
-    structure sheaf has vanishing first direct image while its twist by the
-    distinguished divisor does not, so the restriction map cannot surject.
-    The verdict also needs the pair to be plt and b to equal its closed form
-    (q-2)/(q-1); it is None while non-normality is unknown.
+    uniform certificate for the tail); the chain twisted by -E_j, j = q+2;
+    the cone boundary coefficient b.  By the direct-image argument,
+    non-normality is R1g(O_Y) = 0 (every h1(nA) = 0) AND R1g(O_Y(-E^Y)) != 0
+    (h1(A - E_j) > 0, given h0(-E_j) = 0 and every h2(nA - E_j) = 0); the
+    verdict is non-normality AND plt AND b = (q-2)/(q-1).  A conjunction is
+    false if any conjunct is false, otherwise unknown if any is, and a
+    guarded claim is unknown until its premises are certified.
     """
     if q < 2:
         raise ValueError(f"q>=2: q = {q}")
@@ -107,9 +128,9 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
             ";".join(t for t in report.certificates if t.startswith("h1")),
             "derived:cohomology-rules",
         )
-    h1_tail_holds, h1_tail_tokens = uniform_h1_chain_zero(fam, h1_chain[2])
+    h1_tail, h1_tail_tokens = uniform_h1_chain_zero(fam, h1_chain[2])
     _certify(
-        certs, "h1(T,nA) for all n>=2", 0 if h1_tail_holds else None,
+        certs, "h1(T,nA) for all n>=2", given(h1_tail, 0),
         ";".join(h1_tail_tokens), "derived:cohomology-rules",
     )
 
@@ -130,21 +151,21 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
             certs, f"h2(T,{n}A-E_{j})", report.h2,
             "duality+negative-degree", "derived:cohomology-rules",
         )
-    h2_tail_holds, h2_tail_tokens = uniform_h2_chain_zero(fam, h0_minus_e)
+    h2_tail, h2_tail_tokens = uniform_h2_chain_zero(fam, h0_minus_e)
     _certify(
-        certs, f"h2(T,nA-E_{j}) for all n>=0", 0 if h2_tail_holds else None,
+        certs, f"h2(T,nA-E_{j}) for all n>=0", given(h2_tail, 0),
         ";".join(h2_tail_tokens), "derived:cohomology-rules",
     )
 
     coeff = plt_coefficient_b(model, j)
     extension_coefficient = Fraction(q - 2, q - 1)
+    b_matches = coeff["b"] == extension_coefficient
     _certify(
         certs, "b", coeff["b"], "cone-boundary-coefficient", "derived:threefold-ledger"
     )
     _certify(
         certs, "B-coefficient", extension_coefficient,
-        "closed-form-(q-2)/(q-1)"
-        + ("" if coeff["b"] == extension_coefficient else ";MISMATCH"),
+        "closed-form-(q-2)/(q-1)" + ("" if b_matches else ";MISMATCH"),
         "derived:threefold-ledger",
     )
 
@@ -160,43 +181,26 @@ def verify_plt_nonnormal(d: int, q: int) -> dict:
 
     _certify_picard_chain(model, certs)
 
-    # verdict logic over certified entries
-    h1_all_zero: bool | None = True
-    for report in h1_chain:
-        if not report.h1.is_exact:
-            h1_all_zero = None
-            break
-        if report.h1.value != 0:
-            h1_all_zero = False
-    if h1_all_zero is True and not h1_tail_holds:
-        h1_all_zero = None
+    structure_vanishes = all_of(*(r.h1.is_exact_zero for r in h1_chain), h1_tail)
     _certify(
-        certs, "R1g(O_Y)=0", h1_all_zero,
+        certs, "R1g(O_Y)=0", structure_vanishes,
         "cokernel-chain", "cited:tail-by-serre-vanishing",
     )
-
-    twisted_nonzero: bool | None = None
-    h2_tail_zero = h2_tail_holds and h2_chain[2].h2.is_exact_zero
-    if h0_minus_e.h0.is_exact_zero and h1_a_minus_e.h1.is_exact and h2_tail_zero:
-        twisted_nonzero = h1_a_minus_e.h1.value > 0
+    twist_survives = given(
+        all_of(h0_minus_e.h0.is_exact_zero, h2_chain[2].h2.is_exact_zero, h2_tail),
+        lifted(gt, h1_a_minus_e.h1.value, 0),
+    )
     _certify(
-        certs, "R1g(O_Y(-E^Y))!=0", twisted_nonzero,
+        certs, "R1g(O_Y(-E^Y))!=0", twist_survives,
         "cokernel-chain", "cited:tail-by-serre-vanishing",
     )
-
-    non_normal: bool | None
-    if h1_all_zero is None or twisted_nonzero is None:
-        non_normal = None
-    else:
-        non_normal = h1_all_zero and twisted_nonzero
+    non_normal = all_of(structure_vanishes, twist_survives)
     _certify(
         certs, "non_normal(E^Z)", non_normal,
         "restriction-map-not-surjective", "derived:verdict-logic",
     )
 
-    verdict = None
-    if non_normal is not None:
-        verdict = non_normal and coeff["plt"] and coeff["b"] == extension_coefficient
+    verdict = all_of(non_normal, coeff["plt"], b_matches)
     return {
         "scenario": "plt-nonnormal",
         "params": {"d": d, "q": q},
@@ -211,39 +215,34 @@ def verify_bad_fano(q: int) -> dict:
     The polarization is sum E_1..E_{3q} - sum E_{3q+1}..E_{4q}; its first
     cohomology is q-1 and all higher twists vanish, so the cone's h2 of the
     structure sheaf equals q-1 and the cone fails to be Cohen-Macaulay
-    exactly when q >= 2.  The verdict checks both; it is None while h2 is
-    unknown.
+    exactly when q >= 2.  h2 is h1(A), given the h1 tail; the verdict is the
+    AND of both comparisons, each unknown while h2 is: false if either is
+    false, otherwise unknown if either is.
     """
     if q < 1:
         raise ValueError(f"q>=1: q = {q}")
     d = 4 * q + 2
-    psi = target_context(d)
     fam = FamilyDescriptor(d, 3 * q, q)
-    a = family_divisor(fam)
     certs: list[dict] = []
 
-    model = ConeModel.build(psi, a)
+    model = ConeModel.build(target_context(d), family_divisor(fam))
     _certify_m_table(model, certs)
 
     h1_a = km_family_cohomology(fam)
     _certify(
         certs, "h1(T,A)", h1_a.h1, "rank-one-family-table", "derived:cohomology-rules"
     )
-    h1_tail_holds, h1_tail_tokens = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
+    h1_tail, h1_tail_tokens = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
     _certify(
-        certs, "h1(T,nA) for all n>=2", 0 if h1_tail_holds else None,
+        certs, "h1(T,nA) for all n>=2", given(h1_tail, 0),
         ";".join(h1_tail_tokens), "derived:cohomology-rules",
     )
-
-    h2_z: int | None = None
-    if h1_a.h1.is_exact and h1_tail_holds:
-        h2_z = h1_a.h1.value
+    h2_z = given(h1_tail, h1_a.h1.value)
     _certify(
         certs, "h2(Z,O_Z)", h2_z,
         "cokernel-chain:sum-of-twists", "cited:tail-by-serre-vanishing",
     )
-
-    not_cm: bool | None = None if h2_z is None else h2_z > 0
+    not_cm = lifted(gt, h2_z, 0)
     _certify(
         certs, "not-cohen-macaulay(Z)", not_cm,
         "nonzero-intermediate-cohomology", "derived:verdict-logic",
@@ -255,7 +254,7 @@ def verify_bad_fano(q: int) -> dict:
         "rank-one-and-big-anticanonical", "cited:cone-anticanonical-fact",
     )
 
-    verdict = None if h2_z is None else h2_z == q - 1 and not_cm == (q >= 2)
+    verdict = all_of(lifted(eq, h2_z, q - 1), lifted(eq, not_cm, q >= 2))
     return {
         "scenario": "fano-intermediate-cohomology",
         "params": {"q": q, "d": d},

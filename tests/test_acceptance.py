@@ -33,7 +33,7 @@ from conekit.cone3fold import (
     section_numbers,
 )
 from conekit.contract import km_psi
-from conekit.km_surface import build_km_surface
+from conekit.km_surface import MAX_D, build_km_surface
 from conekit.scenarios import verify_bad_fano, verify_plt_nonnormal
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -113,13 +113,17 @@ def test_criterion_03_plt_counterexample_d5_q3():
 
 
 def test_criterion_04_fano_family():
-    ok = True
-    for q in range(1, 6):
-        values = {c["claim"]: c["value"] for c in verify_bad_fano(q)["certificates"]}
+    # every q whose d = 4q+2 the tool admits
+    q_max = (MAX_D - 2) // 4
+    ok = q_max == 49
+    for q in range(1, q_max + 1):
+        fano = verify_bad_fano(q)
+        values = {c["claim"]: c["value"] for c in fano["certificates"]}
         ok &= values["h2(Z,O_Z)"] == str(q - 1)
         ok &= values["not-cohen-macaulay(Z)"] == ("true" if q >= 2 else "false")
         ok &= values["m(Gamma)"] == "4"
-    report(4, "Fano family q=1..5: h2 = q-1, CM flag, m(Gamma) = 4", ok)
+        ok &= fano["verdict"] is True
+    report(4, f"Fano family q=1..{q_max}: h2 = q-1, CM flag, m(Gamma) = 4, verdict", ok)
 
 
 def _ledger_models(d_max: int):

@@ -178,8 +178,8 @@ def test_kvv_schedule_over_the_step_budget_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "e, shown",
     [
-        ("1.5", "1.5"), ("x", "x"), ("1,2.5", "1,2.5"), ("0", "(0,)"),
-        ("2,,3", "2,,3"), ("2,3,", "2,3,"),
+        ("1.5", "1.5"), ("x", "x"), ("1,2.5", "1,2.5"), ("0", "[0]"),
+        ("2,,3", "2,,3"), ("2,3,", "2,3,"), ("2,0", "[2, 0]"), ("", "[]"),
     ],
 )
 def test_kvv_schedule_bad_multiplicity_is_a_usage_error(capsys, e, shown):
@@ -198,6 +198,15 @@ def test_kvv_schedule_empty_delta_item_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Invalid literal for Fraction: ''\n"
+
+
+@pytest.mark.parametrize("boundary", ["E_1+E_2", "garbage**"])
+def test_contract_boundary_without_classify_is_a_usage_error(capsys, boundary):
+    # --boundary only qualifies --classify; alone it was silently ignored
+    assert main(["contract", "--d", "5", "--boundary", boundary]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --boundary needs --classify\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conekit.cohom import (
+    CohomReport,
     CohStatus,
     FamilyDescriptor,
     chi_rr,
@@ -287,16 +288,36 @@ def test_certified_entries_always_carry_tokens():
 
 def test_uniform_h1_certificate_holds_for_plt_family():
     holds, tokens = uniform_h1_chain_zero(FAM531, cohomology_of_nA(FAM531, 2))
-    assert holds
+    assert holds is True
     assert any(t.startswith("uniform") for t in tokens)
 
 
 def test_uniform_h1_refuses_non_ample_family():
     fam = FamilyDescriptor(5, 2, 2)
     holds, _ = uniform_h1_chain_zero(fam, cohomology_of_nA(fam, 2))
-    assert not holds
+    assert holds is None
 
 
 def test_uniform_h2_certificate_holds_from_zero():
     holds, _ = uniform_h2_chain_zero(FAM531, cohomology_of_nA(FAM531, 0, subtract=5))
-    assert holds
+    assert holds is True
+
+
+def test_uniform_h2_certificate_is_unknown_without_negative_degree():
+    # a certificate that does not hold is unknown (None), never False
+    at_zero = cohomology_of_nA(FAM531, 0, subtract=5)
+    unknown_h2 = CohomReport(
+        at_zero.h0, at_zero.h1, CohStatus.unknown(), at_zero.chi, at_zero.certificates
+    )
+    assert uniform_h2_chain_zero(FAM531, unknown_h2) == (
+        None, ("coverage:degree-not-negative",)
+    )
+
+
+def test_is_exact_zero_is_three_valued():
+    # a certified nonzero entry (exact or a lower bound) is False, and an
+    # unknown one None, so no caller reads "not certified" as "nonzero"
+    assert CohStatus.zero().is_exact_zero is True
+    assert CohStatus.exact(2).is_exact_zero is False
+    assert CohStatus.at_least_one().is_exact_zero is False
+    assert CohStatus.unknown().is_exact_zero is None

@@ -379,16 +379,17 @@ def test_schedule_is_deterministic():
 
 
 def test_schedule_rejects_bad_inputs():
-    with pytest.raises(ValueError, match=r"^multiplicities must be positive integers: \(0,\)$"):
+    with pytest.raises(ValueError, match=r"^multiplicities must be positive integers: \[0\]$"):
         kvv_schedule([0], [0], 1)
     with pytest.raises(ValueError, match=r"^initial coefficients must lie in \[0,1\): \[1\]$"):
         kvv_schedule([1], [1], 1)
     with pytest.raises(ValueError, match=r"^delta0 and multiplicities must have equal length$"):
         kvv_schedule([1, 2], [0], 1)
     # a non-integral multiplicity is refused, not truncated to an integer
-    for e in ([Fraction(3, 2)], [1.5], [2, Fraction(7, 3)]):
-        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+    for e, shown in (([Fraction(3, 2)], "3/2"), ([1.5], "1.5"), ([2, Fraction(7, 3)], "2, 7/3")):
+        with pytest.raises(ValueError) as err:
             kvv_schedule(e, [0] * len(e), 1)
+        assert str(err.value) == f"multiplicities must be positive integers: [{shown}]"
 
 
 def test_schedule_invariant_failure_renders_rationals(monkeypatch):

@@ -65,8 +65,10 @@ def test_plt_b_equals_closed_form_everywhere():
         assert values["b"] == str(Fraction(q - 2, q - 1)) == values["B-coefficient"]
 
 
-def test_plt_verdict_true_on_all_valid_parameters_up_to_20():
-    for d, q in valid_plt_parameters(20):
+def test_plt_verdict_true_on_all_valid_parameters_up_to_100():
+    parameters = list(valid_plt_parameters(100))
+    assert len(parameters) == 537
+    for d, q in parameters:
         report = verify_plt_nonnormal(d, q)
         assert _values(report)["non_normal(E^Z)"] == "true", (d, q)
         assert report["verdict"] is True, (d, q)
@@ -98,12 +100,13 @@ def test_plt_verdict_includes_boundary_checks(monkeypatch, wrong):
 
 
 def _tail_fails(monkeypatch, name):
-    """Make the scenarios' uniform certificate `name` withdraw its tail claim."""
+    """Make the scenarios' uniform certificate `name` withdraw its tail claim:
+    a uniform tail is certified (True) or unknown (None), never False."""
     real = getattr(scenarios, name)
     monkeypatch.setattr(
         scenarios,
         name,
-        lambda *args, **kwargs: (False, real(*args, **kwargs)[1]),
+        lambda *args, **kwargs: (None, real(*args, **kwargs)[1]),
     )
 
 
@@ -137,38 +140,153 @@ def test_plt_unknown_when_h2_tail_fails(monkeypatch):
     assert report["verdict"] is None
 
 
-def _h1_chain_replaced(monkeypatch, h1_at):
-    """Replace h1 of the unsubtracted h1(nA) reports at the n in `h1_at`."""
-    real = scenarios.cohomology_of_nA
+# --- leaf flips ----------------------------------------------------------------
+#
+# Each case sets leaves of the verifiers' expressions to False or to None
+# (unknown), at the sources the verifiers read, and pins every derived claim,
+# the verdict and the exit code under Kleene's strong AND: a conjunction is
+# false if any conjunct is false, otherwise unknown if any is, and a guarded
+# claim is unknown until its premises are certified.
 
-    def patched(fam, n, subtract=None):
-        report = real(fam, n, subtract=subtract)
-        if subtract is None and n in h1_at:
+T, F, U, Z = "true", "false", "unknown", "0"
+
+
+def _entry(name, key, field, status):
+    """A patch: the `field` entry of the report that scenarios.`name` returns
+    for the arguments `key` (those after the family) becomes `status`."""
+
+    def apply(monkeypatch):
+        real = getattr(scenarios, name)
+
+        def patched(fam, *args, **kwargs):
+            report = real(fam, *args, **kwargs)
+            if (*args, *kwargs.values()) != key:
+                return report
+            entries = {"h0": report.h0, "h1": report.h1, "h2": report.h2, field: status}
             return CohomReport(
-                report.h0, h1_at[n], report.h2, report.chi, report.certificates
+                **entries, chi=report.chi, certificates=report.certificates
             )
-        return report
 
-    monkeypatch.setattr(scenarios, "cohomology_of_nA", patched)
+        monkeypatch.setattr(scenarios, name, patched)
 
-
-def test_plt_inexact_h1_entry_is_unknown_next_to_a_nonzero_one(monkeypatch):
-    _h1_chain_replaced(monkeypatch, {1: CohStatus.exact(1), 2: CohStatus.unknown()})
-    report = verify_plt_nonnormal(5, 3)
-    assert _values(report)["R1g(O_Y)=0"] == "unknown"
-    assert report["verdict"] is None
+    return apply
 
 
-def test_plt_nonzero_h1_entry_is_false_even_without_the_tail(monkeypatch):
-    _h1_chain_replaced(monkeypatch, {1: CohStatus.exact(1)})
-    _tail_fails(monkeypatch, "uniform_h1_chain_zero")
-    report = verify_plt_nonnormal(5, 3)
+def _zero(field, key, leaf):
+    """The leaf "entry = 0" of a cohomology_of_nA report set to `leaf`."""
+    status = CohStatus.exact(1) if leaf is False else CohStatus.unknown()
+    return _entry("cohomology_of_nA", key, field, status)
+
+
+def _positive(field, key, leaf):
+    """The leaf "entry > 0" of a cohomology_of_nA report set to `leaf`."""
+    status = CohStatus.zero() if leaf is False else CohStatus.unknown()
+    return _entry("cohomology_of_nA", key, field, status)
+
+
+def _tail(name):
+    return lambda monkeypatch: _tail_fails(monkeypatch, name)
+
+
+def _coefficient(**wrong):
+    def apply(monkeypatch):
+        real = scenarios.plt_coefficient_b
+        monkeypatch.setattr(
+            scenarios, "plt_coefficient_b", lambda model, i: {**real(model, i), **wrong}
+        )
+
+    return apply
+
+
+H1_TAIL, H2_TAIL = _tail("uniform_h1_chain_zero"), _tail("uniform_h2_chain_zero")
+
+# id: (patches, printed claims, verdict) at (d, q) = (5, 3), whose claims
+# all hold unpatched; the claims are the h1 and h2 tails, then the three
+# derived ones
+PLT_CLAIMS = (
+    "h1(T,nA) for all n>=2", "h2(T,nA-E_5) for all n>=0",
+    "R1g(O_Y)=0", "R1g(O_Y(-E^Y))!=0", "non_normal(E^Z)",
+)
+PLT_FLIPS = {
+    "h1-0A-false": ([_zero("h1", (0,), False)], (Z, Z, F, T, F), False),
+    "h1-0A-unknown": ([_zero("h1", (0,), None)], (Z, Z, U, T, U), None),
+    "h1-1A-false": ([_zero("h1", (1,), False)], (Z, Z, F, T, F), False),
+    "h1-1A-unknown": ([_zero("h1", (1,), None)], (Z, Z, U, T, U), None),
+    # h1(T,2A) also feeds the h1 tail, which is then unknown
+    "h1-2A-false": ([_zero("h1", (2,), False)], (U, Z, F, T, F), False),
+    "h1-2A-unknown": ([_zero("h1", (2,), None)], (U, Z, U, T, U), None),
+    "h1-tail-unknown": ([H1_TAIL], (U, Z, U, T, U), None),
+    # the premises of the guarded twist: unknown whether false or unknown
+    "h0-minus-E5-false": ([_zero("h0", (0, 5), False)], (Z, Z, T, U, U), None),
+    "h0-minus-E5-unknown": ([_zero("h0", (0, 5), None)], (Z, Z, T, U, U), None),
+    "h2-2A-E5-false": ([_zero("h2", (2, 5), False)], (Z, Z, T, U, U), None),
+    "h2-2A-E5-unknown": ([_zero("h2", (2, 5), None)], (Z, Z, T, U, U), None),
+    "h2-tail-unknown": ([H2_TAIL], (Z, U, T, U, U), None),
+    "h1-A-E5-false": ([_positive("h1", (1, 5), False)], (Z, Z, T, F, F), False),
+    "h1-A-E5-unknown": ([_positive("h1", (1, 5), None)], (Z, Z, T, U, U), None),
+    "plt-false": ([_coefficient(plt=False)], (Z, Z, T, T, T), False),
+    "plt-unknown": ([_coefficient(plt=None)], (Z, Z, T, T, T), None),
+    "b-off-closed-form": ([_coefficient(b=Fraction(1, 3))], (Z, Z, T, T, T), False),
+    # a false conjunct decides the conjunction next to an unknown one
+    "h1-1A-false-next-to-unknown-h1-2A": (
+        [_zero("h1", (1,), False), _zero("h1", (2,), None)], (U, Z, F, T, F), False
+    ),
+    "h1-1A-false-next-to-unknown-h1-tail": (
+        [_zero("h1", (1,), False), H1_TAIL], (U, Z, F, T, F), False
+    ),
+    "r1g-false-next-to-unknown-twist": (
+        [_zero("h1", (1,), False), H2_TAIL], (Z, U, F, U, F), False
+    ),
+    "non-normal-unknown-with-plt-false": (
+        [H1_TAIL, _coefficient(plt=False)], (U, Z, U, T, U), False
+    ),
+}
+
+
+@pytest.mark.parametrize("patches, claims, verdict", PLT_FLIPS.values(), ids=PLT_FLIPS)
+def test_plt_leaf_flip(monkeypatch, patches, claims, verdict):
+    for patch in patches:
+        patch(monkeypatch)
+    code, out = _verify_cli("plt", "--d", "5", "--q", "3")
+    report = json.loads(out)
     values = _values(report)
-    assert values["h1(T,1A)"] == "1"
-    assert values["h1(T,nA) for all n>=2"] == "unknown"
-    assert values["R1g(O_Y)=0"] == "false"
-    assert values["non_normal(E^Z)"] == "false"
-    assert report["verdict"] is False
+    assert tuple(values[claim] for claim in PLT_CLAIMS) == claims
+    assert report["verdict"] is verdict
+    assert verify_plt_nonnormal(5, 3)["verdict"] is verdict
+    assert code == (0 if verdict is True else 1)
+
+
+def _h1_of_a(value):
+    """The leaf h1(T,A) of the Fano verdict set to `value`."""
+    return _entry("km_family_cohomology", (), "h1", value)
+
+
+# id: (q, patches, printed claims, verdict); unpatched, h2 = q-1 and the
+# verdict is true
+FANO_CLAIMS = ("h1(T,nA) for all n>=2", "h2(Z,O_Z)", "not-cohen-macaulay(Z)")
+FANO_FLIPS = {
+    "h1-A-false": (2, [_h1_of_a(CohStatus.zero())], (Z, "0", F), False),
+    "h1-A-false-q1": (1, [_h1_of_a(CohStatus.exact(1))], (Z, "1", T), False),
+    "h1-A-unknown": (2, [_h1_of_a(CohStatus.unknown())], (Z, U, U), None),
+    "h1-tail-unknown": (2, [H1_TAIL], (U, U, U), None),
+    "h1-2A-false": (2, [_zero("h1", (2,), False)], (U, U, U), None),
+    "h1-2A-unknown": (2, [_zero("h1", (2,), None)], (U, U, U), None),
+}
+
+
+@pytest.mark.parametrize(
+    "q, patches, claims, verdict", FANO_FLIPS.values(), ids=FANO_FLIPS
+)
+def test_fano_leaf_flip(monkeypatch, q, patches, claims, verdict):
+    for patch in patches:
+        patch(monkeypatch)
+    code, out = _verify_cli("fano", "--q", str(q))
+    report = json.loads(out)
+    values = _values(report)
+    assert tuple(values[claim] for claim in FANO_CLAIMS) == claims
+    assert report["verdict"] is verdict
+    assert verify_bad_fano(q)["verdict"] is verdict
+    assert code == (0 if verdict is True else 1)
 
 
 def test_plt_h2_tail_reuses_the_n0_report(monkeypatch):
