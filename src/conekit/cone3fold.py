@@ -328,7 +328,8 @@ def picard_chain(model: ConeModel) -> dict[str, int]:
 
 
 # A schedule longer than this is refused before its first step: at this size
-# its JSON trace is already 125 to 180 MB (one to four multiplicities).
+# its JSON trace is already 125 to 180 MB (one to four multiplicities).  For
+# k > 4 multiplicities the limit is its 4/k share, as the trace grows with k.
 KVV_MAX_STEPS = 1_000_000
 
 
@@ -351,7 +352,8 @@ class KvvTrace:
     """A schedule: step j is ``steps[j] = (chosen, mu_num, lam_num,
     delta_num)``, the 1-based index whose coefficient reached one and the
     numerators over ``den`` (shared by every step) of mu, lambda and the
-    coefficients after the step."""
+    coefficients after the step.  Steps one period apart share their
+    coefficient tuple, and ``to_json_dict`` their ``delta`` list."""
 
     def __init__(
         self,
@@ -369,20 +371,21 @@ class KvvTrace:
 
     def to_json_dict(self) -> dict:
         text = _RatText(self.den)
+        lists: dict = {}  # one delta list per distinct coefficient tuple
+        steps = []
+        for j, (chosen, mu, lam, delta) in enumerate(self.steps):
+            shown = lists.get(delta)
+            if shown is None:
+                shown = lists[delta] = [text[x] for x in delta]
+            steps.append(
+                {"j": j, "mu": text[mu], "chosen": chosen, "lambda": text[lam],
+                 "delta": shown}
+            )
         return {
             "multiplicities": list(self.multiplicities),
             "delta0": list(map(str, self.delta0)),
             "target": str(self.target),
-            "steps": [
-                {
-                    "j": j,
-                    "mu": text[mu],
-                    "chosen": chosen,
-                    "lambda": text[lam],
-                    "delta": [text[x] for x in delta],
-                }
-                for j, (chosen, mu, lam, delta) in enumerate(self.steps)
-            ],
+            "steps": steps,
         }
 
 
@@ -406,8 +409,11 @@ def kvv_schedule(
     numerator delta_j*D + e_j*N - (times j has fired)*D.  The steps are those
     at lambda below the target and the first at or above it, so their number,
     1 + sum_i (ceil(target*e_i + delta_i) - 1) for a positive target, is
-    checked against ``KVV_MAX_STEPS`` before the first step, and (target + 1)
-    * D, above every printed numerator, against Python's int-to-str limit.
+    checked against ``KVV_MAX_STEPS`` (its 4/k share for k > 4 indices) before
+    the first step, and (target + 1) * D, above every printed numerator,
+    against Python's int-to-str limit.  Index i fires e_i times per unit of
+    lambda, so the heap runs for one period of sum(e) steps; the heap after it,
+    checked to be the first shifted by D, makes step j + sum(e) step j shifted.
     """
     e = tuple(multiplicities)
     if not e or not all(isinstance(x, int) and x >= 1 for x in e):
@@ -425,13 +431,14 @@ def kvv_schedule(
     count = 0
     if target:
         count = 1 + sum(ceil(target * ev + dv) - 1 for ev, dv in zip(e, delta))
-    if count > KVV_MAX_STEPS:
+    max_steps = KVV_MAX_STEPS * 4 // max(len(e), 4)
+    if count > max_steps:
         # a count past 64 bits is shown by its power of two, not in decimal,
         # which can be too long to print (Python's int-to-str digit limit)
         bits = count.bit_length()
         shown = count if bits <= 64 else f"at least 2^{bits - 1}"
         raise ValueError(
-            f"schedule needs {shown} steps, above the limit of {KVV_MAX_STEPS}"
+            f"schedule needs {shown} steps, above the limit of {max_steps}"
         )
 
     den = lcm(*(ev * dv.denominator for ev, dv in zip(e, delta)))
@@ -443,24 +450,36 @@ def kvv_schedule(
         )
     start = [dv.numerator * (den // dv.denominator) for dv in delta]
     period = [den // ev for ev in e]
-    heap = [((den - s) // ev, i) for i, (s, ev) in enumerate(zip(start, e))]
-    heapq.heapify(heap)
+    first = sorted(((den - s) // ev, i) for i, (s, ev) in enumerate(zip(start, e)))
+    heap = list(first)  # a sorted list is a heap
     stop = ceil(target * den)  # lambda < target  <=>  numerator < stop
+    cycle = sum(e)  # steps per unit of lambda: index i fires e_i times
     fired = [0] * len(e)
     steps: list[tuple[int, int, int, tuple[int, ...]]] = []
     lam = 0
     while lam < stop:
-        n, i = heap[0]
-        heapq.heapreplace(heap, (n + period[i], i))
-        raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
-        if not all(0 <= x <= den for x in raised):
-            shown = ", ".join(str(Fraction(x, den)) for x in raised)
-            raise InvariantError(
-                f"coefficient left [0,1] at step {len(steps)}: [{shown}]"
-            )
-        raised[i] -= den
-        fired[i] += 1
-        steps.append((i + 1, n - lam, n, tuple(raised)))
+        j = len(steps)
+        if j < cycle:
+            n, i = heap[0]
+            heapq.heapreplace(heap, (n + period[i], i))
+            raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
+            if not all(0 <= x <= den for x in raised):
+                shown = ", ".join(str(Fraction(x, den)) for x in raised)
+                raise InvariantError(
+                    f"coefficient left [0,1] at step {j}: [{shown}]"
+                )
+            raised[i] -= den
+            fired[i] += 1
+            step = (i + 1, n - lam, n, tuple(raised))
+            # the state after one period is the first one shifted by den, so
+            # every later step repeats a checked one, one unit of lambda on
+            if j + 1 == cycle and sorted(heap) != [(m + den, x) for m, x in first]:
+                raise InvariantError(f"schedule did not repeat after {cycle} steps")
+        else:
+            chosen, _, n, raised = steps[j - cycle]
+            n += den
+            step = (chosen, n - lam, n, raised)
+        steps.append(step)
         lam = n
     if len(steps) != count:
         raise InvariantError(

@@ -175,6 +175,23 @@ def test_kvv_schedule_over_the_step_budget_is_a_usage_error(capsys):
     )
 
 
+def test_kvv_schedule_step_budget_shrinks_with_many_multiplicities(monkeypatch, capsys):
+    def no_step(*args):
+        raise AssertionError("a step was built")
+
+    monkeypatch.setattr(cone3fold.heapq, "heapreplace", no_step)
+    # 1000 ones to target 1000: 1 + 1000 * 999 steps of 1000 coefficients
+    # each, admitted by the four-multiplicity limit but refused by its share
+    argv = ["kvv-schedule", "--e", ",".join(["1"] * 1000), "--target", "1000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = KVV_MAX_STEPS * 4 // 1000
+    assert captured.err == (
+        f"error: schedule needs 999001 steps, above the limit of {limit}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "e, shown",
     [

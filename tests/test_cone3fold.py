@@ -4,7 +4,7 @@ from math import ceil
 import pytest
 
 from conekit.cohom import FamilyDescriptor, family_divisor, target_context
-from conekit import cone3fold
+from conekit import cli, cone3fold
 from conekit.cone3fold import (
     KVV_MAX_STEPS,
     ConeModel,
@@ -394,18 +394,69 @@ def test_schedule_rejects_bad_inputs():
 
 def test_schedule_invariant_failure_renders_rationals(monkeypatch):
     # a heap that never advances fires index 2 again at the same lambda, so
-    # its coefficient drops below zero and the invariant check reports it
+    # its coefficient drops below zero within the first period (three steps)
+    # and the invariant check reports it
     monkeypatch.setattr(cone3fold.heapq, "heapreplace", lambda heap, item: heap[0])
     with pytest.raises(InvariantError, match=r"^coefficient left") as err:
-        kvv_schedule([1, 1], [0, Fraction(1, 2)], 2)
-    assert str(err.value) == "coefficient left [0,1] at step 2: [1/2, -1]"
+        kvv_schedule([1, 2], [0, Fraction(1, 2)], 2)
+    assert str(err.value) == "coefficient left [0,1] at step 2: [1/4, -1]"
+
+
+def test_schedule_period_certificate_catches_a_fault_inside_the_unit_interval(
+    monkeypatch, capsys
+):
+    # a heap that advances each index two units at a time keeps the two steps
+    # of the period inside [0,1], but the state after them is not the start
+    # shifted by one: the period certificate refuses to shift it
+    real = cone3fold.heapq.heapreplace
+    monkeypatch.setattr(
+        cone3fold.heapq,
+        "heapreplace",
+        lambda heap, item: real(heap, (2 * item[0] - heap[0][0], item[1])),
+    )
+    with pytest.raises(InvariantError) as err:
+        kvv_schedule([1, 1], [0, 0], 3)
+    assert str(err.value) == "schedule did not repeat after 2 steps"
+    assert cli.main(["kvv-schedule", "--e", "1,1", "--target", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal check failed: schedule did not repeat after 2 steps\n"
+    )
+
+
+KM_E, KM_DELTA = [9, 9, 12, 6], [Fraction(2, 5), Fraction(1, 3), Fraction(4, 5), Fraction(4, 5)]
+
+
+@pytest.mark.parametrize(
+    "e, delta0, target, calls",
+    [
+        ([1, 2], [0, 0], 3, 3),  # the golden request: 8 steps
+        (KM_E, KM_DELTA, 333, 36),  # 11,989 steps
+        (KM_E, KM_DELTA, Fraction(1, 4), 10),  # 10 steps
+    ],
+    ids=["golden", "multi-period", "part-period"],
+)
+def test_schedule_runs_the_heap_for_one_period_at_most(
+    monkeypatch, e, delta0, target, calls
+):
+    real = cone3fold.heapq.heapreplace
+    seen = []
+
+    def spy(heap, item):
+        seen.append(item)
+        return real(heap, item)
+
+    monkeypatch.setattr(cone3fold.heapq, "heapreplace", spy)
+    trace = kvv_schedule(e, delta0, target)
+    assert len(seen) == calls == min(sum(e), len(trace.steps))
 
 
 def test_schedule_refuses_an_over_budget_request_before_its_first_step(monkeypatch):
     def no_step(*args):
         raise AssertionError("a step was built")
 
-    # every step advances the heap once
+    # the first step advances the heap (the heap runs for one period)
     monkeypatch.setattr(cone3fold.heapq, "heapreplace", no_step)
     # e = (1,) and target T take 1 + (ceil(T) - 1) = T steps
     with pytest.raises(ValueError, match=r"^schedule needs ") as err:
@@ -519,10 +570,38 @@ def test_schedule_matches_stepwise_oracle(e, data):
     assert len(trace.steps) == _closed_form_count(e, delta0, target)
 
 
+@pytest.mark.parametrize(
+    "e, delta0, target, steps",
+    [
+        # 333 periods of 36 steps and one part period
+        (KM_E, KM_DELTA, 333, 11989),
+        # no period completes: 10 steps of a 36-step period
+        (KM_E, KM_DELTA, Fraction(1, 4), 10),
+        # every index fires at lambda = 1, 2, 3: the last three steps of each
+        # 11-step period are at one lambda (two with mu = 0), and step 33
+        # starts a fourth period at lambda 19/6
+        ([2, 3, 6], [0, 0, 0], Fraction(7, 2), 37),
+    ],
+    ids=["multi-period", "part-period", "ties-at-one"],
+)
+def test_schedule_matches_stepwise_oracle_across_periods(e, delta0, target, steps):
+    trace = kvv_schedule(e, delta0, target)
+    expected = _stepwise_schedule(e, delta0, target)
+    assert len(trace.steps) == len(expected) == steps
+    assert _steps(trace) == expected
+    payload = trace.to_json_dict()
+    assert payload == _stepwise_json(e, delta0, target, expected)
+    # a step one period on shares its coefficient tuple, and its payload
+    # shares the delta list
+    cycle = sum(e)
+    for j in range(cycle, len(trace.steps)):
+        assert trace.steps[j][3] is trace.steps[j - cycle][3]
+        assert payload["steps"][j]["delta"] is payload["steps"][j - cycle]["delta"]
+
+
 def test_schedule_step_count_is_the_closed_form():
     # the golden request: 1 + (ceil(3*1) - 1) + (ceil(3*2) - 1)
     assert len(kvv_schedule([1, 2], [0, 0], 3).steps) == 8
     assert len(kvv_schedule([1], [0], 0).steps) == 0
-    e, delta0 = [9, 9, 12, 6], [Fraction(2, 5), Fraction(1, 3), Fraction(4, 5), Fraction(4, 5)]
-    trace = kvv_schedule(e, delta0, 7)
-    assert len(trace.steps) == _closed_form_count(e, delta0, 7)
+    trace = kvv_schedule(KM_E, KM_DELTA, 7)
+    assert len(trace.steps) == _closed_form_count(KM_E, KM_DELTA, 7)
