@@ -14,9 +14,9 @@ file and a stdout that cannot be written among them, and 3 when an
 internal check fails (``qlattice.InvariantError``: two independent routes to
 one number disagree), with nothing printed on stdout.  All output is
 deterministic.  Every JSON text comes from one writer, ``_json``, which
-prints what ``json.dumps(indent=2)`` would, except that a Fraction is a
-p/q string and every other type outside JSON's, a float included, is
-refused with a TypeError rather than printed.
+prints what ``json.dumps(indent=2)`` would, a list one column at a time,
+except that a Fraction is a p/q string and every other type outside
+JSON's, a float or a str subclass included, is refused with a TypeError.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 
 from .cohom import FamilyDescriptor, cohomology_of_nA, family_divisor, target_context
 from .cone3fold import (
@@ -126,36 +127,26 @@ def _rat_json(value) -> str:
 
 def _json(value, newline: str = "\n") -> str:
     """The one JSON writer: the text ``json.dumps(value, indent=2)`` prints,
-    built by one recursion on ``type(value)`` instead of CPython's
-    pure-Python indenting encoder.  Strings and keys go through json's own C
-    escaper, which raises TypeError on anything but a str (so a list of
-    strings is escaped in one join, and any other list item by item); ints
-    go through ``int.__repr__``, so the int-to-str digit limit still raises
-    ValueError; every other type goes through ``_rat_json``: a Fraction
-    prints as ``p/q``, and a float, tuple, set or any other object is a
-    TypeError, as is a dict key that is not a str."""
+    built on the exact ``type`` of each value instead of by CPython's
+    pure-Python indenting encoder.  A str goes through json's own C escaper
+    and an int through ``repr`` (so the int-to-str digit limit still raises
+    ValueError); a dict is a one-row table and a list a column, both
+    rendered by ``_column``; every other type goes through ``_rat_json``: a
+    Fraction prints as ``p/q``, and a float, tuple, set, subclass of str or
+    any other object is a TypeError, as is a dict key that is not a str."""
     kind = type(value)
     if kind is str:
         return _escape(value)
     if kind is int:
-        return int.__repr__(value)
+        return repr(value)
     if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        body = ("," + inner).join(
-            [f"{_escape(key)}: {_json(item, inner)}" for key, item in value.items()]
-        )
-        return "{" + inner + body + newline + "}"
+        return _column([value], newline)[0]
     if kind is list:
         if not value:
             return "[]"
         inner = newline + "  "
-        try:
-            body = ("," + inner).join(map(_escape, value))
-        except TypeError:
-            body = ("," + inner).join([_json(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
+        # one f-string copies a multi-MB body once, where each "+" would copy it
+        return f"[{inner}{(',' + inner).join(_column(value, inner))}{newline}]"
     if value is True:
         return "true"
     if value is False:
@@ -163,6 +154,36 @@ def _json(value, newline: str = "\n") -> str:
     if value is None:
         return "null"
     return _escape(_rat_json(value))
+
+
+def _column(items: list, newline: str) -> list[str]:
+    """``[_json(item, newline) for item in items]``, one column at a time.
+
+    Items all of type str or all of type int are rendered by one C-level
+    ``map``.  Dicts that share one key tuple are a table: one ``%`` template
+    per table (each key escaped once, a ``%`` in it doubled) filled from the
+    rendered column of each key.  Anything else goes item by item through
+    ``_json``, each distinct object once (``items`` keeps every item alive,
+    so an ``id`` names one object throughout)."""
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return list(map(_escape, items))
+    if kinds == {int}:
+        return list(map(repr, items))
+    if kinds == {dict} and len(shapes := set(map(tuple, items))) == 1:
+        (keys,) = shapes
+        if not keys:
+            return ["{}"] * len(items)
+        if set(map(type, keys)) != {str}:
+            raise TypeError("dict keys must be str")
+        inner = newline + "  "
+        fields = ["%s: %%s" % _escape(key).replace("%", "%%") for key in keys]
+        template = "{" + inner + ("," + inner).join(fields) + newline + "}"
+        columns = [_column(list(map(itemgetter(key), items)), inner) for key in keys]
+        return list(map(template.__mod__, zip(*columns)))
+    distinct = dict(zip(map(id, items), items))
+    texts = {key: _json(item, newline) for key, item in distinct.items()}
+    return list(map(texts.__getitem__, map(id, items)))
 
 
 def _write(args, payload: dict, **views) -> None:

@@ -335,7 +335,8 @@ KVV_MAX_STEPS = 1_000_000
 
 class _RatText(dict):
     """The text ``str(Fraction(n, den))`` prints, keyed on the numerator n and
-    built from gcd(n, den) without a ``Fraction``, each rendered once."""
+    built from gcd(n, den) without a ``Fraction``, each rendered once: for
+    the few numerators a schedule repeats, its mu and delta values."""
 
     def __init__(self, den: int) -> None:
         super().__init__()
@@ -370,15 +371,22 @@ class KvvTrace:
         self.steps = steps
 
     def to_json_dict(self) -> dict:
-        text = _RatText(self.den)
+        """The printed payload: multiplicities, delta0, target and one dict
+        per step (j, mu, chosen, lambda, delta), rationals as ``p/q`` texts.
+        mu and delta texts come from one ``_RatText``; lambda, distinct at
+        every step, is built in place from its own gcd with den."""
+        den = self.den
+        text = _RatText(den)
         lists: dict = {}  # one delta list per distinct coefficient tuple
         steps = []
         for j, (chosen, mu, lam, delta) in enumerate(self.steps):
             shown = lists.get(delta)
             if shown is None:
                 shown = lists[delta] = [text[x] for x in delta]
+            g = gcd(lam, den)
             steps.append(
-                {"j": j, "mu": text[mu], "chosen": chosen, "lambda": text[lam],
+                {"j": j, "mu": text[mu], "chosen": chosen,
+                 "lambda": str(lam // g) if g == den else f"{lam // g}/{den // g}",
                  "delta": shown}
             )
         return {

@@ -307,6 +307,16 @@ def test_json_hook_renders_fractions_and_refuses_other_objects():
     # int-to-str digit limit: a usage error (exit 2), as for json.dumps
     with pytest.raises(ValueError):
         cli._json([10 ** (sys.get_int_max_str_digits() + 1)])
+    # the writer dispatches on exact types: a str subclass is refused in a
+    # list of strings, a mixed list, a dict value, a table column and a key
+    # alike (json's C escaper alone would print it)
+    text = type("Text", (str,), {})("x")
+    for payload in (
+        [text], ["a", text], ["a", 1, text], {"k": text},
+        [{"k": "a"}, {"k": text}], {text: 1},
+    ):
+        with pytest.raises(TypeError):
+            cli._json(payload)
 
 
 _JSON_TEXT = st.one_of(
@@ -336,6 +346,71 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_json_writer_matches_json_dumps(payload):
     assert cli._json(payload) == json.dumps(payload, indent=2, default=cli._rat_json)
+
+
+# keys that a % template must not read as a conversion or a placeholder
+_TABLE_KEYS = st.one_of(_JSON_TEXT, st.sampled_from(["%", "%s", "%%s", "{", "{}"]))
+
+
+@st.composite
+def _tables(draw, cells):
+    """Two or more dicts sharing one key tuple, the empty one included.  Each
+    key's column draws its cells from one kind: ints mixed with bools, strs
+    mixed with Fractions and None, one list object shared by every row,
+    empty dicts mixed with ``cells``, dicts sharing their own key tuple (a
+    nested table), or any of ``cells``."""
+    keys = draw(st.lists(_TABLE_KEYS, unique=True, max_size=3))
+    rows = draw(st.integers(min_value=2, max_value=4))
+    shared = draw(st.lists(cells, max_size=3))
+    inner_keys = draw(st.lists(_TABLE_KEYS, unique=True, min_size=1, max_size=3))
+    kinds = [
+        st.integers() | st.booleans(),
+        _JSON_TEXT | st.fractions() | st.none(),
+        st.just(shared),
+        st.just({}) | cells,
+        st.fixed_dictionaries({key: cells for key in inner_keys}),
+        cells,
+    ]
+    columns = {
+        key: draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows))
+        for key in keys
+    }
+    return [{key: columns[key][row] for key in keys} for row in range(rows)]
+
+
+_TABLE_PAYLOADS = st.recursive(
+    _JSON_LEAF,
+    lambda inner: (
+        _tables(inner) | st.lists(inner, max_size=4)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(_TABLE_PAYLOADS))
+def test_json_writer_matches_json_dumps_on_tables(rows):
+    assert len(rows) >= 2 and len({tuple(row) for row in rows}) == 1
+    assert cli._json(rows) == json.dumps(rows, indent=2, default=cli._rat_json)
+
+
+@pytest.mark.parametrize("leaked", [0.5, (1, 2), {1}], ids=["float", "tuple", "set"])
+def test_json_writer_refuses_a_non_json_object_deep_in_a_table(leaked):
+    nested = [{"a": 1, "b": {"c": [2, leaked]}}, {"a": 2, "b": {"c": [3]}}]
+    for rows in (nested, [{"t": "x", "u": nested}, {"t": "y", "u": []}]):
+        with pytest.raises(TypeError):
+            cli._json(rows)
+
+
+def test_json_writer_refuses_bad_keys_and_long_ints_in_tables():
+    with pytest.raises(TypeError):
+        cli._json([{1: "a"}, {1: "b"}])
+    with pytest.raises(TypeError):
+        cli._json([{"a": {2: 0}}, {"a": {2: 1}}])
+    # int-to-str digit limit inside an int column
+    with pytest.raises(ValueError):
+        cli._json([{"n": 1}, {"n": 10 ** (sys.get_int_max_str_digits() + 1)}])
 
 
 def _payload_of(monkeypatch, argv):
@@ -368,6 +443,29 @@ def test_json_writer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
         assert len(payload["steps"]) == 1800
         assert any(step["mu"] == "0" for step in payload["steps"])  # tie steps
     assert cli._json(payload) == json.dumps(payload, indent=2, default=cli._rat_json)
+
+
+@pytest.mark.parametrize("target, steps", [("300", 1800), ("3000", 18000)])
+def test_json_writer_renders_a_schedule_in_a_fixed_number_of_calls(
+    monkeypatch, target, steps
+):
+    # the steps are one table rendered column by column, and each shared
+    # delta list is rendered once, so the writer is entered the same number
+    # of times for any step count (one entry per row and cell would be
+    # 6 * steps + 8)
+    argv = ["kvv-schedule", "--e", "2,4", "--delta", "1/2,0", "--target", target]
+    _, payload = _payload_of(monkeypatch, argv)
+    assert len(payload["steps"]) == steps
+    calls = []
+    writer = cli._json
+
+    def spy(value, newline="\n"):
+        calls.append(value)
+        return writer(value, newline)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    cli._json(payload)
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize(
