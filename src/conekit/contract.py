@@ -1,16 +1,18 @@
 """Birational contractions of curve sets on a lattice surface.
 
-A :class:`Contraction` collapses a negative-definite set of named curves.
+A :class:`Contraction` collapses a set of pairwise orthogonal named curves of
+negative square, such as Gamma and the fibre (-2)-curves of S(d); its Gram
+block is diagonal, hence negative definite, and any other set is refused.
 Divisors on the target are written through proper transforms, i.e. as named
 divisors avoiding the contracted names; the numerical pullback is the unique
 extension orthogonal to every contracted curve.  Discrepancies, pair
 singularity classes, and all target intersection numbers derive from that one
 solve.  Pullback is linear, so the solve runs once per curve name, on that
 curve's row of the registry's named pairing table, as ints over the common
-denominator N of the block-wise Gram inverse; a pulled-back divisor is
-returned as its integer numerators over den(D) * N, and no step from the
-divisor to its degree builds a ``Fraction`` per term.  pullback(-K_T) is
-built once.
+denominator N = lcm |C.C| of the diagonal Gram inverse; a pulled-back
+divisor is returned as its integer numerators over den(D) * N, and no step
+from the divisor to its degree builds a ``Fraction`` per term.
+pullback(-K_T) is built once.
 Ampleness on the target is a degree sign, used only where the contraction
 itself shows that the target has Picard rank one and that -K_T is nonzero and
 effective, hence ample.
@@ -31,7 +33,6 @@ from .km_surface import KMSurface
 from .qlattice import (
     NamedDivisor,
     Rat,
-    _eliminate,
     class_of,
     curve_sort_key,
     floor_divisor,
@@ -59,7 +60,7 @@ class Contraction:
         self.contracted = tuple(sorted(contracted, key=curve_sort_key))
         self._contracted_set = frozenset(contracted)
         self._corrections: dict[str, dict[str, int]] = {}  # by _correction
-        self._inverse_den  # reads gram_inverse: raises unless G is negative definite
+        self._inverse_den  # reads gram_inverse: raises unless G is diagonal and < 0
 
     @property
     def lattice(self):
@@ -76,51 +77,47 @@ class Contraction:
     @cached_property
     def gram_inverse(self) -> dict[str, dict[str, Rat]]:
         """Inverse of the contracted Gram block G as sparse rows keyed by curve
-        name, in contraction order.  G, read from the named pairing table, has
-        one block per connected component of the curves' intersection graph
-        (S(d) has 2d+1 one-curve blocks), each inverted by one elimination of
-        [G_b | I] over ``Fraction`` that also certifies it: G is negative
-        definite iff no elimination swaps rows or has a pivot >= 0.  A linearly
-        dependent set has a singular block and fails too."""
-        rows_of = {name: self.registry.pairing_row(name) for name in self.contracted}
+        name, in contraction order: {C: {C: 1/(C.C)}}.  Only pairwise
+        orthogonal curves of negative square are contracted, so G is
+        diagonal and negative definite, checked on each curve's row of the
+        named pairing table; the contraction of S(d) is of this kind.  Any
+        other set, linearly dependent ones included, is refused, naming a
+        pair of curves that meet or a curve whose square is not negative."""
+        contracted = self._contracted_set
         inverse: dict[str, dict[str, Rat]] = {}
-        for start in self.contracted:
-            if start in inverse:
-                continue
-            block = [start]
-            for a in block:  # breadth-first: the block grows while it is read
-                block.extend(o for o in rows_of[a] if o in rows_of and o not in block)
-            block.sort(key=curve_sort_key)
-            k = len(block)
-            rows = [
-                [Fraction(rows_of[a].get(b, 0)) for b in block]
-                + [Fraction(int(a == b)) for b in block]
-                for a in block
-            ]
-            pivots, swaps = _eliminate(rows, k)
-            if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
-                raise ValueError("contracted Gram block is not negative definite")
-            for a, row in zip(block, rows):
-                inverse[a] = {b: x for b, x in zip(block, row[k:]) if x}
-        return {name: inverse[name] for name in self.contracted}
+        for name in self.contracted:
+            row = self.registry.pairing_row(name)
+            square = row.get(name, 0)
+            if square >= 0:
+                raise ValueError(
+                    f"contracted curve {name} has {name}.{name} = {square}, not < 0"
+                )
+            met = [o for o in row if o in contracted and o != name]
+            if met:
+                o = min(met, key=curve_sort_key)
+                raise ValueError(
+                    f"contracted curves {name} and {o} meet: {name}.{o} = {row[o]}"
+                )
+            inverse[name] = {name: Fraction(1, square)}
+        return inverse
 
     @cached_property
     def _inverse_den(self) -> int:
-        """N, the common denominator of G^{-1}; corrections are ints over N."""
-        rows = self.gram_inverse.values()
-        return lcm(*(x.denominator for row in rows for x in row.values()))
+        """N, the common denominator of G^{-1}: the lcm of the |C.C|;
+        corrections are ints over N."""
+        return lcm(*(row[name].denominator for name, row in self.gram_inverse.items()))
 
     def _solve(self, dots: dict[str, int]) -> dict[str, int]:
-        """Numerators over N of x = -G^{-1}(D.C_j), the combination of
-        contracted curves with (D + x).C_j = 0 for every C_j, given
-        dots[C_j] = D.C_j (G^{-1} is symmetric: row C_j is column C_j)."""
-        den = self._inverse_den
-        acc: dict[str, int] = {}
-        for j, dot in dots.items():
-            for name, g in self.gram_inverse[j].items():
-                g_num = g.numerator * (den // g.denominator)
-                acc[name] = acc.get(name, 0) - g_num * dot
-        return {name: x for name, x in acc.items() if x}
+        """Numerators over N of x_C = -(D.C)/(C.C), the combination of
+        contracted curves with (D + x).C = 0 for every contracted C, given
+        dots[C] = D.C."""
+        den, inverse = self._inverse_den, self.gram_inverse
+        out = {}
+        for name, dot in dots.items():
+            if dot:
+                g = inverse[name][name]
+                out[name] = -dot * g.numerator * (den // g.denominator)
+        return out
 
     def _correction(self, name: str) -> dict[str, int]:
         """Exceptional part of the pullback of one named curve, as numerators

@@ -3,9 +3,8 @@
 Everything here is exact: coefficients are `fractions.Fraction` (exported as
 ``Rat``) at the API and Python ints inside where they can be, intersection
 numbers come from the diagonal form of the blown-up plane (H^2 = 1, E_k^2 =
--1, see :class:`IntersectionLattice`), and every elimination is the
-fraction-exact Gauss-Jordan :func:`_eliminate`, with which
-``Contraction.gram_inverse`` certifies negative definiteness.  The dense
+-1, see :class:`IntersectionLattice`).  The engine eliminates nothing: its one
+contraction has a diagonal Gram block.  The Gauss-Jordan :func:`_eliminate`,
 :func:`determinant`, :func:`solve_linear`, :func:`is_negative_definite`,
 :func:`gram_block` and ``Contraction.pullback_class`` remain for the benchmark
 tracer and the test oracles.  No floating point is used anywhere.

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from test_qlattice import lattices_with_subsets, registry_of, vec
 
 from conekit.cli import main as cli_main
 from conekit.contract import Contraction, km_psi
-from conekit.km_surface import KMSurface, build_km_surface, replay, BlowupStep
+from conekit.km_surface import MAX_D, KMSurface, build_km_surface, replay, BlowupStep
 from conekit.qlattice import (
     IntersectionLattice,
     NamedDivisor,
@@ -103,15 +104,15 @@ def _dense_pullback(ctr, D):
 
 @st.composite
 def contractions_with_divisors(draw):
-    """A contraction of S(d) (all of Gamma, l_i, lp_i; or the non-orthogonal
-    pair E_1, l_1) or of the A_2 chain, with two divisors on its target."""
+    """A contraction of S(d) (all of Gamma, l_i, lp_i; or l_1 and lp_2 alone)
+    or of the ends of the A_2 chain, with two divisors on its target."""
     d = draw(st.sampled_from([3, 5, 8]))
     ctr = draw(
         st.sampled_from(
             [
                 km_psi(build_km_surface(d)),
-                Contraction(build_km_surface(d), ("E_1", "l_1")),
-                _a2_chain(),
+                Contraction(build_km_surface(d), ("l_1", "lp_2")),
+                _a2_chain_ends(),
             ]
         )
     )
@@ -238,21 +239,22 @@ def _a2_chain_surface():
     return SimpleNamespace(registry=registry)
 
 
-def _a2_chain():
-    return Contraction(surface=_a2_chain_surface(), contracted=("E1", "E2"))
+def _a2_chain_ends():
+    """The orthogonal ends of the chain: E1 (a (-2)-curve) and E3."""
+    return Contraction(surface=_a2_chain_surface(), contracted=("E1", "E3"))
 
 
 def test_a2_chain_contraction():
-    ctr = _a2_chain()
-    third = Fraction(1, 3)
-    assert ctr.gram_inverse == {
-        "E1": {"E1": -2 * third, "E2": -third},
-        "E2": {"E1": -third, "E2": -2 * third},
-    }
-    assert ctr.pullback(NamedDivisor.of({"E3": 1})) == NamedDivisor.of(
-        {"E1": third, "E2": 2 * third, "E3": 1}
+    # the chain's two (-2)-curves meet, so it is refused; its ends, of
+    # squares -2 and -1, are contracted, with N = 2
+    with pytest.raises(ValueError, match=r"^contracted curves E1 and E2 meet"):
+        Contraction(surface=_a2_chain_surface(), contracted=("E1", "E2"))
+    ctr = _a2_chain_ends()
+    assert ctr.gram_inverse == {"E1": {"E1": Fraction(-1, 2)}, "E3": {"E3": Fraction(-1)}}
+    assert ctr.pullback(NamedDivisor.of({"E2": 1})) == NamedDivisor.of(
+        {"E1": Fraction(1, 2), "E2": 1, "E3": 1}
     )
-    assert ctr.relative_canonical() == {"E1": 0, "E2": 0}
+    assert ctr.relative_canonical() == {"E1": 0, "E3": 1}
     assert ctr.residual_checks()
     assert ctr.classify_singularities()["classification"] == "canonical"
 
@@ -285,49 +287,95 @@ def test_contraction_is_possible_iff_negative_definite(surface, names):
         if str(exc) != "subset is linearly dependent":
             raise
         definite = False
+    # none of these sets is negative definite without being orthogonal, the
+    # one kind of set the dense oracle accepts and the contraction refuses
     if definite:
         assert len(Contraction(surface=surface, contracted=names).gram_inverse) == len(names)
     else:
-        with pytest.raises(
-            ValueError, match=r"^contracted Gram block is not negative definite$"
-        ):
+        with pytest.raises(ValueError, match=r"^contracted curves? "):
             Contraction(surface=surface, contracted=names)
 
 
-def _dense_gram_inverse(surface, names):
-    """Oracle: one elimination of the whole dense [G | I], G paired on class
-    vectors; None when G is not negative definite (a swap, a missing or a
-    nonnegative pivot)."""
-    ordered = sorted(names, key=curve_sort_key)
-    classes = [surface.registry.class_vector(n) for n in ordered]
-    k = len(classes)
-    rows = [
-        row + [Fraction(int(i == j)) for j in range(k)]
-        for i, row in enumerate(gram_block(surface.registry.lattice, classes))
-    ]
+@pytest.mark.parametrize(
+    "surface,names,message",
+    [
+        (S5, ("E_1", "l_1", "lp_1", "F"), "curves E_1 and l_1 meet: E_1.l_1 = 1"),
+        (S5, ("Gamma", "F"), "curve F has F.F = 0, not < 0"),
+        (S5, ("F",), "curve F has F.F = 0, not < 0"),
+        (_swap_block_surface(), ("b0", "b1"), "curve b0 has b0.b0 = 0, not < 0"),
+        # negative definite, yet not orthogonal: refused since only diagonal
+        # Gram blocks are contracted
+        (_a2_chain_surface(), ("E1", "E2"), "curves E1 and E2 meet: E1.E2 = 1"),
+        (_a2_chain_surface(), ("E1", "E2", "E3"), "curves E1 and E2 meet: E1.E2 = 1"),
+        (S5, ("E_1", "l_1", "Gamma", "l_2"), "curves E_1 and Gamma meet: E_1.Gamma = 1"),
+        (S5, ("E_1", "l_1"), "curves E_1 and l_1 meet: E_1.l_1 = 1"),
+    ],
+    ids=[
+        "dependent", "indefinite", "square-zero", "swap",
+        "a2-chain", "a2-chain-and-minus-one", "s5-star", "e1-l1",
+    ],
+)
+def test_contraction_refusal_names_the_curves(surface, names, message):
+    with pytest.raises(ValueError) as refused:
+        Contraction(surface=surface, contracted=names)
+    assert str(refused.value) == "contracted " + message
+
+
+def test_km_psi_gram_block_is_diagonal():
+    # Gamma and the 2d fibre (-2)-curves are pairwise orthogonal, so S(d) is
+    # accepted, with 2d+1 one-entry rows and N = lcm(2d-4, 2) = 2d-4
+    for d in [*range(3, 61), MAX_D]:
+        psi = km_psi(build_km_surface(d))
+        assert len(psi.gram_inverse) == 2 * d + 1, d
+        assert all(list(row) == [name] for name, row in psi.gram_inverse.items()), d
+        assert psi._inverse_den == 2 * d - 4, d
+
+
+def _dense_gram_inverse(gram, names):
+    """Oracle: one elimination of the whole dense [G | I]; None when G is not
+    negative definite (a swap, a missing or a nonnegative pivot)."""
+    k = len(names)
+    rows = [row + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(gram)]
     pivots, swaps = _eliminate(rows, k)
     if swaps or len(pivots) < k or any(p >= 0 for p in pivots):
         return None
-    return {
-        a: {b: x for b, x in zip(ordered, row[k:]) if x} for a, row in zip(ordered, rows)
-    }
+    return {a: {b: x for b, x in zip(names, row[k:]) if x} for a, row in zip(names, rows)}
+
+
+REFUSAL = re.compile(
+    r"^contracted (?:curve (\S+) has \1\.\1|curves (\S+) and (\S+) meet: \2\.\3) = (-?\d+)"
+)
 
 
 def _check_block_inverse_against_dense(surface, names) -> str:
-    """The block-wise inverse equals the dense one entry for entry, in the
-    same curve order, and both accept or both refuse; returns which."""
-    expected = _dense_gram_inverse(surface, names)
-    if expected is None:
-        with pytest.raises(
-            ValueError, match=r"^contracted Gram block is not negative definite$"
-        ):
+    """G, paired on class vectors, decides: a set whose G is diagonal with
+    negative entries is accepted, with the dense inverse entry for entry and
+    in the same curve order; any other set is refused, naming a curve whose
+    square is not negative or two curves that meet, with their dense
+    intersection number.  Returns which."""
+    ordered = sorted(names, key=curve_sort_key)
+    lattice = surface.registry.lattice
+    classes = {n: surface.registry.class_vector(n) for n in ordered}
+    gram = gram_block(lattice, list(classes.values()))
+    diagonal = all(
+        x < 0 if i == j else x == 0 for i, row in enumerate(gram) for j, x in enumerate(row)
+    )
+    if not diagonal:
+        with pytest.raises(ValueError) as refused:
             Contraction(surface=surface, contracted=names)
+        curve, a, b, number = REFUSAL.match(str(refused.value)).groups()
+        if curve:
+            a = b = curve
+            assert int(number) >= 0
+        else:
+            assert a != b and int(number) != 0
+        assert intersect(lattice, classes[a], classes[b]) == int(number)
         return "refused"
     got = Contraction(surface=surface, contracted=names).gram_inverse
+    expected = _dense_gram_inverse(gram, ordered)
     assert got == expected
     assert list(got) == list(expected)
-    coupled = any(len(row) > 1 for row in got.values())
-    return "accepted, non-diagonal" if coupled else "accepted, diagonal"
+    return "accepted"
 
 
 @given(lattices_with_subsets())
@@ -342,12 +390,12 @@ def test_block_inverse_matches_dense_oracle_on_random_lattices(case):
 @pytest.mark.parametrize(
     "surface,names,outcome",
     [
-        (_a2_chain_surface(), ("E1", "E2"), "accepted, non-diagonal"),
-        # the whole chain blows down to a smooth point
-        (_a2_chain_surface(), ("E1", "E2", "E3"), "accepted, non-diagonal"),
+        # negative definite, yet refused: the curves meet
+        (_a2_chain_surface(), ("E1", "E2"), "refused"),
+        (_a2_chain_surface(), ("E1", "E2", "E3"), "refused"),
         (_swap_block_surface(), ("b0", "b1"), "refused"),
-        (S5, S5.exceptional_names(), "accepted, diagonal"),
-        (S5, ("E_1", "l_1", "Gamma", "l_2"), "accepted, non-diagonal"),
+        (S5, S5.exceptional_names(), "accepted"),
+        (S5, ("E_1", "l_1", "Gamma", "l_2"), "refused"),
         # F = 2E_1 + l_1 + lp_1 lies in the span and F^2 = 0
         (S5, ("E_1", "l_1", "lp_1", "l_2"), "refused"),
         (S5, ("E_1", "l_1", "lp_1", "F"), "refused"),

@@ -576,9 +576,10 @@ MIXED_RATS = st.one_of(small_rats, *LARGE_COPRIME)
 @settings(max_examples=200)
 def test_numerator_route_matches_fraction_oracle_on_random_lattices(case, data):
     # the subset's curves are contracted and the divisor is drawn over one
-    # curve per basis class; a subset that is not negative definite is left
-    # uncontracted, the pullback is then the identity and the divisor may
-    # use its curves too
+    # curve per basis class; a subset the contraction refuses (two curves
+    # that meet, or one whose square is not negative) is left uncontracted,
+    # the pullback is then the identity and the divisor may use its curves
+    # too
     lat, subset = case
     classes = {f"c_{i}": v for i, v in enumerate(subset)}
     for k in range(lat.rank):
