@@ -78,6 +78,27 @@ def test_plt_verdict_true_on_all_valid_parameters_up_to_100():
         ), (d, q)
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [{"b": Fraction(1, 3)}, {"plt": False}],
+    ids=["b-off-closed-form", "not-plt"],
+)
+def test_plt_verdict_includes_boundary_checks(monkeypatch, wrong):
+    real = scenarios.plt_coefficient_b
+    monkeypatch.setattr(
+        scenarios,
+        "plt_coefficient_b",
+        lambda model, i: {**real(model, i), **wrong},
+    )
+    report = verify_plt_nonnormal(5, 3)
+    assert _values(report)["non_normal(E^Z)"] == "true"
+    assert report["verdict"] is False
+    assert json.loads(json.dumps(report))["verdict"] is False
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", "plt", "--d", "5", "--q", "3"]) == 1
+    assert '"verdict": false' in out.getvalue()
+
+
 def _tail_fails(monkeypatch, name):
     """Make the scenarios' uniform certificate `name` withdraw its tail claim:
     a uniform tail is certified (True) or unknown (None), never False."""
@@ -93,6 +114,30 @@ def _verify_cli(*argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["verify", *argv])
     return code, out.getvalue()
+
+
+def test_plt_unknown_when_h1_tail_fails(monkeypatch):
+    _tail_fails(monkeypatch, "uniform_h1_chain_zero")
+    report = verify_plt_nonnormal(5, 3)
+    values = _values(report)
+    for claim in ("h1(T,nA) for all n>=2", "R1g(O_Y)=0"):
+        assert values[claim] == "unknown", claim
+    assert values["R1g(O_Y(-E^Y))!=0"] == "true"
+    assert values["non_normal(E^Z)"] == "unknown"
+    assert report["verdict"] is None
+    code, out = _verify_cli("plt", "--d", "5", "--q", "3")
+    assert code == 1
+    assert '"verdict": null' in out
+
+
+def test_plt_unknown_when_h2_tail_fails(monkeypatch):
+    _tail_fails(monkeypatch, "uniform_h2_chain_zero")
+    report = verify_plt_nonnormal(5, 3)
+    values = _values(report)
+    for claim in ("h2(T,nA-E_5) for all n>=0", "R1g(O_Y(-E^Y))!=0", "non_normal(E^Z)"):
+        assert values[claim] == "unknown", claim
+    assert values["R1g(O_Y)=0"] == "true"
+    assert report["verdict"] is None
 
 
 # --- leaf flips ----------------------------------------------------------------
@@ -302,6 +347,19 @@ def test_fano_family(q):
     assert values["picard-chain"] == f"{2 + 2 * d},1,{3 + 2 * d},2,1"
     assert report["verdict"] is True
     assert not any(r in c["value"] for c in report["certificates"] for r in REPRS), q
+
+
+def test_fano_unknown_when_tail_fails(monkeypatch):
+    _tail_fails(monkeypatch, "uniform_h1_chain_zero")
+    report = verify_bad_fano(2)
+    values = _values(report)
+    for claim in ("h1(T,nA) for all n>=2", "not-cohen-macaulay(Z)"):
+        assert values[claim] == "unknown", claim
+    assert values["h2(Z,O_Z)"] == "unknown"
+    assert report["verdict"] is None
+    code, out = _verify_cli("fano", "--q", "2")
+    assert code == 1
+    assert '"verdict": null' in out
 
 
 def test_fano_rejects_nonpositive_q():
