@@ -3,7 +3,10 @@ reports, threefold ledgers, schedules, scenario verifiers, and the sweep.
 
 Every command builds one payload, the dict printed by ``--format json``;
 ``--format md`` (and ``csv`` where offered) renders that same payload as
-tables, so the formats never disagree on a number.
+tables, so the formats never disagree on a number.  A ``cmd_*`` function
+writes nothing: it returns ``(exit code, payload, views)``, and ``main``, the
+one output site, hands them to ``_write`` once the command has finished, so
+no byte is printed before every check has run.
 
 Exit codes: 0 when every verdict/check is as expected, 1 when some check
 fails or a verdict is not the expected one, 2 on usage errors (any
@@ -43,7 +46,7 @@ from .km_surface import build_km_surface, km_sanity
 from .qlattice import InvariantError, NamedDivisor
 from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
 
-_TERM = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)$")
+_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)")
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -74,7 +77,7 @@ def parse_divisor(text: str) -> NamedDivisor:
         raise ValueError(f"cannot parse divisor: {text!r}")
     terms = []
     for piece in pieces:
-        m = _TERM.match(piece)
+        m = _TERM.fullmatch(piece)
         if not m:
             raise ValueError(f"cannot parse divisor term: {piece!r}")
         sign, coeff, name = m.groups()
@@ -187,33 +190,32 @@ def _column(items: list, newline: str) -> list[str]:
 
 
 def _write(args, payload: dict, **views) -> None:
-    """Print the command's payload: as JSON for ``--format json``, otherwise
-    through ``views[args.format]``, a function of the payload.  ``--out``
-    (sweep only) sends the text to a file instead of stdout; a file that
-    cannot be opened or written, or a stdout that cannot be written or
-    flushed, is a usage error (ValueError)."""
+    """Print a command's payload: as JSON for ``--format json``, otherwise
+    through ``views[args.format]``, a function of the payload.  The whole
+    text is rendered first and written in one call.  ``--out`` (sweep only)
+    sends it to a file instead of stdout; a file that cannot be opened or
+    written, or a stdout that cannot be written or flushed, is a usage error
+    (ValueError)."""
     if args.format == "json":
         text = _json(payload) + "\n"
     else:
         text = views[args.format](payload)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    out = getattr(args, "out", None)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        try:
+        else:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except OSError as exc:
-            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
 
 
 # --- km-surface -------------------------------------------------------------
 
 
-def cmd_km_surface(args) -> int:
+def cmd_km_surface(args) -> tuple:
     surface = build_km_surface(args.d)
     report = km_sanity(surface) if args.check else None
     payload = {"command": "km-surface", "d": args.d, "surface": surface.to_json_dict()}
@@ -235,14 +237,13 @@ def cmd_km_surface(args) -> int:
             )
         return out
 
-    _write(args, payload, md=md)
-    return 0 if report is None or report["all_pass"] else 1
+    return (0 if report is None or report["all_pass"] else 1), payload, {"md": md}
 
 
 # --- contract ---------------------------------------------------------------
 
 
-def cmd_contract(args) -> int:
+def cmd_contract(args) -> tuple:
     if args.boundary is not None and not args.classify:
         raise ValueError("--boundary needs --classify")
     psi = target_context(args.d)
@@ -265,13 +266,10 @@ def cmd_contract(args) -> int:
         results["picard_rank_after"] = psi.picard_rank_after()
     if not results:
         results["discrepancies"] = psi.relative_canonical()
-    _write(
-        args,
-        {"command": "contract", "d": args.d, "results": results},
-        md=lambda p: f"# contraction on d={p['d']}\n```json\n"
+    return 0, {"command": "contract", "d": args.d, "results": results}, {
+        "md": lambda p: f"# contraction on d={p['d']}\n```json\n"
         + _json(p["results"]) + "\n```\n",
-    )
-    return 0
+    }
 
 
 # --- cohom ------------------------------------------------------------------
@@ -280,7 +278,7 @@ def cmd_contract(args) -> int:
 def _parse_subtract(text: str | None) -> int | None:
     if text is None:
         return None
-    m = re.match(r"^E_(\d+)(\^T)?$", text.replace(" ", ""))
+    m = re.fullmatch(r"E_(\d+)(\^T)?", text.replace(" ", ""))
     if not m:
         raise ValueError(f"--subtract expects a curve like E_5, got {text!r}")
     return int(m.group(1))
@@ -289,7 +287,7 @@ def _parse_subtract(text: str | None) -> int | None:
 _COHOM_CSV = ("d", "q1", "q2", "n", "subtract", "h0", "h1", "h2", "chi")
 
 
-def cmd_cohom(args) -> int:
+def cmd_cohom(args) -> tuple:
     fam = FamilyDescriptor(args.d, args.q1, args.q2)
     subtract = _parse_subtract(args.subtract)
     report = cohomology_of_nA(fam, args.n, subtract=subtract)
@@ -314,19 +312,14 @@ def cmd_cohom(args) -> int:
             + "\ncertificates: " + "; ".join(p["report"]["certificates"]) + "\n"
         )
 
-    _write(
-        args,
-        {"command": "cohom", "params": params, "report": report.to_json_dict()},
-        csv=csv,
-        md=md,
-    )
-    return 0
+    payload = {"command": "cohom", "params": params, "report": report.to_json_dict()}
+    return 0, payload, {"csv": csv, "md": md}
 
 
 # --- cone -------------------------------------------------------------------
 
 
-def cmd_cone(args) -> int:
+def cmd_cone(args) -> tuple:
     psi = target_context(args.d)
     model = ConeModel.build(psi, family_divisor(FamilyDescriptor(args.d, args.q, 1)))
     ledger = args.ledger
@@ -380,23 +373,18 @@ def cmd_cone(args) -> int:
             data["adjunction"]["checks"],
             {"check": "name", "lhs": "lhs", "rhs": "rhs", "pass": "pass"},
         )]
-    _write(
-        args,
-        {
-            "command": "cone",
-            "params": {"d": args.d, "q": args.q, "ledger": ledger},
-            "data": data,
-        },
-        md=lambda p: f"# cone ledger ({ledger}) d={args.d} q={args.q}\n"
+    params = {"d": args.d, "q": args.q, "ledger": ledger}
+    payload = {"command": "cone", "params": params, "data": data}
+    return (1 if failed else 0), payload, {
+        "md": lambda p: f"# cone ledger ({ledger}) d={args.d} q={args.q}\n"
         + "\n".join(_table(records, columns) for records, columns in tables),
-    )
-    return 1 if failed else 0
+    }
 
 
 # --- kvv-schedule -----------------------------------------------------------
 
 
-def cmd_kvv_schedule(args) -> int:
+def cmd_kvv_schedule(args) -> tuple:
     # an empty item (as in "2,,3") is malformed, not skipped; an empty --e
     # or --delta is an empty list, the latter meaning all zeros
     try:
@@ -416,14 +404,13 @@ def cmd_kvv_schedule(args) -> int:
             steps, ("j", "mu", "chosen", "lambda", "delta")
         )
 
-    _write(args, {"command": "kvv-schedule", **trace.to_json_dict()}, md=md)
-    return 0
+    return 0, {"command": "kvv-schedule", **trace.to_json_dict()}, {"md": md}
 
 
 # --- verify -----------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.scenario == "plt":
         report = verify_plt_nonnormal(args.d, args.q)
     else:
@@ -436,8 +423,7 @@ def cmd_verify(args) -> int:
             + _table(p["certificates"], ("claim", "value", "rule"))
         )
 
-    _write(args, report, md=md)
-    return 0 if report["verdict"] is True else 1
+    return (0 if report["verdict"] is True else 1), report, {"md": md}
 
 
 # --- sweep ------------------------------------------------------------------
@@ -446,14 +432,11 @@ def cmd_verify(args) -> int:
 _SWEEP_COLUMNS = ("d", "q1", "q2", "ample", "h1", "kvv_violation")
 
 
-def cmd_sweep(args) -> int:
-    _write(
-        args,
-        sweep_kvv(args.d_min, args.d_max),
-        csv=lambda p: _csv(p["rows"], _SWEEP_COLUMNS),
-        md=lambda p: _table(p["rows"], _SWEEP_COLUMNS),
-    )
-    return 0
+def cmd_sweep(args) -> tuple:
+    return 0, sweep_kvv(args.d_min, args.d_max), {
+        "csv": lambda p: _csv(p["rows"], _SWEEP_COLUMNS),
+        "md": lambda p: _table(p["rows"], _SWEEP_COLUMNS),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +523,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, views = args.func(args)
+        _write(args, payload, **views)
+        return code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -303,11 +303,11 @@ def effective_ample_rewrite(
     """
     if not D.is_integral():
         raise ValueError(f"rewrite needs an integral divisor: {D}")
-    for name in D.support():
+    for name in D.nums:
         if not name.startswith("E_"):
             raise ValueError(f"rewrite needs support on the E curves, got {name}")
-        _e_index_check = _e_index(name)
-        if not 1 <= _e_index_check <= psi.surface.d:
+        index = _e_index(name)
+        if not 1 <= index <= psi.surface.d:
             raise ValueError(f"curve index out of range: {name}")
     coeffs = D.nums  # integral: den is 1
     total = sum(coeffs.values())

@@ -251,9 +251,6 @@ class NamedDivisor:
     def terms(self) -> dict[str, Rat]:
         return dict(self.entries)
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(self.nums)
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -277,9 +274,6 @@ class NamedDivisor:
         return NamedDivisor.reduced(
             self.den * c.denominator, {n: p * x for n, x in self.nums.items()}
         )
-
-    def __rmul__(self, c) -> "NamedDivisor":
-        return self.scale(c)
 
     def drop(self, names: Iterable[str]) -> "NamedDivisor":
         omit = set(names)

@@ -789,3 +789,49 @@ def test_parse_divisor():
     assert parse_divisor("0").is_zero()
     with pytest.raises(ValueError):
         parse_divisor("E_1++")
+
+
+_TERM_ERROR = "error: cannot parse divisor term: {!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["contract", "--d", "5", "--pullback", "E_1\n"], _TERM_ERROR.format("E_1\n")),
+        (["contract", "--d", "5", "--pullback", "E_1\n+E_2"], _TERM_ERROR.format("E_1\n")),
+        (["contract", "--d", "5", "--pullback", "E_1\t"], _TERM_ERROR.format("E_1\t")),
+        (["cohom", "--d", "5", "--q1", "3", "--q2", "0", "--subtract", "E_5\n"],
+         "error: --subtract expects a curve like E_5, got 'E_5\\n'\n"),
+    ],
+    ids=["pullback-newline", "pullback-inner-newline", "pullback-tab", "subtract-newline"],
+)
+def test_trailing_whitespace_in_a_divisor_is_a_usage_error(capsys, argv, err):
+    # a pattern ending in "$" would also match just before a final newline
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["--q1", "3", "--q2", "0"], "5,3,0,1,,>=1,0,0,1"),
+        (["--q1", "2", "--q2", "3", "--n", "2"], "5,2,3,2,,?,?,?,1"),
+    ],
+    ids=["at-least-one", "unknown"],
+)
+def test_cohom_prints_a_lower_bound_as_ge_one_and_an_unknown_as_a_question_mark(
+    argv, row
+):
+    code, text = run_cli(["cohom", "--d", "5", *argv, "--format", "csv"])
+    assert code == 0
+    assert text.splitlines()[1] == row
+
+
+def test_an_unknown_cohomology_names_the_family_that_is_not_ample():
+    code, text = run_cli(["cohom", "--d", "5", "--q1", "2", "--q2", "3", "--n", "2"])
+    assert code == 0
+    report = json.loads(text)["report"]
+    assert [report[h] for h in ("h0", "h1", "h2")] == ["?", "?", "?"]
+    assert "coverage:family-not-ample" in report["certificates"]

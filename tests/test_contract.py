@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -439,6 +440,18 @@ def test_pair_with_boundary_through_gamma():
 def test_fractional_boundary_keeps_klt():
     got = PSI5.classify_singularities(NamedDivisor.of({"E_5": Fraction(1, 2)}))
     assert got["classification"] == "klt"
+
+
+@pytest.mark.parametrize(
+    "boundary, label, lowest",
+    [("E_1+E_2", "lc", "-1"), ("E_1+E_2+E_3", "not-lc", "-7/6")],
+)
+def test_reduced_boundary_labels_at_the_cli(boundary, label, lowest, capsys):
+    # each E_i pulls back with coefficient 1/6 on Gamma, lowering a_Gamma = -2/3
+    argv = ["contract", "--d", "5", "--classify", "--boundary", boundary]
+    assert cli_main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["classification"]
+    assert (got["classification"], got["min_discrepancy"]) == (label, lowest)
 
 
 def test_boundary_out_of_range_rejected():
