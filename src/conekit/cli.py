@@ -17,9 +17,11 @@ file and a stdout that cannot be written among them, and 3 when an
 internal check fails (``qlattice.InvariantError``: two independent routes to
 one number disagree), with nothing printed on stdout.  All output is
 deterministic.  Every JSON text comes from one writer, ``_json``, which
-prints what ``json.dumps(indent=2)`` would, a list one column at a time,
-except that a Fraction is a p/q string and every other type outside
-JSON's, a float or a str subclass included, is refused with a TypeError.
+prints what ``json.dumps(indent=2)`` would, a list one column at a time and
+a ``Table`` (a list of dicts given by columns) ``BLOCK_ROWS`` rows at a
+time, which ``_write`` writes as they come, except that a Fraction is a p/q
+string and every other type outside JSON's, a float or a str subclass
+included, is refused with a TypeError.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 from .cohom import FamilyDescriptor, cohomology_of_nA, family_divisor, target_context
 from .cone3fold import (
     ConeModel,
+    Table,
     adjunction_consistency,
     cone_curve_numbers,
     kvv_schedule,
@@ -47,6 +51,8 @@ from .qlattice import InvariantError, NamedDivisor
 from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
 
 _TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)")
+# Rows of a ``Table`` rendered, and held, at once by the JSON writer.
+BLOCK_ROWS = 4096
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -134,9 +140,10 @@ def _json(value, newline: str = "\n") -> str:
     pure-Python indenting encoder.  A str goes through json's own C escaper
     and an int through ``repr`` (so the int-to-str digit limit still raises
     ValueError); a dict is a one-row table and a list a column, both
-    rendered by ``_column``; every other type goes through ``_rat_json``: a
-    Fraction prints as ``p/q``, and a float, tuple, set, subclass of str or
-    any other object is a TypeError, as is a dict key that is not a str."""
+    rendered by ``_column``; a ``Table`` is ``"".join`` of its ``_pieces``;
+    every other type goes through ``_rat_json``: a Fraction prints as
+    ``p/q``, and a float, tuple, set, subclass of str or any other object is
+    a TypeError, as is a dict key that is not a str."""
     kind = type(value)
     if kind is str:
         return _escape(value)
@@ -150,6 +157,8 @@ def _json(value, newline: str = "\n") -> str:
         inner = newline + "  "
         # one f-string copies a multi-MB body once, where each "+" would copy it
         return f"[{inner}{(',' + inner).join(_column(value, inner))}{newline}]"
+    if kind is Table:
+        return "".join(_pieces(value, newline))
     if value is True:
         return "true"
     if value is False:
@@ -177,36 +186,85 @@ def _column(items: list, newline: str) -> list[str]:
         (keys,) = shapes
         if not keys:
             return ["{}"] * len(items)
-        if set(map(type, keys)) != {str}:
-            raise TypeError("dict keys must be str")
-        inner = newline + "  "
-        fields = ["%s: %%s" % _escape(key).replace("%", "%%") for key in keys]
-        template = "{" + inner + ("," + inner).join(fields) + newline + "}"
-        columns = [_column(list(map(itemgetter(key), items)), inner) for key in keys]
-        return list(map(template.__mod__, zip(*columns)))
+        return _rows(keys, [list(map(itemgetter(key), items)) for key in keys], newline)
     distinct = dict(zip(map(id, items), items))
     texts = {key: _json(item, newline) for key, item in distinct.items()}
     return list(map(texts.__getitem__, map(id, items)))
 
 
+def _rows(keys: tuple, columns: list[list], newline: str) -> list[str]:
+    """The JSON objects of a table's rows, row i holding ``columns[k][i]``
+    under ``keys[k]``: one ``%`` template per table (each key escaped once,
+    a ``%`` in it doubled) filled from each column rendered by ``_column``."""
+    if set(map(type, keys)) != {str}:
+        raise TypeError("dict keys must be str")
+    inner = newline + "  "
+    fields = ["%s: %%s" % _escape(key).replace("%", "%%") for key in keys]
+    template = "{" + inner + ("," + inner).join(fields) + newline + "}"
+    return list(map(template.__mod__, zip(*[_column(col, inner) for col in columns])))
+
+
+def _blocks(table: Table):
+    """The columns of ``table``'s rows, ``BLOCK_ROWS`` rows at a time."""
+    n = len(table)
+    for a in range(0, n, BLOCK_ROWS):
+        yield table.columns(a, min(a + BLOCK_ROWS, n))
+
+
+def _pieces(value, newline: str = "\n"):
+    """``_json(value, newline)`` in pieces, which ``_write`` writes as they
+    come: a ``Table`` a block of ``BLOCK_ROWS`` rows a piece, each rendered by
+    ``_rows``, and a dict holding a ``Table`` key by key around it; anything
+    else is one piece.  Such a dict renders every other value before its
+    first piece, so a value that cannot be printed fails before any byte."""
+    kind = type(value)
+    if kind is Table:
+        if not value:
+            yield "[]"
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for columns in _blocks(value):
+            yield sep + ("," + inner).join(_rows(value.keys, columns, inner))
+            sep = "," + inner
+        yield newline + "]"
+    elif kind is dict and Table in set(map(type, value.values())):
+        if set(map(type, value)) != {str}:
+            raise TypeError("dict keys must be str")
+        inner = newline + "  "
+        texts = [v if type(v) is Table else _json(v, inner) for v in value.values()]
+        sep = "{" + inner
+        for key, text in zip(value, texts):
+            yield f"{sep}{_escape(key)}: "
+            if type(text) is Table:
+                yield from _pieces(text, inner)
+            else:
+                yield text
+            sep = "," + inner
+        yield newline + "}"
+    else:
+        yield _json(value, newline)
+
+
 def _write(args, payload: dict, **views) -> None:
-    """Print a command's payload: as JSON for ``--format json``, otherwise
-    through ``views[args.format]``, a function of the payload.  The whole
-    text is rendered first and written in one call.  ``--out`` (sweep only)
-    sends it to a file instead of stdout; a file that cannot be opened or
-    written, or a stdout that cannot be written or flushed, is a usage error
+    """Print a command's payload: as JSON for ``--format json``, written in
+    ``_pieces`` as they come, so a ``Table`` is held a block of rows at a
+    time; otherwise through ``views[args.format]``, a function of the
+    payload whose text is written in one call.  ``--out`` (sweep only) sends
+    it to a file instead of stdout; a file that cannot be opened or written,
+    or a stdout that cannot be written or flushed, is a usage error
     (ValueError)."""
     if args.format == "json":
-        text = _json(payload) + "\n"
+        pieces = chain(_pieces(payload), ["\n"])
     else:
-        text = views[args.format](payload)
+        pieces = [views[args.format](payload)]
     out = getattr(args, "out", None)
     try:
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
     except OSError as exc:
         raise ValueError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
@@ -399,7 +457,12 @@ def cmd_kvv_schedule(args) -> tuple:
     trace = kvv_schedule(e, delta, _parse_rat(args.target))
 
     def md(p: dict) -> str:
-        steps = [{**s, "delta": f"({_cell(s['delta'])})"} for s in p["steps"]]
+        steps = (
+            {"j": j, "mu": mu, "chosen": chosen, "lambda": lam,
+             "delta": f"({_cell(delta)})"}
+            for columns in _blocks(p["steps"])
+            for j, mu, chosen, lam, delta in zip(*columns)
+        )
         return f"# schedule e={p['multiplicities']} target={p['target']}\n" + _table(
             steps, ("j", "mu", "chosen", "lambda", "delta")
         )

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import heapq
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import ceil, gcd, lcm
+from operator import add, floordiv, mul
 
 from .contract import Contraction
 from .km_surface import KMSurface
@@ -327,9 +330,13 @@ def picard_chain(model: ConeModel) -> dict[str, int]:
     return dict(rho_s=rho_s, rho_t=rho_t, rho_x=rho_x, rho_y=rho_y, rho_z=rho_z)
 
 
-# A schedule longer than this is refused before its first step: at this size
-# its JSON trace is already 125 to 180 MB (one to four multiplicities).  For
-# k > 4 multiplicities the limit is its 4/k share, as the trace grows with k.
+# A schedule longer than this is refused before its first step.  The limit
+# bounds time and output size, not memory: a trace holds one period of steps
+# and is printed a block of rows at a time, so the 999,994-step
+# ``--e 2,3 --target 199999`` prints 147.5 MB in about 2.7 s and peaks at
+# about 20 MiB (Python 3.11, shared 2-vCPU machine).  At the limit a trace is
+# 125 to 180 MB (one to four multiplicities); for k > 4 multiplicities the
+# limit is its 4/k share, as the trace grows with k.
 KVV_MAX_STEPS = 1_000_000
 
 
@@ -349,12 +356,60 @@ class _RatText(dict):
         return text
 
 
+def _repeat(column: list, a: int, b: int) -> list:
+    """``[column[j % len(column)] for j in range(a, b)]`` by slicing and list
+    repetition."""
+    start = a % len(column)
+    head = column[start:start + b - a]
+    times, rest = divmod(b - a - len(head), len(column))
+    return head + column * times + column[:rest]
+
+
+class Rows(Sequence):
+    """A read-only sequence of ``length`` rows, row j built by ``row(j)`` when
+    it is read; equal to a list or a ``Rows`` holding equal rows."""
+
+    def __init__(self, length: int, row) -> None:
+        self.length = length
+        self.row = row
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, j: int):
+        return self.row(range(self.length)[j])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, Rows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class Table(Rows):
+    """Dicts under one tuple of ``keys``, given by columns: ``columns(a, b)``
+    lists, for each key in order, the values of rows [a, b).  Row j, read as
+    ``table[j]``, is that dict; the JSON writer renders the table a block of
+    rows at a time and builds no dict."""
+
+    def __init__(self, keys: tuple[str, ...], length: int, columns) -> None:
+        super().__init__(
+            length, lambda j: dict(zip(keys, [col[0] for col in columns(j, j + 1)]))
+        )
+        self.keys = keys
+        self.columns = columns
+
+
 class KvvTrace:
-    """A schedule: step j is ``steps[j] = (chosen, mu_num, lam_num,
-    delta_num)``, the 1-based index whose coefficient reached one and the
-    numerators over ``den`` (shared by every step) of mu, lambda and the
-    coefficients after the step.  Steps one period apart share their
-    coefficient tuple, and ``to_json_dict`` their ``delta`` list."""
+    """A schedule of ``len(steps)`` steps, held as its first ``period``:
+    ``period[r] = (chosen, mu_num, lam_num, delta_num)``, the 1-based index
+    whose coefficient reached one and the numerators over ``den`` (shared by
+    every step) of mu, lambda and the coefficients after the step.  The
+    period is sum(e) steps, or every step when there are fewer.  Step j is
+    period step j mod sum(e) with lambda raised by (j div sum(e)) * den and
+    the same coefficient tuple; mu of a later period's first step is
+    n_0 + den - n_last.  ``steps`` is the read-only sequence of every step,
+    built on reading, and ``columns`` the printed columns of a block of
+    them, which ``to_json_dict`` hands out as a ``Table``."""
 
     def __init__(
         self,
@@ -362,39 +417,89 @@ class KvvTrace:
         delta0: tuple[Rat, ...],
         target: Rat,
         den: int,
-        steps: tuple[tuple[int, int, int, tuple[int, ...]], ...],
+        period: tuple[tuple[int, int, int, tuple[int, ...]], ...],
+        count: int,
     ) -> None:
         self.multiplicities = multiplicities
         self.delta0 = delta0
         self.target = target
         self.den = den
-        self.steps = steps
+        self.period = period
+        self.steps = Rows(count, self.step)
+
+    def step(self, j: int) -> tuple[int, int, int, tuple[int, ...]]:
+        """Step j, ``(chosen, mu_num, lam_num, delta_num)``."""
+        period = self.period
+        k, r = divmod(j, len(period))
+        chosen, mu, lam, delta = period[r]
+        if k and not r:
+            mu = period[0][2] + self.den - period[-1][2]
+        return chosen, mu, lam + k * self.den, delta
+
+    @cached_property
+    def _texts(self) -> tuple[list, ...]:
+        """Per period step, what its printed rows repeat: the mu text (a
+        later period's, for step 0), the chosen index, the numerator and
+        denominator of lambda reduced (gcd(n + k*den, den) = gcd(n, den)
+        for every period k) with its ``/q`` suffix, and the list of delta
+        texts, one per distinct coefficient tuple, that every period shares.
+        mu and delta texts come from one ``_RatText``."""
+        den, text = self.den, _RatText(self.den)
+        chosen, mus, lams, deltas = map(list, zip(*self.period))
+        mu = list(map(text.__getitem__, mus))
+        first_mu, mu[0] = mu[0], text[lams[0] + den - lams[-1]]
+        gcds = list(map(gcd, lams, repeat(den)))
+        step = list(map(floordiv, repeat(den), gcds))
+        suffix = ["" if q == 1 else f"/{q}" for q in step]
+        lists = {raised: list(map(text.__getitem__, raised)) for raised in set(deltas)}
+        delta = list(map(lists.__getitem__, deltas))
+        return first_mu, mu, chosen, list(map(floordiv, lams, gcds)), step, suffix, delta
+
+    def columns(self, a: int, b: int) -> list[list]:
+        """The printed j, mu, chosen, lambda and delta columns of steps
+        [a, b), 0 <= a < b <= len(steps): the period's columns repeated by
+        list repetition, with only lambda's text built per row, as the
+        period step's reduced numerator plus k times its denominator."""
+        first_mu, mu, chosen, num, step, suffix, delta = self._texts
+        mu = _repeat(mu, a, b)
+        if a == 0:
+            mu[0] = first_mu
+        periods = map(floordiv, range(a, b), repeat(len(self.period)))
+        nums = map(add, _repeat(num, a, b), map(mul, _repeat(step, a, b), periods))
+        lam = list(map(add, map(str, nums), _repeat(suffix, a, b)))
+        return [list(range(a, b)), mu, _repeat(chosen, a, b), lam, _repeat(delta, a, b)]
 
     def to_json_dict(self) -> dict:
-        """The printed payload: multiplicities, delta0, target and one dict
-        per step (j, mu, chosen, lambda, delta), rationals as ``p/q`` texts.
-        mu and delta texts come from one ``_RatText``; lambda, distinct at
-        every step, is built in place from its own gcd with den."""
-        den = self.den
-        text = _RatText(den)
-        lists: dict = {}  # one delta list per distinct coefficient tuple
-        steps = []
-        for j, (chosen, mu, lam, delta) in enumerate(self.steps):
-            shown = lists.get(delta)
-            if shown is None:
-                shown = lists[delta] = [text[x] for x in delta]
-            g = gcd(lam, den)
-            steps.append(
-                {"j": j, "mu": text[mu], "chosen": chosen,
-                 "lambda": str(lam // g) if g == den else f"{lam // g}/{den // g}",
-                 "delta": shown}
-            )
+        """The printed payload: multiplicities, delta0, target and one row
+        per step (j, mu, chosen, lambda, delta), rationals as ``p/q`` texts;
+        the steps are a ``Table`` over ``columns``, whose rows one period
+        apart share their ``delta`` list."""
         return {
             "multiplicities": list(self.multiplicities),
             "delta0": list(map(str, self.delta0)),
             "target": str(self.target),
-            "steps": steps,
+            "steps": Table(
+                ("j", "mu", "chosen", "lambda", "delta"), len(self.steps), self.columns
+            ),
         }
+
+
+def _closed_form_steps(e: tuple[int, ...], delta: tuple[Rat, ...], target: Rat) -> int:
+    """The step count by index: index i reaches 1 at lambda = (k - delta_i)/e_i
+    for k >= 1, ceil(target*e_i + delta_i) - 1 times below the target, and
+    one step more is at or above it (none for target 0)."""
+    if not target:
+        return 0
+    return 1 + sum(ceil(target * ev + dv) - 1 for ev, dv in zip(e, delta))
+
+
+def _period_steps(numerators: list[int], stop: int, den: int) -> int:
+    """The step count by period: the step at numerator n recurs at n + k*den
+    for k >= 0, ceil((stop - n)/den) times below ``stop``, and one step more
+    is at or above it (none without a period)."""
+    if not numerators:
+        return 0
+    return 1 + sum(-((n - stop) // den) for n in numerators)
 
 
 def kvv_schedule(
@@ -420,8 +525,10 @@ def kvv_schedule(
     checked against ``KVV_MAX_STEPS`` (its 4/k share for k > 4 indices) before
     the first step, and (target + 1) * D, above every printed numerator,
     against Python's int-to-str limit.  Index i fires e_i times per unit of
-    lambda, so the heap runs for one period of sum(e) steps; the heap after it,
-    checked to be the first shifted by D, makes step j + sum(e) step j shifted.
+    lambda, so the heap runs for one period of sum(e) steps at most; the heap
+    after it, checked to be the first shifted by D, makes step j + sum(e)
+    step j shifted.  The trace holds that period, and the step count
+    recomputed from the period's numerators must equal the closed form.
     """
     e = tuple(multiplicities)
     if not e or not all(isinstance(x, int) and x >= 1 for x in e):
@@ -436,9 +543,7 @@ def kvv_schedule(
     target = Fraction(lambda_target)
     if target < 0:
         raise ValueError(f"target must be nonnegative: {target}")
-    count = 0
-    if target:
-        count = 1 + sum(ceil(target * ev + dv) - 1 for ev, dv in zip(e, delta))
+    count = _closed_form_steps(e, delta, target)
     max_steps = KVV_MAX_STEPS * 4 // max(len(e), 4)
     if count > max_steps:
         # a count past 64 bits is shown by its power of two, not in decimal,
@@ -457,42 +562,34 @@ def kvv_schedule(
             f"over it would exceed the limit of {limit} decimal digits"
         )
     start = [dv.numerator * (den // dv.denominator) for dv in delta]
-    period = [den // ev for ev in e]
+    gap = [den // ev for ev in e]
     first = sorted(((den - s) // ev, i) for i, (s, ev) in enumerate(zip(start, e)))
     heap = list(first)  # a sorted list is a heap
     stop = ceil(target * den)  # lambda < target  <=>  numerator < stop
     cycle = sum(e)  # steps per unit of lambda: index i fires e_i times
     fired = [0] * len(e)
-    steps: list[tuple[int, int, int, tuple[int, ...]]] = []
+    period: list[tuple[int, int, int, tuple[int, ...]]] = []
     lam = 0
-    while lam < stop:
-        j = len(steps)
-        if j < cycle:
-            n, i = heap[0]
-            heapq.heapreplace(heap, (n + period[i], i))
-            raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
-            if not all(0 <= x <= den for x in raised):
-                shown = ", ".join(str(Fraction(x, den)) for x in raised)
-                raise InvariantError(
-                    f"coefficient left [0,1] at step {j}: [{shown}]"
-                )
-            raised[i] -= den
-            fired[i] += 1
-            step = (i + 1, n - lam, n, tuple(raised))
-            # the state after one period is the first one shifted by den, so
-            # every later step repeats a checked one, one unit of lambda on
-            if j + 1 == cycle and sorted(heap) != [(m + den, x) for m, x in first]:
-                raise InvariantError(f"schedule did not repeat after {cycle} steps")
-        else:
-            chosen, _, n, raised = steps[j - cycle]
-            n += den
-            step = (chosen, n - lam, n, raised)
-        steps.append(step)
+    while lam < stop and len(period) < cycle:
+        n, i = heap[0]
+        heapq.heapreplace(heap, (n + gap[i], i))
+        raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
+        if not all(0 <= x <= den for x in raised):
+            shown = ", ".join(str(Fraction(x, den)) for x in raised)
+            raise InvariantError(
+                f"coefficient left [0,1] at step {len(period)}: [{shown}]"
+            )
+        raised[i] -= den
+        fired[i] += 1
+        period.append((i + 1, n - lam, n, tuple(raised)))
         lam = n
-    if len(steps) != count:
+    # the state after one period is the first one shifted by den, so every
+    # later step repeats a checked one, one unit of lambda on
+    if len(period) == cycle and sorted(heap) != [(m + den, x) for m, x in first]:
+        raise InvariantError(f"schedule did not repeat after {cycle} steps")
+    steps = _period_steps([n for _, _, n, _ in period], stop, den)
+    if steps != count:
         raise InvariantError(
-            f"schedule took {len(steps)} steps, its closed form {count}"
+            f"schedule period gives {steps} steps, its closed form {count}"
         )
-    return KvvTrace(
-        multiplicities=e, delta0=delta, target=target, den=den, steps=tuple(steps)
-    )
+    return KvvTrace(e, delta, target, den, tuple(period), count)

@@ -1,9 +1,11 @@
 import ast
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from conekit import cli, cohom, cone3fold, km_surface, scenarios
 from conekit.cli import build_parser, main, parse_divisor
 from conekit.cohom import CohStatus
-from conekit.cone3fold import KVV_MAX_STEPS
+from conekit.cone3fold import KVV_MAX_STEPS, Table
 from conekit.contract import Contraction
 from conekit.km_surface import MAX_D
 from conekit.qlattice import NamedDivisor, pair, pair_canonical
@@ -431,6 +433,12 @@ _JSON_CASES = [
 ]
 
 
+def _materialised(value):
+    """The ``default=`` hook of the ``json.dumps`` oracle: a ``Table`` is the
+    list of its row dicts, and anything else goes to the writer's own hook."""
+    return list(value) if isinstance(value, Table) else cli._rat_json(value)
+
+
 @pytest.mark.parametrize(
     "argv",
     [*_JSON_CASES, ["kvv-schedule", "--e", "2,4", "--delta", "1/2,0", "--target", "300"]],
@@ -442,17 +450,20 @@ def test_json_writer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
     if argv[-1] == "300":
         assert len(payload["steps"]) == 1800
         assert any(step["mu"] == "0" for step in payload["steps"])  # tie steps
-    assert cli._json(payload) == json.dumps(payload, indent=2, default=cli._rat_json)
+    text = cli._json(payload)
+    assert text == json.dumps(payload, indent=2, default=_materialised)
+    assert "".join(cli._pieces(payload)) == text
 
 
 @pytest.mark.parametrize("target, steps", [("300", 1800), ("3000", 18000)])
 def test_json_writer_renders_a_schedule_in_a_fixed_number_of_calls(
     monkeypatch, target, steps
 ):
-    # the steps are one table rendered column by column, and each shared
-    # delta list is rendered once, so the writer is entered the same number
-    # of times for any step count (one entry per row and cell would be
-    # 6 * steps + 8)
+    # the steps are one table rendered column by column a block of rows at a
+    # time, so the writer is entered 4 times for the payload (itself, its two
+    # lists and the table) and 3 times per block, once for each of the three
+    # delta lists the six-step period shares (one entry per row and cell
+    # would be 6 * steps + 8)
     argv = ["kvv-schedule", "--e", "2,4", "--delta", "1/2,0", "--target", target]
     _, payload = _payload_of(monkeypatch, argv)
     assert len(payload["steps"]) == steps
@@ -465,7 +476,131 @@ def test_json_writer_renders_a_schedule_in_a_fixed_number_of_calls(
 
     monkeypatch.setattr(cli, "_json", spy)
     cli._json(payload)
-    assert len(calls) == 7
+    assert len(calls) == 4 + 3 * -(-steps // cli.BLOCK_ROWS)
+
+
+_B = cli.BLOCK_ROWS
+
+
+@st.composite
+def _column_tables(draw):
+    """A ``Table`` of 0, 1, B - 1, B, B + 1 or 2B + 1 rows (B = BLOCK_ROWS)
+    whose rows repeat a drawn period of one to four rows, as a schedule's do.
+    Keys may hold ``%``; a column holds ints and bools, strs (``"0"``, a tie
+    step's mu, among them) with Fractions and None, one list object shared
+    by every row, or leaves and short lists of them."""
+    keys = tuple(draw(st.lists(_TABLE_KEYS, unique=True, min_size=1, max_size=4)))
+    length = draw(st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]))
+    width = draw(st.integers(min_value=1, max_value=4))
+    shared = draw(st.lists(_JSON_TEXT, max_size=3))
+    kinds = [
+        st.integers() | st.booleans(),
+        st.just("0") | _JSON_TEXT | st.fractions() | st.none(),
+        st.just(shared),
+        _JSON_LEAF | st.lists(_JSON_LEAF, max_size=3),
+    ]
+    period = [
+        draw(st.lists(draw(st.sampled_from(kinds)), min_size=width, max_size=width))
+        for _ in keys
+    ]
+
+    def columns(a, b):
+        return [[col[j % width] for j in range(a, b)] for col in period]
+
+    return Table(keys, length, columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_column_tables(), _PAYLOADS)
+def test_json_writer_matches_json_dumps_on_column_tables(table, other):
+    rows = list(table)
+    assert len(rows) == len(table)
+    assert cli._json(table) == json.dumps(rows, indent=2, default=cli._rat_json)
+    # the table as a payload's value is written in pieces, a block a piece
+    payload = {"before": other, "steps": table, "after": [other]}
+    pieces = list(cli._pieces(payload))
+    text = json.dumps(payload, indent=2, default=_materialised)
+    assert "".join(pieces) == cli._json(payload) == text
+    # three keys and the closing brace, the table a piece a block and its
+    # closing bracket ("[]" alone when empty)
+    assert len(pieces) == 7 + -(-len(table) // _B)
+
+
+def test_json_writer_renders_a_schedule_table_of_each_block_boundary():
+    # e = (1, 1) takes 2T - 1 steps to target T, the two coefficients
+    # reaching one together at every integer lambda (mu = 0 on the second)
+    for steps in (1, _B - 1, _B + 1, 2 * _B + 1):
+        trace = cone3fold.kvv_schedule([1, 1], [0, 0], (steps + 1) // 2)
+        payload = trace.to_json_dict()
+        assert len(payload["steps"]) == steps
+        text = cli._json(payload)
+        assert text == json.dumps(payload, indent=2, default=_materialised)
+        assert "".join(cli._pieces(payload)) == text
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("target, steps", [("300", 1800), ("30000", 180000)])
+def test_json_writer_holds_at_most_a_block_of_rows(monkeypatch, target, steps):
+    rendered = []
+    rows = cli._rows
+
+    def spy(keys, columns, newline):
+        rendered.append(len(columns[0]))
+        return rows(keys, columns, newline)
+
+    monkeypatch.setattr(cli, "_rows", spy)
+    monkeypatch.setattr(sys, "stdout", _CountingStdout())
+    argv = ["kvv-schedule", "--e", "2,4", "--delta", "1/2,0", "--target", target]
+    assert main(argv) == 0
+    assert sys.stdout.size > 100 * steps
+    assert sum(rendered) == steps
+    assert max(rendered) <= cli.BLOCK_ROWS
+    assert len(rendered) == -(-steps // cli.BLOCK_ROWS)
+
+
+# sha256 of the stdout of ``kvv-schedule --e 2,3 --target 199999`` as printed
+# when the whole payload was rendered to one string before it was written
+_SCHEDULE_999994_SHA256 = "36af8edc99ee1cb3ad6edeb45be36e8dbe697863b0c9920b3b91175120b91b3d"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_largest_admitted_schedule_prints_in_bounded_memory():
+    # 999,994 steps, just under KVV_MAX_STEPS, 147.5 MB of JSON: the trace
+    # holds one period and the writer a block of rows, so the peak resident
+    # set stays far below the output's size
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from conekit.cli import main\n"
+        "code = main(['kvv-schedule', '--e', '2,3', '--target', '199999'])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    sys.stderr.write(''.join(l for l in fh if l.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
+    )
+    digest = hashlib.sha256()
+    with subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
+    assert digest.hexdigest() == _SCHEDULE_999994_SHA256
+    (kib,) = re.fullmatch(r"VmHWM:\s+(\d+) kB\n", err).groups()
+    assert int(kib) < 40 * 1024
 
 
 @pytest.mark.parametrize(

@@ -599,6 +599,30 @@ def test_schedule_matches_stepwise_oracle_across_periods(e, delta0, target, step
         assert payload["steps"][j]["delta"] is payload["steps"][j - cycle]["delta"]
 
 
+@pytest.mark.parametrize(
+    "route, shown",
+    [
+        ("_period_steps", "schedule period gives 12001 steps, its closed form 12000"),
+        ("_closed_form_steps", "schedule period gives 12000 steps, its closed form 12001"),
+    ],
+    ids=["period", "closed-form"],
+)
+def test_schedule_step_count_routes_must_agree(monkeypatch, capsys, route, shown):
+    # the count from the period's numerators and the closed form by index
+    # are independent: one step off on either side is an internal failure,
+    # raised before any output
+    real = getattr(cone3fold, route)
+    monkeypatch.setattr(cone3fold, route, lambda *args: real(*args) + 1)
+    with pytest.raises(InvariantError) as err:
+        kvv_schedule([2, 4], [Fraction(1, 2), 0], 2000)
+    assert str(err.value) == shown
+    argv = ["kvv-schedule", "--e", "2,4", "--delta", "1/2,0", "--target", "2000"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {shown}\n"
+
+
 def test_schedule_step_count_is_the_closed_form():
     # the golden request: 1 + (ceil(3*1) - 1) + (ceil(3*2) - 1)
     assert len(kvv_schedule([1, 2], [0, 0], 3).steps) == 8
