@@ -29,9 +29,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from _json import encode_basestring_ascii as _escape
 from fractions import Fraction
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
 from .cohom import FamilyDescriptor, cohomology_of_nA, family_divisor, target_context
@@ -138,12 +138,14 @@ def _json(value, newline: str = "\n") -> str:
     """The one JSON writer: the text ``json.dumps(value, indent=2)`` prints,
     built on the exact ``type`` of each value instead of by CPython's
     pure-Python indenting encoder.  A str goes through json's own C escaper
-    and an int through ``repr`` (so the int-to-str digit limit still raises
-    ValueError); a dict is a one-row table and a list a column, both
-    rendered by ``_column``; a ``Table`` is ``"".join`` of its ``_pieces``;
-    every other type goes through ``_rat_json``: a Fraction prints as
-    ``p/q``, and a float, tuple, set, subclass of str or any other object is
-    a TypeError, as is a dict key that is not a str."""
+    (``_json.encode_basestring_ascii``, which ``json.encoder`` re-exports,
+    imported without the ``json`` package) and an int through ``repr`` (so
+    the int-to-str digit limit still raises ValueError); a dict is a one-row
+    table and a list a column, both rendered by ``_column``; a ``Table`` is
+    ``"".join`` of its ``_pieces``; every other type goes through
+    ``_rat_json``: a Fraction prints as ``p/q``, and a float, tuple, set,
+    subclass of str or any other object is a TypeError, as is a dict key
+    that is not a str."""
     kind = type(value)
     if kind is str:
         return _escape(value)
@@ -505,23 +507,17 @@ def cmd_sweep(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conekit",
-        description="exact verifier for the surface/cone counterexample numerics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p, choices=("json", "md"), default="json") -> None:
+    p.add_argument("--format", choices=choices, default=default)
 
-    def add_format(p, choices=("json", "md"), default="json"):
-        p.add_argument("--format", choices=choices, default=default)
 
-    p = sub.add_parser("km-surface", help="print the surface curve table")
+def _km_surface_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--check", action="store_true", help="run the sanity report")
-    add_format(p)
-    p.set_defaults(func=cmd_km_surface)
+    _add_format(p)
 
-    p = sub.add_parser("contract", help="query the contraction of the fibre curves")
+
+def _contract_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--pullback", metavar="DIVISOR")
     p.add_argument("--pushforward", metavar="DIVISOR")
@@ -531,19 +527,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-intersect", nargs=2, metavar=("D1", "D2"))
     p.add_argument("--ample", metavar="DIVISOR")
     p.add_argument("--picard-rank", action="store_true")
-    add_format(p)
-    p.set_defaults(func=cmd_contract)
+    _add_format(p)
 
-    p = sub.add_parser("cohom", help="certified cohomology of n*A on the target")
+
+def _cohom_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q1", type=int, required=True)
     p.add_argument("--q2", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--subtract", metavar="E_j")
-    add_format(p, choices=("json", "csv", "md"))
-    p.set_defaults(func=cmd_cohom)
+    _add_format(p, choices=("json", "csv", "md"))
 
-    p = sub.add_parser("cone", help="threefold ledger for the plt polarization")
+
+def _cone_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument(
@@ -551,40 +547,70 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("curve", "sections", "resolution", "picard", "adjunction"),
         default="curve",
     )
-    add_format(p)
-    p.set_defaults(func=cmd_cone)
+    _add_format(p)
 
-    p = sub.add_parser("kvv-schedule", help="coefficient-reduction schedule trace")
+
+def _kvv_schedule_arguments(p) -> None:
     p.add_argument("--e", required=True, help="comma-separated multiplicities")
     p.add_argument("--delta", default="", help="comma-separated initial coefficients")
     p.add_argument("--target", required=True, help="lambda target (rational)")
-    add_format(p)
-    p.set_defaults(func=cmd_kvv_schedule)
+    _add_format(p)
 
-    p = sub.add_parser("verify", help="scenario verifiers")
+
+def _verify_arguments(p) -> None:
     vsub = p.add_subparsers(dest="scenario", required=True)
     vp = vsub.add_parser("plt", help="non-normal divisor over the cone point")
     vp.add_argument("--d", type=int, required=True)
     vp.add_argument("--q", type=int, required=True)
-    add_format(vp)
+    _add_format(vp)
     vf = vsub.add_parser("fano", help="cone with nonzero intermediate cohomology")
     vf.add_argument("--q", type=int, required=True)
-    add_format(vf)
-    p.set_defaults(func=cmd_verify)
+    _add_format(vf)
 
-    p = sub.add_parser("sweep", help="vanishing-failure table over (d, q1, q2)")
+
+def _sweep_arguments(p) -> None:
     p.add_argument("--d-min", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--out", metavar="FILE")
-    add_format(p, choices=("csv", "json", "md"), default="csv")
-    p.set_defaults(func=cmd_sweep)
+    _add_format(p, choices=("csv", "json", "md"), default="csv")
 
+
+# (name, help, add-arguments, command function) of every subcommand
+COMMANDS = (
+    ("km-surface", "print the surface curve table", _km_surface_arguments, cmd_km_surface),
+    ("contract", "query the contraction of the fibre curves", _contract_arguments,
+     cmd_contract),
+    ("cohom", "certified cohomology of n*A on the target", _cohom_arguments, cmd_cohom),
+    ("cone", "threefold ledger for the plt polarization", _cone_arguments, cmd_cone),
+    ("kvv-schedule", "coefficient-reduction schedule trace", _kvv_schedule_arguments,
+     cmd_kvv_schedule),
+    ("verify", "scenario verifiers", _verify_arguments, cmd_verify),
+    ("sweep", "vanishing-failure table over (d, q1, q2)", _sweep_arguments, cmd_sweep),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand is registered with its help,
+    but only the one ``argv[0]`` names gets its arguments.  With no argv, or
+    an ``argv[0]`` that names no command, every subcommand gets them."""
+    parser = argparse.ArgumentParser(
+        prog="conekit",
+        description="exact verifier for the surface/cone counterexample numerics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    wanted = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
+    for name, help_text, add_arguments, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if wanted in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         code, payload, views = args.func(args)
         _write(args, payload, **views)

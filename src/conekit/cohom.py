@@ -6,7 +6,9 @@ certified lower bound, or ``Unknown``.  The rules implemented are:
 
 * Riemann-Roch on the source surface: chi(D) = 1 + D.(D-K)/2, exact.
 * The rank-one family table for divisors sum E_i - sum E_j: h0/h1/h2 as a
-  function of (d, q1, q2), cross-checked against Riemann-Roch.
+  function of (d, q1, q2), cross-checked against Riemann-Roch on the floor
+  of the pulled-back divisor, which a :class:`FloorWalk` reaches one E_i at
+  a time: the sweep moves one walk from family to family.
 * Serre duality h^i(D) = h^{2-i}(K - D).
 * Degree vanishing: on a rank-one target with ample -K, a divisor of negative
   degree has no sections.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .contract import Contraction, km_psi
 from .km_surface import MIN_D, build_km_surface
@@ -26,6 +29,7 @@ from .qlattice import (
     InvariantError,
     NamedDivisor,
     Rat,
+    curve_sort_key,
     floor_divisor,
     pair,
     pair_canonical,
@@ -182,29 +186,138 @@ def chi_rr(surface, D: NamedDivisor) -> int:
 
 def _riemann_roch(d_dot_d_minus_k: Rat) -> int:
     """1 + D.(D - K)/2, raising unless it is an integer: chi(O) = 1 on every
-    surface here, a blow-up of the plane."""
-    value = 1 + Fraction(d_dot_d_minus_k, 2)
-    if value.denominator != 1:
+    surface here, a blow-up of the plane.  An int argument builds no
+    ``Fraction``."""
+    half, odd = divmod(d_dot_d_minus_k, 2)
+    if odd:
+        value = 1 + Fraction(d_dot_d_minus_k, 2)
         raise InvariantError(f"Riemann-Roch value is not an integer: {value}")
-    return int(value)
+    return 1 + half
 
 
-def floor_pullback_stats(fam: FamilyDescriptor) -> tuple[NamedDivisor, Rat, Rat]:
-    """``(floored, square, dot)``: the floor of the pulled-back family
-    divisor, its square, and its degree against -K on the source,
-    cross-checked against the closed forms.
+@lru_cache(maxsize=1)
+def _family_steps(psi: Contraction) -> tuple[int, list, list]:
+    """``(den, pulls, degrees)``: what a walk on the target of ``psi`` adds
+    for D += c E_i, i = 1..d.  ``pulls[i]`` is pullback(E_i) as ``(name,
+    numerator over den, pairing row, K.C)`` per curve C of its support, and
+    ``degrees[i]`` the degree E_i.pullback(-K_T) as a numerator over one
+    positive denominator; index 0 is never walked.  One pullback and one
+    degree per index, for the last contraction walked on: a new
+    ``target_context`` builds them anew, as a fresh process does."""
+    reg = psi.registry
+    curves = [NamedDivisor(1, {f"E_{i}": 1}) for i in range(1, psi.surface.d + 1)]
+    pulled = [psi.pullback(e) for e in curves]
+    degrees = [psi.degree(e) for e in curves]
+    den = lcm(*(p.den for p in pulled))
+    deg_den = lcm(*(g.denominator for g in degrees))
+    pulls = [
+        tuple(
+            (n, x * (den // p.den), reg.pairing_row(n), reg.canonical_dot(n))
+            for n, x in p.nums.items()
+        )
+        for p in pulled
+    ]
+    degree_nums = [g.numerator * (deg_den // g.denominator) for g in degrees]
+    return den, [()] + pulls, [0] + degree_nums
+
+
+class FloorWalk:
+    """The floor F of pullback(D) for D = sum c_i E_i on the target of
+    ``psi``, with F.F, F.(-K) and the degree D.pullback(-K_T), moved one E_i
+    at a time.
+
+    Pullback is linear, so ``move(i, c)`` adds c times the numerators of
+    pullback(E_i); for each curve C whose floor moves by delta it updates
+    F.F += 2 delta (F.C) + delta^2 (C.C), reading F.C from C's row of the
+    pairing table, and F.(-K) -= delta (K.C).  All of it is ints: F.F and
+    F.(-K) are integers, and the degree is a numerator over a positive
+    denominator, so its sign is the degree's.  A move costs the rows of the
+    curves whose floor moves: Gamma's row has d + 2 entries, the others at
+    most four."""
+
+    __slots__ = ("psi", "den", "pulls", "degrees", "nums", "square", "dot", "degree")
+
+    def __init__(self, psi: Contraction) -> None:
+        self.psi = psi
+        self.den, self.pulls, self.degrees = _family_steps(psi)
+        self.nums: dict[str, int] = {}  # of pullback(D), over den
+        self.square = 0
+        self.dot = 0
+        self.degree = 0
+
+    def copy(self) -> "FloorWalk":
+        other = FloorWalk(self.psi)
+        other.nums = dict(self.nums)
+        other.square, other.dot, other.degree = self.square, self.dot, self.degree
+        return other
+
+    def move(self, i: int, c: int) -> None:
+        """D += c E_i."""
+        nums, den = self.nums, self.den
+        for name, x, row, k_dot in self.pulls[i]:
+            old = nums.get(name, 0)
+            new = old + c * x
+            delta = new // den - old // den
+            if delta:
+                f_dot_c = sum(nums[o] // den * y for o, y in row.items() if o in nums)
+                self.square += delta * (2 * f_dot_c + delta * row.get(name, 0))
+                self.dot -= delta * k_dot
+            nums[name] = new
+        self.degree += c * self.degrees[i]
+
+    @property
+    def ample(self) -> bool:
+        """Ampleness of D on the target: positive degree, where
+        ``Contraction.is_ample_rho1`` allows it (it raises otherwise)."""
+        self.psi.require_rank_one()
+        return self.degree > 0
+
+    def floored(self) -> NamedDivisor:
+        """F, names in ``curve_sort_key`` order."""
+        den, nums = self.den, self.nums
+        return NamedDivisor(1, {
+            n: f for n in sorted(nums, key=curve_sort_key) if (f := nums[n] // den)
+        })
+
+
+def _walk_to(fam: FamilyDescriptor) -> FloorWalk:
+    """The walk at the family divisor: q1 steps up from zero, q2 down."""
+    walk = FloorWalk(target_context(fam.d))
+    q1 = fam.q1
+    for i in range(1, q1 + 1):
+        walk.move(i, 1)
+    for j in range(q1 + 1, q1 + fam.q2 + 1):
+        walk.move(j, -1)
+    return walk
+
+
+def walk_families(psi: Contraction):
+    """``(fam, walk)`` for every family on T(d) = the target of ``psi``,
+    q1 + q2 <= d, in lexicographic order of (q1, q2), the walk standing at
+    the family divisor until the next pair is drawn: one step from (q1, q2)
+    to (q1, q2 + 1), and one from (q1, 0) to (q1 + 1, 0) on a copy kept at
+    (q1, 0)."""
+    d = psi.surface.d
+    base = FloorWalk(psi)
+    for q1 in range(d + 1):
+        if q1:
+            base.move(q1, 1)
+        walk = base.copy()
+        for q2 in range(d - q1 + 1):
+            if q2:
+                walk.move(q1 + q2, -1)
+            yield FamilyDescriptor(d, q1, q2), walk
+
+
+def _checked_floor(fam: FamilyDescriptor, walk: FloorWalk) -> tuple[int, int]:
+    """The walk's (F.F, F.(-K)) at ``fam``, cross-checked against the closed
+    forms; a mismatch is an internal error.
 
     With t = floor((q1-q2)/(2d-4)):
       square = -(q1+q2) + 2(q1-q2) t + t^2 (4-2d)
       dot    = (6-2d) t + (q1-q2)
-    A mismatch between lattice arithmetic and the closed form is an internal
-    error.
     """
-    psi = target_context(fam.d)
-    floored = floor_divisor(psi.pullback(family_divisor(fam)))
-    square = pair(psi.registry, floored, floored)
-    dot = -pair_canonical(psi.registry, floored)
-
+    square, dot = walk.square, walk.dot
     d, q1, q2 = fam.d, fam.q1, fam.q2
     t = _family_shift(fam)
     square_closed = -(q1 + q2) + 2 * (q1 - q2) * t + t * t * (4 - 2 * d)
@@ -214,11 +327,21 @@ def floor_pullback_stats(fam: FamilyDescriptor) -> tuple[NamedDivisor, Rat, Rat]
             f"floor-pullback closed forms disagree with the lattice at {fam}: "
             f"square {square} vs {square_closed}, dot {dot} vs {dot_closed}"
         )
-    return floored, square, dot
+    return square, dot
 
 
-def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
-    """h^i of the family divisor on the rank-one target.
+def floor_pullback_stats(fam: FamilyDescriptor) -> tuple[NamedDivisor, Rat, Rat]:
+    """``(floored, square, dot)``: the floor of the pulled-back family
+    divisor, its square, and its degree against -K on the source, from
+    :func:`_walk_to`, cross-checked against the closed forms."""
+    walk = _walk_to(fam)
+    square, dot = _checked_floor(fam, walk)
+    return walk.floored(), Fraction(square), Fraction(dot)
+
+
+def family_report(fam: FamilyDescriptor, walk: FloorWalk) -> CohomReport:
+    """h^i of the family divisor on the rank-one target, with ``walk``
+    standing at it.
 
     chi is computed twice, from the closed form and from Riemann-Roch on the
     floored pullback; disagreement raises.  h2 is always zero (its Serre dual
@@ -230,7 +353,7 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     t = _family_shift(fam)
     chi_closed = 1 - q2 + (q1 - q2 - d + 3) * t - t * t * (d - 2)
     # Riemann-Roch on the floor D: D.(D - K) = D.D + D.(-K)
-    _, square, dot = floor_pullback_stats(fam)
+    square, dot = _checked_floor(fam, walk)
     chi_lattice = _riemann_roch(square + dot)
     if chi_closed != chi_lattice:
         raise InvariantError(
@@ -268,6 +391,11 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     if not report.euler_consistent():
         raise InvariantError(f"Euler consistency failed at {fam}: {report}")
     return report
+
+
+def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
+    """:func:`family_report` for one family, walked to by :func:`_walk_to`."""
+    return family_report(fam, _walk_to(fam))
 
 
 def serre_dual(psi: Contraction, D: NamedDivisor) -> NamedDivisor:

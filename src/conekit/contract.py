@@ -189,12 +189,17 @@ class Contraction:
         minus_k = self.minus_k_target().nums
         return bool(minus_k) and all(x > 0 for x in minus_k.values())
 
-    def is_ample_rho1(self, D: NamedDivisor) -> bool:
-        """Ampleness on a rank-one target with ample -K: positive degree."""
+    def require_rank_one(self) -> None:
+        """Raise unless the target has Picard rank one and -K_T is ample, where
+        ampleness is the sign of the degree."""
         if not self._minus_k_target_ample:
             raise ValueError(
                 "target is not of Picard rank one with -K nonzero and effective"
             )
+
+    def is_ample_rho1(self, D: NamedDivisor) -> bool:
+        """Ampleness on a rank-one target with ample -K: positive degree."""
+        self.require_rank_one()
         return self.degree(D) > 0
 
     @cached_property

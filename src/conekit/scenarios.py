@@ -14,8 +14,8 @@ claim is unknown until its premises are certified.
 
 :func:`sweep_kvv` returns ``{scenario, params, rows}``, one row dict per
 (d, q1, q2); its row count is known in closed form, and its work (rows
-weighted by their cost in d) is bounded by ``SWEEP_MAX_WORK`` before any
-contraction is built.
+weighted by 2d+1) is bounded by ``SWEEP_MAX_WORK`` before any contraction is
+built.  Each row is one step of ``cohom``'s family walk.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from .cohom import (
     FamilyDescriptor,
     cohomology_of_nA,
     family_divisor,
+    family_report,
     km_family_cohomology,
     target_context,
     uniform_h1_chain_zero,
     uniform_h2_chain_zero,
+    walk_families,
 )
 from .cone3fold import ConeModel, picard_chain, plt_coefficient_b
 from .km_surface import MAX_D, MIN_D
@@ -264,11 +266,17 @@ def verify_bad_fano(q: int) -> dict:
 
 
 # A sweep whose work, the sum over d of rows(d) * (2d+1), is above this is
-# refused before its first contraction: a row pulls back across the 2d+1
-# contracted curves of T(d).  One unit took 1.8 to 2.5 us on a shared 2-vCPU
-# machine (Python 3.11, best of 3 in-process; windows [3, 30], [50, 50] and
-# [80, 80]), so an admitted window runs in about 2.5 s there.  [3, 42] (908,120 units) is
-# admitted; the single d = 171 (5,103,154 units) is not.
+# refused before its first contraction.  The unit counted a row's pullback
+# across the 2d+1 contracted curves of T(d); a row is now one step of the
+# family walk, which costs about the same at every d, so the unit overstates
+# large d.  In-process on a shared 2-vCPU machine (Python 3.11, best of 5,
+# whose speed drifted by up to 1.6x between runs): [3, 30] (250,936 units)
+# 0.12 s, [50, 50] (133,926) 0.027 s, [80, 80] (534,681) 0.039 s and
+# [3, 42] (908,120) 0.20 s, T(d) built once per d included.  [3, 42] is
+# admitted; the single d = 171 (5,103,154 units) is not.  The limit stays
+# until the rows are streamed: a window's rows are all held before any is
+# printed, and the limit is to be re-sized, in rows and output bytes, with
+# that change.
 SWEEP_MAX_WORK = 1_000_000
 
 
@@ -300,16 +308,13 @@ def sweep_kvv(d_min: int, d_max: int) -> dict:
         )
     rows = []
     for d in range(d_min, d_max + 1):
-        psi = target_context(d)
-        for q1 in range(0, d + 1):
-            for q2 in range(0, d - q1 + 1):
-                fam = FamilyDescriptor(d, q1, q2)
-                ample = psi.is_ample_rho1(family_divisor(fam))
-                h1 = km_family_cohomology(fam).h1.value
-                rows.append({
-                    "d": d, "q1": q1, "q2": q2,
-                    "ample": ample, "h1": h1, "kvv_violation": ample and h1 > 0,
-                })
+        for fam, walk in walk_families(target_context(d)):
+            ample = walk.ample
+            h1 = family_report(fam, walk).h1.value
+            rows.append({
+                "d": d, "q1": fam.q1, "q2": fam.q2,
+                "ample": ample, "h1": h1, "kvv_violation": ample and h1 > 0,
+            })
     return {
         "scenario": "kvv-sweep",
         "params": {"d_min": d_min, "d_max": d_max},

@@ -14,7 +14,7 @@ from pathlib import Path
 import argparse
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conekit import cli, cohom, cone3fold, km_surface, scenarios
@@ -149,6 +149,67 @@ def test_every_command_and_format_has_a_golden():
     expected = set(_format_choices(parser))
     assert expected, "parser exposes no --format option"
     assert expected - pinned == set()
+
+
+def _command_paths(parser, path=()):
+    """Every command path of the parser tree, parents before children."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield path + (name,)
+                yield from _command_paths(child, path + (name,))
+
+
+def _parse_exit(parser, argv):
+    """(exit status, stdout, stderr) of parsing an argv that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "path", [(), *_command_paths(build_parser())], ids=lambda p: " ".join(p) or "top"
+)
+def test_lean_parser_prints_what_the_full_parser_prints(path):
+    # build_parser(argv) gives only argv[0]'s command its arguments; the help
+    # and the usage errors of every command path stay those of the full tree
+    help_argv, bad_argv = [*path, "--help"], [*path, "--no-such-option"]
+    assert _parse_exit(build_parser(help_argv), help_argv) == _parse_exit(
+        build_parser(), help_argv
+    )
+    code, out, err = _parse_exit(build_parser(bad_argv), bad_argv)
+    assert code == 2 and out == "" and err.startswith("usage: conekit")
+    assert (code, out, err) == _parse_exit(build_parser(), bad_argv)
+
+
+def test_lean_parser_builds_only_the_invoked_command(monkeypatch):
+    # a counter, not a clock: the add_argument calls of one parser build
+    calls = 0
+    real = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+
+    def count(argv):
+        nonlocal calls
+        calls = 0
+        build_parser(argv)
+        return calls
+
+    # -h of conekit and of its 7 commands, then verify's arguments: -h, --d,
+    # --q and --format of plt, -h, --q and --format of fano
+    assert count(["verify", "plt", "--d", "5", "--q", "3"]) == 8 + 7
+    assert count(["sweep", "--d-min", "3", "--d-max", "3"]) == 8 + 4
+    # the full tree: the 8 -h and the arguments of km-surface (3), contract
+    # (10), cohom (6), cone (4), kvv-schedule (4), verify (7) and sweep (4)
+    full = count(None)
+    assert count([]) == count(["no-such-command"]) == count(["--help"]) == full == 46
 
 
 def test_verify_exit_codes():
@@ -510,7 +571,13 @@ def _column_tables(draw):
     return Table(keys, length, columns)
 
 
-@settings(max_examples=40, deadline=None)
+# tables of up to 8,193 rows shrink for minutes on a writer fault, so a
+# failure is reported as drawn, unshrunk
+@settings(
+    max_examples=40,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(_column_tables(), _PAYLOADS)
 def test_json_writer_matches_json_dumps_on_column_tables(table, other):
     rows = list(table)
@@ -757,6 +824,13 @@ def test_wrong_cohom_closed_form_is_an_internal_failure(monkeypatch, capsys):
         "floor-pullback closed forms disagree with the lattice at "
         "FamilyDescriptor(d=5, q1=3, q2=2): square -5 vs -9, dot 1 vs -3",
     )
+    # the sweep's walk runs the same check on every row, the first one first
+    _internal_check_fails(
+        capsys,
+        ["sweep", "--d-min", "5", "--d-max", "5"],
+        "floor-pullback closed forms disagree with the lattice at "
+        "FamilyDescriptor(d=5, q1=0, q2=0): square 0 vs -6, dot 0 vs -4",
+    )
 
 
 def test_wrong_riemann_roch_is_an_internal_failure(monkeypatch, capsys):
@@ -767,6 +841,11 @@ def test_wrong_riemann_roch_is_an_internal_failure(monkeypatch, capsys):
         capsys,
         ["cohom", "--d", "5", "--q1", "3", "--q2", "2"],
         "chi closed form -1 != Riemann-Roch 0 at FamilyDescriptor(d=5, q1=3, q2=2)",
+    )
+    _internal_check_fails(
+        capsys,
+        ["sweep", "--d-min", "5", "--d-max", "5"],
+        "chi closed form 1 != Riemann-Roch 2 at FamilyDescriptor(d=5, q1=0, q2=0)",
     )
 
 
@@ -783,6 +862,18 @@ def test_inconsistent_family_table_is_an_internal_failure(monkeypatch, capsys):
         "certificates=('chi:closed-form', 'chi:riemann-roch-on-floor-pullback', "
         "'h0:no-sections-by-fibre-restriction', 'h2:duality-to-no-sections', "
         "'h1:rank-one-family-table(q1>=q2>0)'))",
+    )
+    # in the sweep, the trivial family (5, 0, 0) still balances: 1 - 1 + 1 = 1
+    _internal_check_fails(
+        capsys,
+        ["sweep", "--d-min", "5", "--d-max", "5"],
+        "Euler consistency failed at FamilyDescriptor(d=5, q1=0, q2=1): "
+        "CohomReport(h0=CohStatus(kind='exact', value=1), "
+        "h1=CohStatus(kind='exact', value=0), "
+        "h2=CohStatus(kind='exact', value=1), chi=0, "
+        "certificates=('chi:closed-form', 'chi:riemann-roch-on-floor-pullback', "
+        "'h0:no-sections-by-fibre-restriction', 'h2:duality-to-no-sections', "
+        "'h1:rank-one-family-table(q2>q1)'))",
     )
 
 

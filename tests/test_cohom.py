@@ -13,6 +13,7 @@ from conekit.cohom import (
     cohomology_of_nA,
     effective_ample_rewrite,
     family_divisor,
+    family_report,
     floor_pullback_stats,
     h0_zero_by_degree,
     h1_vanish_eff_nef_big,
@@ -21,8 +22,9 @@ from conekit.cohom import (
     target_context,
     uniform_h1_chain_zero,
     uniform_h2_chain_zero,
+    walk_families,
 )
-from conekit.qlattice import NamedDivisor, floor_divisor
+from conekit.qlattice import NamedDivisor, floor_divisor, pair, pair_canonical
 
 PSI5 = target_context(5)
 FAM531 = FamilyDescriptor(5, 3, 1)
@@ -73,15 +75,55 @@ def test_floor_stats_trivial_family():
     assert dot == 0
 
 
+def _from_scratch(fam):
+    """The oracle for the walk: pull back the whole family divisor, floor it,
+    and pair the floor with itself and with K; ampleness is the degree sign
+    of the divisor itself."""
+    psi = target_context(fam.d)
+    reg = psi.registry
+    divisor = family_divisor(fam)
+    floored = floor_divisor(psi.pullback(divisor))
+    return (
+        floored,
+        pair(reg, floored, floored),
+        -pair_canonical(reg, floored),
+        psi.is_ample_rho1(divisor),
+    )
+
+
+def _walks_equal_the_oracle(d_lo, d_hi):
+    """Compare, on every family with d_lo <= d <= d_hi, the sweep's walk and
+    the single-row route with the from-scratch oracle, and run the family
+    engine on the walk, which raises on any mismatch of chi, the floor's
+    square or its degree with their closed forms; the number of families."""
+    rows = 0
+    for d in range(d_lo, d_hi + 1):
+        for fam, walk in walk_families(target_context(d)):
+            floored, square, dot, ample = _from_scratch(fam)
+            walked = walk.floored()
+            assert (walked, walk.square, walk.dot, walk.ample) == (
+                floored, square, dot, ample
+            ), fam
+            # the same name order too, which the printed divisor follows
+            assert list(walked.nums.items()) == list(floored.nums.items()), fam
+            assert floor_pullback_stats(fam) == (floored, square, dot), fam
+            family_report(fam, walk)
+            rows += 1
+    return rows
+
+
+def test_walk_equals_the_from_scratch_route_on_small_grid():
+    assert _walks_equal_the_oracle(3, 12) == sum(grid_rows(d) for d in range(3, 13))
+
+
 @pytest.mark.slow
 def test_chi_closed_form_equals_riemann_roch_on_grid():
-    # the family engine raises on any mismatch of chi, the floor's square or
-    # its degree with their closed forms; run it on the whole d <= 60 grid
-    rows = 0
-    for fam in grid(3, 60):
-        km_family_cohomology(fam)
-        rows += 1
-    assert rows == 39_701
+    # the whole d <= 60 grid
+    assert _walks_equal_the_oracle(3, 60) == 39_701
+
+
+def grid_rows(d):
+    return (d + 1) * (d + 2) // 2
 
 
 # --- family table ---------------------------------------------------------------

@@ -90,9 +90,11 @@ def test_deterministic_call_counts():
     assert calls["contract.km_psi"] == calls["contract.gram_inverse"] == 1
     # a target pairing D1 . pullback(D2) pulls back one side only, and nothing
     # keeps a pulled-back divisor but the model's pullback(A), which is also
-    # what the multiplicity table is read from, and the contraction's one
-    # pullback(-K_T), which every degree pairs against
-    assert calls["contract.pullback"] == 11
+    # what the multiplicity table is read from, the contraction's one
+    # pullback(-K_T), which every degree pairs against, and the steps of the
+    # family walk, pullback(E_i) once for each i <= d, which both family
+    # tables, (5, 3, 1) and (5, 3, 2), walk
+    assert calls["contract.pullback"] == 14
     # contract shares the one cached contraction per d
     calls = _traced_calls(["contract", "--d", "5", "--pullback", "E_1"])
     assert calls["cohom.target_context"] == 1
@@ -103,9 +105,12 @@ def test_deterministic_call_counts():
     calls = _traced_calls(["sweep", "--d-min", "5", "--d-max", "5"])
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls.get("qlattice.intersect", 0) == 0
-    # one pullback for each of the 21 rows, the family divisor for its floor,
-    # and -K_T once for every row's ampleness degree
-    assert calls["contract.pullback"] == 21 + 1
+    # the 21 rows are one walk: pullback(E_i) once for each i <= d, and -K_T
+    # once for the degrees of those steps, so d + 1 pullbacks whatever the
+    # number of rows
+    assert calls["contract.pullback"] == 5 + 1
+    calls = _traced_calls(["sweep", "--d-min", "9", "--d-max", "9"])
+    assert calls["contract.pullback"] == 9 + 1
     calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
     assert calls.get("qlattice.class_of", 0) == 0
     # the cone ledger, the surface sanity check and the discrepancy solve read

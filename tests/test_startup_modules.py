@@ -15,6 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # dataclasses imports inspect, which imports ast, dis and tokenize
 FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# the JSON writer needs only the C escaper in _json; the json package would
+# bring its decoder and scanner and compile their regexes
+JSON_PACKAGE = {"json", "json.decoder", "json.scanner"}
 
 _IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.MULTILINE)
 
@@ -51,6 +54,7 @@ def test_cli_run_loads_no_introspection_module(args):
     modules = imported_modules(args)
     assert "conekit" in modules
     assert modules & FORBIDDEN == set()
+    assert modules & JSON_PACKAGE == set()
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "conekit").glob("*.py")), ids=lambda p: p.name)
