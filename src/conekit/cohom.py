@@ -4,12 +4,13 @@ The engine never guesses a cohomology number.  Every entry of a
 :class:`CohomReport` is either exact with a rule token explaining it, a
 certified lower bound, or ``Unknown``.  The rules implemented are:
 
-* Riemann-Roch on the source surface: chi(D) = 1 + D.(D-K)/2, exact.
+* Riemann-Roch on the source surface: chi(D) = 1 + D.(D-K)/2, exact, on
+  the floor of the pulled-back divisor, which a :class:`FloorWalk` reaches
+  one E_i at a time: every twist nA - E_j is walked to, and the sweep moves
+  one walk from family to family.
 * The rank-one family table for divisors sum E_i - sum E_j: h0/h1/h2 as a
-  function of (d, q1, q2), cross-checked against Riemann-Roch on the floor
-  of the pulled-back divisor, which a :class:`FloorWalk` reaches one E_i at
-  a time: the sweep moves one walk from family to family.
-* Serre duality h^i(D) = h^{2-i}(K - D).
+  function of (d, q1, q2), cross-checked against Riemann-Roch on the floor.
+* Serre duality h^i(D) = h^{2-i}(K - D), through the degree of K - D.
 * Degree vanishing: on a rank-one target with ample -K, a divisor of negative
   degree has no sections.
 * The pair-shift rewriting 2E_i ~ 2E_j, used to exhibit effective ample
@@ -21,19 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .contract import Contraction, km_psi
 from .km_surface import MIN_D, build_km_surface
-from .qlattice import (
-    InvariantError,
-    NamedDivisor,
-    Rat,
-    curve_sort_key,
-    floor_divisor,
-    pair,
-    pair_canonical,
-)
+from .qlattice import InvariantError, NamedDivisor, Rat, curve_sort_key
 
 
 class CohStatus:
@@ -172,53 +164,26 @@ def _family_shift(fam: FamilyDescriptor) -> int:
     return (fam.q1 - fam.q2) // (2 * fam.d - 4)
 
 
-def chi_rr(surface, D: NamedDivisor) -> int:
-    """Riemann-Roch Euler characteristic of an integral divisor, exact.
-
-    chi(D) = 1 + D.(D - K)/2; a non-integral result means the divisor or the
-    lattice is invalid and is reported as an error, never rounded.
-    """
-    if not D.is_integral():
-        raise ValueError(f"divisor is not integral: {D}")
-    reg = surface.registry
-    return _riemann_roch(pair(reg, D, D) - pair_canonical(reg, D))
-
-
-def _riemann_roch(d_dot_d_minus_k: Rat) -> int:
-    """1 + D.(D - K)/2, raising unless it is an integer: chi(O) = 1 on every
-    surface here, a blow-up of the plane.  An int argument builds no
-    ``Fraction``."""
-    half, odd = divmod(d_dot_d_minus_k, 2)
-    if odd:
-        value = 1 + Fraction(d_dot_d_minus_k, 2)
-        raise InvariantError(f"Riemann-Roch value is not an integer: {value}")
-    return 1 + half
+@lru_cache(maxsize=1)
+def _steps(psi: Contraction) -> dict[int, tuple]:
+    """The steps of the walks on the target of ``psi``, by index i, each
+    built by :meth:`FloorWalk.move` the first time E_i is moved: one
+    pullback per index, for the last contraction walked on, so a walk to
+    one family costs q1 + q2 pullbacks, and a new ``target_context``
+    starts afresh, as a fresh process does."""
+    return {}
 
 
 @lru_cache(maxsize=1)
-def _family_steps(psi: Contraction) -> tuple[int, list, list]:
-    """``(den, pulls, degrees)``: what a walk on the target of ``psi`` adds
-    for D += c E_i, i = 1..d.  ``pulls[i]`` is pullback(E_i) as ``(name,
-    numerator over den, pairing row, K.C)`` per curve C of its support, and
-    ``degrees[i]`` the degree E_i.pullback(-K_T) as a numerator over one
-    positive denominator; index 0 is never walked.  One pullback and one
-    degree per index, for the last contraction walked on: a new
-    ``target_context`` builds them anew, as a fresh process does."""
-    reg = psi.registry
-    curves = [NamedDivisor(1, {f"E_{i}": 1}) for i in range(1, psi.surface.d + 1)]
-    pulled = [psi.pullback(e) for e in curves]
-    degrees = [psi.degree(e) for e in curves]
-    den = lcm(*(p.den for p in pulled))
-    deg_den = lcm(*(g.denominator for g in degrees))
-    pulls = [
-        tuple(
-            (n, x * (den // p.den), reg.pairing_row(n), reg.canonical_dot(n))
-            for n, x in p.nums.items()
+def _minus_k_degree(psi: Contraction) -> int:
+    """deg(-K_T), through K on the lattice, as a numerator over N =
+    ``psi.inverse_den``, the denominator of every walk's degree."""
+    degree = psi.degree(psi.minus_k_target()) * psi.inverse_den
+    if degree.denominator != 1:
+        raise InvariantError(
+            f"deg(-K_T) = {degree}/{psi.inverse_den} is not an integer over N"
         )
-        for p in pulled
-    ]
-    degree_nums = [g.numerator * (deg_den // g.denominator) for g in degrees]
-    return den, [()] + pulls, [0] + degree_nums
+    return degree.numerator
 
 
 class FloorWalk:
@@ -227,19 +192,22 @@ class FloorWalk:
     at a time.
 
     Pullback is linear, so ``move(i, c)`` adds c times the numerators of
-    pullback(E_i); for each curve C whose floor moves by delta it updates
-    F.F += 2 delta (F.C) + delta^2 (C.C), reading F.C from C's row of the
-    pairing table, and F.(-K) -= delta (K.C).  All of it is ints: F.F and
-    F.(-K) are integers, and the degree is a numerator over a positive
-    denominator, so its sign is the degree's.  A move costs the rows of the
-    curves whose floor moves: Gamma's row has d + 2 entries, the others at
-    most four."""
+    pullback(E_i) over N = ``psi.inverse_den``; for each curve C whose floor
+    moves by delta it updates F.F += 2 delta (F.C) + delta^2 (C.C), reading
+    F.C from C's row of the pairing table, and F.(-K) -= delta (K.C).  The
+    degree of E_i is -K.pullback(E_i): pullback(-K_T) is -K plus contracted
+    curves, to which pullback(E_i) is orthogonal, so it is summed once per
+    step from the same K.C column.  All of it is ints: F.F and F.(-K) are
+    integers, and the degree is a numerator over N, so its sign is the
+    degree's.  A move costs the rows of the curves whose floor moves:
+    Gamma's row has d + 2 entries, the others at most four."""
 
-    __slots__ = ("psi", "den", "pulls", "degrees", "nums", "square", "dot", "degree")
+    __slots__ = ("psi", "den", "steps", "nums", "square", "dot", "degree")
 
     def __init__(self, psi: Contraction) -> None:
         self.psi = psi
-        self.den, self.pulls, self.degrees = _family_steps(psi)
+        self.den = psi.inverse_den
+        self.steps = _steps(psi)
         self.nums: dict[str, int] = {}  # of pullback(D), over den
         self.square = 0
         self.dot = 0
@@ -252,9 +220,20 @@ class FloorWalk:
         return other
 
     def move(self, i: int, c: int) -> None:
-        """D += c E_i."""
+        """D += c E_i.  The step of E_i is built on its first move: the
+        numerators of pullback(E_i) over den, as ``(name, numerator, pairing
+        row, K.C)`` per curve C of its support, and deg(E_i) over den."""
         nums, den = self.nums, self.den
-        for name, x, row, k_dot in self.pulls[i]:
+        if i not in self.steps:
+            reg = self.psi.registry
+            pulled = self.psi.pullback(NamedDivisor(1, {f"E_{i}": 1}))
+            pulls = tuple(
+                (n, x * (den // pulled.den), reg.pairing_row(n), reg.canonical_dot(n))
+                for n, x in pulled.nums.items()
+            )
+            self.steps[i] = pulls, -sum(x * k for _, x, _, k in pulls)
+        pulls, degree = self.steps[i]
+        for name, x, row, k_dot in pulls:
             old = nums.get(name, 0)
             new = old + c * x
             delta = new // den - old // den
@@ -263,7 +242,7 @@ class FloorWalk:
                 self.square += delta * (2 * f_dot_c + delta * row.get(name, 0))
                 self.dot -= delta * k_dot
             nums[name] = new
-        self.degree += c * self.degrees[i]
+        self.degree += c * degree
 
     @property
     def ample(self) -> bool:
@@ -280,14 +259,34 @@ class FloorWalk:
         })
 
 
-def _walk_to(fam: FamilyDescriptor) -> FloorWalk:
-    """The walk at the family divisor: q1 steps up from zero, q2 down."""
+def chi_rr(walk: FloorWalk) -> int:
+    """Riemann-Roch Euler characteristic of the walk's floor F, exact:
+    chi(F) = 1 + F.(F - K)/2 = 1 + (F.F + F.(-K))/2, raising unless it is
+    an integer, since chi(O) = 1 on every surface here, a blow-up of the
+    plane.  It builds no ``Fraction`` unless it raises."""
+    d_dot_d_minus_k = walk.square + walk.dot
+    half, odd = divmod(d_dot_d_minus_k, 2)
+    if odd:
+        value = 1 + Fraction(d_dot_d_minus_k, 2)
+        raise InvariantError(f"Riemann-Roch value is not an integer: {value}")
+    return 1 + half
+
+
+def _walk_to(
+    fam: FamilyDescriptor, n: int = 1, subtract: int | None = None
+) -> FloorWalk:
+    """The walk at n times the family divisor minus E_subtract, ``subtract``
+    in 1..d: n up on each of E_1..E_q1, n down on the next q2, one down on
+    E_subtract."""
     walk = FloorWalk(target_context(fam.d))
-    q1 = fam.q1
-    for i in range(1, q1 + 1):
-        walk.move(i, 1)
-    for j in range(q1 + 1, q1 + fam.q2 + 1):
-        walk.move(j, -1)
+    if n:
+        q1 = fam.q1
+        for i in range(1, q1 + 1):
+            walk.move(i, n)
+        for j in range(q1 + 1, q1 + fam.q2 + 1):
+            walk.move(j, -n)
+    if subtract is not None:
+        walk.move(subtract, -1)
     return walk
 
 
@@ -352,9 +351,8 @@ def family_report(fam: FamilyDescriptor, walk: FloorWalk) -> CohomReport:
     d, q1, q2 = fam.d, fam.q1, fam.q2
     t = _family_shift(fam)
     chi_closed = 1 - q2 + (q1 - q2 - d + 3) * t - t * t * (d - 2)
-    # Riemann-Roch on the floor D: D.(D - K) = D.D + D.(-K)
-    square, dot = _checked_floor(fam, walk)
-    chi_lattice = _riemann_roch(square + dot)
+    _checked_floor(fam, walk)
+    chi_lattice = chi_rr(walk)
     if chi_closed != chi_lattice:
         raise InvariantError(
             f"chi closed form {chi_closed} != Riemann-Roch {chi_lattice} at {fam}"
@@ -398,20 +396,15 @@ def km_family_cohomology(fam: FamilyDescriptor) -> CohomReport:
     return family_report(fam, _walk_to(fam))
 
 
-def serre_dual(psi: Contraction, D: NamedDivisor) -> NamedDivisor:
-    """K - D on the target; callers pair it with h^i(D) = h^{2-i}(K - D)."""
-    return psi.target_canonical() - D
-
-
-def h0_zero_by_degree(psi: Contraction, D: NamedDivisor) -> CohStatus:
-    """No-sections test by degree sign on the rank-one target.
+def h0_zero_by_degree(degree: Rat) -> CohStatus:
+    """No-sections test by the sign of a degree on the rank-one target.
 
     Negative degree has no sections.  Zero degree concludes nothing: the
     pullback of D is orthogonal to every contracted curve, so on the
     nondegenerate lattice it lies on the line of pullback(-K), whose square
     is positive, and degree zero makes it numerically trivial.
     """
-    return CohStatus.zero() if psi.degree(D) < 0 else CohStatus.unknown()
+    return CohStatus.zero() if degree < 0 else CohStatus.unknown()
 
 
 def _e_index(name: str) -> int:
@@ -451,18 +444,13 @@ def effective_ample_rewrite(
     return NamedDivisor.of(rep)
 
 
-def h1_vanish_eff_nef_big(psi: Contraction, D: NamedDivisor) -> bool:
+def h1_vanish_eff_nef_big(psi: Contraction, D: NamedDivisor, degree: Rat) -> bool:
     """Vanishing rule for divisors with an effective representative and
-    positive degree: True when it certifies h1(-D) = 0 and h1(K+D) = 0,
-    through the pair-shift rewrite and the vanishing for effective nef and
-    big divisors."""
+    positive degree, the sign of ``degree``: True when it certifies
+    h1(-D) = 0 and h1(K+D) = 0, through the pair-shift rewrite and the
+    vanishing for effective nef and big divisors."""
     rep = effective_ample_rewrite(psi, D)
-    return rep is not None and not rep.is_zero() and psi.degree(D) > 0
-
-
-def _minus_k_as_e(d: int) -> NamedDivisor:
-    """-K on the target rewritten with support on the E curves: 2 E_d."""
-    return NamedDivisor.of({f"E_{d}": 2})
+    return rep is not None and not rep.is_zero() and degree > 0
 
 
 def cohomology_of_nA(
@@ -474,16 +462,16 @@ def cohomology_of_nA(
     the family table, with a subtracted fresh curve absorbed into the
     negative block; n >= 2 uses the effective-nef-big vanishing route for h1
     and degree vanishing of the Serre dual for h2.  Anything outside rule
-    coverage is reported Unknown, never guessed.
+    coverage is reported Unknown, never guessed.  chi and every degree are
+    read from the walk to nA - E_j.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 1 and subtract is None:
         return km_family_cohomology(fam)
-    divisor = family_divisor(fam).scale(n) + _minus_e(fam.d, subtract)
-
-    psi = target_context(fam.d)
-    chi = chi_rr(psi.surface, floor_divisor(psi.pullback(divisor)))
+    minus_e = _minus_e(fam.d, subtract)  # raises before the walk moves
+    walk = _walk_to(fam, n, subtract)
+    chi = chi_rr(walk)
     certs = ["chi:riemann-roch-on-floor-pullback"]
 
     if n == 0 and subtract is None:
@@ -497,11 +485,13 @@ def cohomology_of_nA(
             ),
         )
 
+    psi = walk.psi
+    degree_minus_k = walk.degree + _minus_k_degree(psi)  # deg(D - K)
     if n == 0:
-        h0 = h0_zero_by_degree(psi, divisor)
+        h0 = h0_zero_by_degree(walk.degree)
         if h0.is_exact_zero:
             certs.append("h0:negative-degree")
-        h2 = h0_zero_by_degree(psi, serre_dual(psi, divisor))
+        h2 = h0_zero_by_degree(-degree_minus_k)  # h2(D) = h0(K - D)
         if h2.is_exact_zero:
             certs.append("h2:duality+negative-degree")
         return CohomReport(
@@ -536,9 +526,11 @@ def cohomology_of_nA(
         certs.append("coverage:family-not-ample")
         return CohomReport(unknown, unknown, unknown, chi, tuple(certs))
 
+    divisor = family_divisor(fam).scale(n) + minus_e
     h1 = CohStatus.unknown()
-    shifted = divisor + _minus_k_as_e(fam.d)  # divisor - K, with -K ~ 2 E_d
-    if h1_vanish_eff_nef_big(psi, shifted):
+    # divisor - K with -K ~ 2 E_d, on the E curves for the pair-shift rewrite
+    shifted = divisor + NamedDivisor.of({f"E_{fam.d}": 2})
+    if h1_vanish_eff_nef_big(psi, shifted, degree_minus_k):
         # h1(K + (divisor - K)) = h1(divisor) = 0
         h1 = CohStatus.zero()
         certs += [
@@ -547,8 +539,7 @@ def cohomology_of_nA(
             "h1:applied-to-divisor-minus-canonical",
         ]
 
-    dual = serre_dual(psi, divisor)
-    h2 = h0_zero_by_degree(psi, dual)
+    h2 = h0_zero_by_degree(-degree_minus_k)  # h2(D) = h0(K - D)
     if h2.is_exact_zero:
         certs.append("h2:duality+negative-degree")
 
@@ -558,7 +549,7 @@ def cohomology_of_nA(
         h0 = CohStatus.at_least_one() if not rep.is_zero() else CohStatus.exact(1)
         certs.append("h0:effective-rewrite")
     else:
-        by_degree = h0_zero_by_degree(psi, divisor)
+        by_degree = h0_zero_by_degree(walk.degree)
         if by_degree.is_exact_zero:
             h0 = by_degree
             certs.append("h0:negative-degree")

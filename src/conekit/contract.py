@@ -60,7 +60,7 @@ class Contraction:
         self.contracted = tuple(sorted(contracted, key=curve_sort_key))
         self._contracted_set = frozenset(contracted)
         self._corrections: dict[str, dict[str, int]] = {}  # by _correction
-        self._inverse_den  # reads gram_inverse: raises unless G is diagonal and < 0
+        self.inverse_den  # reads gram_inverse: raises unless G is diagonal and < 0
 
     @property
     def lattice(self):
@@ -102,16 +102,17 @@ class Contraction:
         return inverse
 
     @cached_property
-    def _inverse_den(self) -> int:
+    def inverse_den(self) -> int:
         """N, the common denominator of G^{-1}: the lcm of the |C.C|;
-        corrections are ints over N."""
+        corrections are ints over N, so the pullback of an integral divisor
+        has a denominator dividing N."""
         return lcm(*(row[name].denominator for name, row in self.gram_inverse.items()))
 
     def _solve(self, dots: dict[str, int]) -> dict[str, int]:
         """Numerators over N of x_C = -(D.C)/(C.C), the combination of
         contracted curves with (D + x).C = 0 for every contracted C, given
         dots[C] = D.C."""
-        den, inverse = self._inverse_den, self.gram_inverse
+        den, inverse = self.inverse_den, self.gram_inverse
         out = {}
         for name, dot in dots.items():
             if dot:
@@ -140,7 +141,7 @@ class Contraction:
         D plus the sum of c * (the correction of C) over the terms c*C of D,
         returned as its integer numerators over den(D) * N."""
         self._refuse_contracted(D)
-        n_den = self._inverse_den
+        n_den = self.inverse_den
         acc = {name: a * n_den for name, a in D.nums.items()}
         for name, a in D.nums.items():
             for other, x in self._correction(name).items():
@@ -208,7 +209,7 @@ class Contraction:
 
     def relative_canonical(self) -> dict[str, Rat]:
         """Discrepancies {C: a_C} with K_source = pullback(K_target) + sum a_C C."""
-        correction, den = self._canonical_correction, self._inverse_den
+        correction, den = self._canonical_correction, self.inverse_den
         return {n: Fraction(-correction.get(n, 0), den) for n in self.contracted}
 
     def residual_checks(self) -> bool:

@@ -835,8 +835,8 @@ def test_wrong_cohom_closed_form_is_an_internal_failure(monkeypatch, capsys):
 
 def test_wrong_riemann_roch_is_an_internal_failure(monkeypatch, capsys):
     # Riemann-Roch one too high: chi of the floor no longer meets the closed form
-    real = cohom._riemann_roch
-    monkeypatch.setattr(cohom, "_riemann_roch", lambda x: real(x) + 1)
+    real = cohom.chi_rr
+    monkeypatch.setattr(cohom, "chi_rr", lambda walk: real(walk) + 1)
     _internal_check_fails(
         capsys,
         ["cohom", "--d", "5", "--q1", "3", "--q2", "2"],

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import cohom
 from conekit.cohom import (
     CohomReport,
     CohStatus,
     FamilyDescriptor,
+    FloorWalk,
     chi_rr,
     cohomology_of_nA,
     effective_ample_rewrite,
@@ -18,13 +21,18 @@ from conekit.cohom import (
     h0_zero_by_degree,
     h1_vanish_eff_nef_big,
     km_family_cohomology,
-    serre_dual,
     target_context,
     uniform_h1_chain_zero,
     uniform_h2_chain_zero,
     walk_families,
 )
-from conekit.qlattice import NamedDivisor, floor_divisor, pair, pair_canonical
+from conekit.qlattice import (
+    InvariantError,
+    NamedDivisor,
+    floor_divisor,
+    pair,
+    pair_canonical,
+)
 
 PSI5 = target_context(5)
 FAM531 = FamilyDescriptor(5, 3, 1)
@@ -41,24 +49,30 @@ def grid(d_lo, d_hi):
 
 
 def test_chi_of_trivial_divisor():
-    assert chi_rr(PSI5.surface, NamedDivisor.zero()) == 1
+    assert chi_rr(FloorWalk(PSI5)) == 1 == _from_scratch(FAM531, 0)[3]
 
 
 def test_chi_of_floored_pullback_531():
-    floored, square, dot = floor_pullback_stats(FAM531)
+    _, square, dot = floor_pullback_stats(FAM531)
     assert square == -4
     assert dot == 2
-    assert chi_rr(PSI5.surface, floored) == 1 + (-4 + 2) // 2
+    assert chi_rr(cohom._walk_to(FAM531)) == 1 + (-4 + 2) // 2
+    assert _from_scratch(FAM531)[3] == 1 + (-4 + 2) // 2
 
 
 def test_chi_of_floored_pullback_532():
     fam = FamilyDescriptor(5, 3, 2)
-    assert chi_rr(PSI5.surface, floor_pullback_stats(fam)[0]) == -1
+    assert chi_rr(cohom._walk_to(fam)) == -1 == _from_scratch(fam)[3]
 
 
-def test_chi_rejects_fractional_divisor():
-    with pytest.raises(ValueError, match=r"^divisor is not integral: 1/2\*E_1$"):
-        chi_rr(PSI5.surface, NamedDivisor.of({"E_1": Fraction(1, 2)}))
+def test_chi_rejects_an_odd_riemann_roch_numerator():
+    # F.F + F.(-K) is even on every floor; an odd sum is an internal error
+    walk = FloorWalk(PSI5)
+    walk.square = 1
+    with pytest.raises(
+        InvariantError, match=r"^Riemann-Roch value is not an integer: 3/2$"
+    ):
+        chi_rr(walk)
 
 
 def test_floor_stats_with_deep_negative_floor():
@@ -75,20 +89,44 @@ def test_floor_stats_trivial_family():
     assert dot == 0
 
 
-def _from_scratch(fam):
-    """The oracle for the walk: pull back the whole family divisor, floor it,
-    and pair the floor with itself and with K; ampleness is the degree sign
-    of the divisor itself."""
+def _from_scratch(fam, n=1, subtract=None):
+    """The oracle for the walk: pull back the whole twist D = nA - E_subtract,
+    floor it, and pair the floor F with itself and with K; with chi(F) =
+    1 + F.(F - K)/2 as a Fraction, and the degrees of D and of its Serre
+    dual K - D on the target."""
     psi = target_context(fam.d)
     reg = psi.registry
-    divisor = family_divisor(fam)
+    divisor = family_divisor(fam).scale(n)
+    if subtract is not None:
+        divisor -= NamedDivisor.of({f"E_{subtract}": 1})
     floored = floor_divisor(psi.pullback(divisor))
+    square, dot = pair(reg, floored, floored), -pair_canonical(reg, floored)
     return (
         floored,
-        pair(reg, floored, floored),
-        -pair_canonical(reg, floored),
-        psi.is_ample_rho1(divisor),
+        square,
+        dot,
+        1 + (square + dot) / 2,
+        psi.degree(divisor),
+        psi.degree(psi.target_canonical() - divisor),
     )
+
+
+def _walk_equals_the_oracle(walk, fam, n=1, subtract=None):
+    """Compare one walk with the from-scratch oracle: the floor, in the name
+    order the printed divisor follows, its square, its degree against -K,
+    chi, and the degrees that the h0 test and the Serre dual read; returns
+    the oracle's floor, square, dot and degree."""
+    psi = walk.psi
+    floored, square, dot, chi, degree, dual_degree = _from_scratch(fam, n, subtract)
+    walked = walk.floored()
+    case = (fam, n, subtract)
+    assert (walked, walk.square, walk.dot) == (floored, square, dot), case
+    assert list(walked.nums.items()) == list(floored.nums.items()), case
+    assert chi_rr(walk) == chi, case
+    den = psi.inverse_den
+    assert Fraction(walk.degree, den) == degree, case
+    assert -Fraction(walk.degree + cohom._minus_k_degree(psi), den) == dual_degree, case
+    return floored, square, dot, degree
 
 
 def _walks_equal_the_oracle(d_lo, d_hi):
@@ -99,27 +137,50 @@ def _walks_equal_the_oracle(d_lo, d_hi):
     rows = 0
     for d in range(d_lo, d_hi + 1):
         for fam, walk in walk_families(target_context(d)):
-            floored, square, dot, ample = _from_scratch(fam)
-            walked = walk.floored()
-            assert (walked, walk.square, walk.dot, walk.ample) == (
-                floored, square, dot, ample
-            ), fam
-            # the same name order too, which the printed divisor follows
-            assert list(walked.nums.items()) == list(floored.nums.items()), fam
+            floored, square, dot, degree = _walk_equals_the_oracle(walk, fam)
+            assert walk.ample == (degree > 0), fam
             assert floor_pullback_stats(fam) == (floored, square, dot), fam
             family_report(fam, walk)
             rows += 1
     return rows
 
 
+def _twists_equal_the_oracle(d_hi, subtracts):
+    """Compare the walk to nA - E_j with the from-scratch oracle for every
+    family with d <= d_hi, n = 0..3 and j in ``subtracts(fam)``; the number
+    of cases."""
+    cases = 0
+    for fam in grid(3, d_hi):
+        for n in range(4):
+            for j in subtracts(fam):
+                _walk_equals_the_oracle(cohom._walk_to(fam, n, j), fam, n, j)
+                cases += 1
+    return cases
+
+
 def test_walk_equals_the_from_scratch_route_on_small_grid():
     assert _walks_equal_the_oracle(3, 12) == len(list(grid(3, 12)))
 
 
+def test_every_twist_walk_equals_the_from_scratch_route():
+    # every n = 0..3 and every subtracted curve, none included, for d <= 10
+    def subtracts(fam):
+        return [None, *range(1, fam.d + 1)]
+
+    assert _twists_equal_the_oracle(10, subtracts) == 9_624
+
+
 @pytest.mark.slow
 def test_chi_closed_form_equals_riemann_roch_on_grid():
-    # the whole d <= 60 grid
+    # the whole d <= 60 grid of families, then the twists for d <= 20: nothing,
+    # the first curve or the first fresh one subtracted
     assert _walks_equal_the_oracle(3, 60) == 39_701
+
+    def subtracts(fam):
+        fresh = fam.q1 + fam.q2 + 1
+        return [None, 1] + ([fresh] if fresh <= fam.d else [])
+
+    assert _twists_equal_the_oracle(20, subtracts) == 20_232
 
 
 # --- family table ---------------------------------------------------------------
@@ -168,24 +229,20 @@ def test_descriptor_invariants():
 # --- duality and degree rules ---------------------------------------------------
 
 
-def test_serre_dual_of_canonical_and_zero():
-    k = PSI5.target_canonical()
-    assert serre_dual(PSI5, k).is_zero()
-    assert serre_dual(PSI5, NamedDivisor.zero()) == k
-
-
 def test_h0_zero_for_twisted_dual():
-    dual = serre_dual(PSI5, family_divisor(FAM531) - NamedDivisor.of({"E_5": 1}))
+    twist = family_divisor(FAM531) - NamedDivisor.of({"E_5": 1})
+    dual = PSI5.target_canonical() - twist
     assert PSI5.degree(dual) < 0
-    assert h0_zero_by_degree(PSI5, dual) == CohStatus.zero()
+    assert h0_zero_by_degree(PSI5.degree(dual)) == CohStatus.zero()
 
 
 def test_h0_rule_on_trivial_divisor_is_unknown():
-    assert h0_zero_by_degree(PSI5, NamedDivisor.zero()) == CohStatus.unknown()
+    assert h0_zero_by_degree(PSI5.degree(NamedDivisor.zero())) == CohStatus.unknown()
 
 
 def test_h0_rule_on_negative_curve():
-    assert h0_zero_by_degree(PSI5, NamedDivisor.of({"E_1": -1})) == CohStatus.zero()
+    degree = PSI5.degree(NamedDivisor.of({"E_1": -1}))
+    assert h0_zero_by_degree(degree) == CohStatus.zero()
 
 
 @given(st.sampled_from((3, 5, 8)), st.data())
@@ -204,7 +261,7 @@ def test_degree_zero_divisors_pull_back_to_zero(d, data):
     D = D - e_1.scale(psi.degree(D) / psi.degree(e_1))
     assert psi.degree(D) == 0
     assert not any(psi.pullback_class(D))
-    assert h0_zero_by_degree(psi, D) == CohStatus.unknown()
+    assert h0_zero_by_degree(psi.degree(D)) == CohStatus.unknown()
 
 
 # --- pair-shift rewriting -------------------------------------------------------
@@ -258,12 +315,12 @@ def test_vanishing_rule_on_family_multiples():
     minus_k = NamedDivisor.of({"E_5": 2})
     for n in (2, 3, 5):
         shifted = a.scale(n) + minus_k
-        assert h1_vanish_eff_nef_big(PSI5, shifted) is True
         assert PSI5.degree(shifted) > 0
+        assert h1_vanish_eff_nef_big(PSI5, shifted, PSI5.degree(shifted)) is True
 
 
 def test_vanishing_rule_not_applicable_to_zero():
-    assert h1_vanish_eff_nef_big(PSI5, NamedDivisor.zero()) is False
+    assert h1_vanish_eff_nef_big(PSI5, NamedDivisor.zero(), 0) is False
 
 
 # --- dispatch -------------------------------------------------------------------
@@ -319,6 +376,19 @@ def test_certified_entries_always_carry_tokens():
             assert "h0" in joined
         if report.h2.is_exact:
             assert "h2" in joined or "rational-surface" in joined
+
+
+def test_coverage_counter():
+    # the entry kinds of cohomology_of_nA over d <= 20, every family and
+    # n = 0..3; a change that certifies more entries restates this pin, its
+    # old and new values
+    kinds = Counter()
+    for fam in grid(3, 20):
+        for n in range(4):
+            report = cohomology_of_nA(fam, n)
+            kinds.update(entry.kind for entry in (report.h0, report.h1, report.h2))
+    assert kinds == {"exact": 13_524, "at_least_one": 1_677, "unknown": 5_931}
+    assert kinds.total() == 21_132
 
 
 # --- uniform chain certificates --------------------------------------------------

@@ -329,7 +329,7 @@ def test_km_psi_gram_block_is_diagonal():
         psi = km_psi(build_km_surface(d))
         assert len(psi.gram_inverse) == 2 * d + 1, d
         assert all(list(row) == [name] for name, row in psi.gram_inverse.items()), d
-        assert psi._inverse_den == 2 * d - 4, d
+        assert psi.inverse_den == 2 * d - 4, d
 
 
 def _dense_gram_inverse(gram, names):

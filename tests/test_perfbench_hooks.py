@@ -92,9 +92,12 @@ def test_deterministic_call_counts():
     # keeps a pulled-back divisor but the model's pullback(A), which is also
     # what the multiplicity table is read from, the contraction's one
     # pullback(-K_T), which every degree pairs against, and the steps of the
-    # family walk, pullback(E_i) once for each i <= d, which both family
-    # tables, (5, 3, 1) and (5, 3, 2), walk
-    assert calls["contract.pullback"] == 14
+    # walks, pullback(E_i) on the first move of E_i: E_1..E_4 for the family
+    # tables (5, 3, 1) and (5, 3, 2) and every twist nA - E_5, and E_5
+    assert calls["contract.pullback"] == 8
+    # the same eight at d = 45: a walk pulls back only the curves it moves
+    calls = _traced_calls(["verify", "plt", "--d", "45", "--q", "3"])
+    assert calls["contract.pullback"] == 8
     # contract shares the one cached contraction per d
     calls = _traced_calls(["contract", "--d", "5", "--pullback", "E_1"])
     assert calls["cohom.target_context"] == 1
@@ -105,12 +108,12 @@ def test_deterministic_call_counts():
     calls = _traced_calls(["sweep", "--d-min", "5", "--d-max", "5"])
     assert calls.get("qlattice.class_of", 0) == 0
     assert calls.get("qlattice.intersect", 0) == 0
-    # the 21 rows are one walk: pullback(E_i) once for each i <= d, and -K_T
-    # once for the degrees of those steps, so d + 1 pullbacks whatever the
-    # number of rows
-    assert calls["contract.pullback"] == 5 + 1
+    # the 21 rows are one walk: pullback(E_i) once for each i <= d, whose
+    # degree is summed from the K.C column, so d pullbacks whatever the
+    # number of rows, and no pullback(-K_T)
+    assert calls["contract.pullback"] == 5
     calls = _traced_calls(["sweep", "--d-min", "9", "--d-max", "9"])
-    assert calls["contract.pullback"] == 9 + 1
+    assert calls["contract.pullback"] == 9
     calls = _traced_calls(["cohom", "--d", "5", "--q1", "3", "--q2", "2"])
     assert calls.get("qlattice.class_of", 0) == 0
     # the cone ledger, the surface sanity check and the discrepancy solve read

@@ -291,18 +291,19 @@ def test_fano_leaf_flip(monkeypatch, q, patches, claims, verdict):
 
 def test_plt_h2_tail_reuses_the_n0_report(monkeypatch):
     """The uniform h2 certificate reads h2 of the n = 0 report instead of
-    running its degree test again: one call per degree test, five in all."""
+    running its degree test again: one call per degree test, five in all.
+    Two of the five degrees are equal, deg(-E_5) = deg(K + E_5) = -2 over N,
+    so the calls are counted, not their arguments."""
     calls = []
     real = cohom.h0_zero_by_degree
 
-    def spy(psi, D):
-        calls.append(D)
-        return real(psi, D)
+    def spy(degree):
+        calls.append(degree)
+        return real(degree)
 
     monkeypatch.setattr(cohom, "h0_zero_by_degree", spy)
     assert verify_plt_nonnormal(5, 3)["verdict"] is True
     assert len(calls) == 5
-    assert len(set(calls)) == 5
 
 
 def test_plt_named_preconditions():
@@ -412,9 +413,10 @@ def test_sweep_row_count_is_the_closed_form():
 def test_sweep_builds_a_constant_number_of_fractions_per_row(monkeypatch, d):
     # a deterministic counter, not a clock: a row is one step of the family
     # walk, integer numerators from the pulled-back floor to chi, and builds
-    # no Fraction at all; the walk's d steps build one each, the degree of
-    # E_i, and pullback(-K_T) a few, once per d; T(d) is built outside the
-    # count
+    # no Fraction at all; nor do the walk's d steps, whose degrees are
+    # numerators over N, and only the rank-one check behind the ampleness
+    # sign builds three, -K_T through K, once per d; T(d) is built outside
+    # the count
     cohom.target_context(d)
     real_new = Fraction.__new__
     built = 0
@@ -428,7 +430,7 @@ def test_sweep_builds_a_constant_number_of_fractions_per_row(monkeypatch, d):
     rows = sweep_kvv(d, d)["rows"]
     monkeypatch.undo()
     assert len(rows) == sweep_rows(d, d)
-    assert built <= d + 8
+    assert built <= 3
 
 
 class _FirstContraction(Exception):

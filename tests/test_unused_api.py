@@ -13,6 +13,18 @@ ALLOWED = {
     "contract.Contraction.residual_checks",
 }
 
+# Defined in src/, named nowhere in it, and kept only because the benchmark's
+# tracer wraps them.  ROADMAP item 3 deletes them once item 2's benchmark
+# change stops tracing them; any other traced name that loses its last caller
+# in src/ fails test_traced_only_names_are_pinned.
+TRACED_ONLY = {
+    "cohom.floor_pullback_stats",
+    "contract.Contraction.pullback_class",
+    "qlattice.determinant",
+    "qlattice.is_negative_definite",
+    "qlattice.solve_linear",
+}
+
 
 def definitions(module: str, tree: ast.Module) -> list[tuple[str, str]]:
     """(qualified name, bare name) of every function, method and class,
@@ -103,6 +115,13 @@ def test_checker_sees_an_unused_function():
     assert unused_api({"m": source + "B().of()\n"}) == []
 
 
+def _sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
 def test_no_unused_api():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert set(unused_api(sources)) - _traced_names() - ALLOWED == set()
+    assert set(unused_api(_sources())) - _traced_names() - ALLOWED == set()
+
+
+def test_traced_only_names_are_pinned():
+    assert set(unused_api(_sources())) & _traced_names() == TRACED_ONLY
