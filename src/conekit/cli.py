@@ -22,11 +22,30 @@ a ``Table`` (a list of dicts given by columns) ``BLOCK_ROWS`` rows at a
 time, which ``_write`` writes as they come, except that a Fraction is a p/q
 string and every other type outside JSON's, a float or a str subclass
 included, is refused with a TypeError.
+
+``run`` is the process entry point, of ``python -m conekit.cli`` and of the
+installed ``conekit`` script; ``main(argv)`` returns the exit code and is
+what the tests and in-process callers use.  Once ``main`` has returned,
+``run`` flushes stdout and stderr and ends the process at once, through the
+``os`` module's ``_exit``, skipping the interpreter's teardown (its last
+garbage collections, the module-by-module deallocation and ``atexit``
+hooks), which is no part of the answer.  That is safe because every file
+is closed and every stream written before ``main`` returns: ``--out`` is
+written inside ``with``, and ``_write`` flushes stdout inside its ``try``.
+After a failed write to stdout on a full device or a closed pipe, the
+flush finds nothing left to write, so the request exits 2 with its one
+line on stderr, as before.  Python's normal exit is kept for a usage error
+from argparse (``SystemExit``), an uncaught exception, a stream that ``run``
+cannot flush (closed, unwritable, or None when its descriptor was closed),
+whose failure that exit reports, and a run under a profiler or tracer
+(``sys.getprofile``, ``sys.gettrace``), whose report is written after the
+program returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from _json import encode_basestring_ascii as _escape
@@ -623,5 +642,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry point: exit with ``main()``'s code, skipping the
+    interpreter's teardown when the streams flush and nothing profiles or
+    traces the run (see the module docstring)."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # None, unwritable, closed
+        sys.exit(code)
+    if sys.getprofile() is None and sys.gettrace() is None:
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

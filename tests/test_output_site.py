@@ -61,4 +61,20 @@ def test_main_is_the_one_output_site():
         writes += w
         stdout += s
     assert writes == ["cli.main"]
-    assert set(stdout) == {"cli._write"}
+    # run, the process entry point, names stdout only to flush it once main
+    # has returned
+    assert set(stdout) == {"cli._write", "cli.run"}
+
+
+def test_run_only_flushes_stdout():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (run,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run"]
+    flushed = [
+        node.func.value
+        for node in ast.walk(run)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "flush"
+    ]
+    named = [n for n in ast.walk(run) if isinstance(n, ast.Attribute) and n.attr == "stdout"]
+    assert named and all(any(n is f for f in flushed) for n in named)
