@@ -23,6 +23,13 @@ time, which ``_write`` writes as they come, except that a Fraction is a p/q
 string and every other type outside JSON's, a float or a str subclass
 included, is refused with a TypeError.
 
+The engine modules ``cohom``, ``km_surface``, ``qlattice`` and
+``scenarios`` are held through ``conekit._lazy`` and run on a command's
+first read of them, so that a command compiles and runs only the modules it
+uses: ``kvv-schedule`` runs none of them, only ``cone3fold`` (the schedule
+and ``Table``) and this module.  Each stays registered in ``sys.modules``
+from the start, as the one object every import of it gets.
+
 ``run`` is the process entry point, of ``python -m conekit.cli`` and of the
 installed ``conekit`` script; ``main(argv)`` returns the exit code and is
 what the tests and in-process callers use.  Once ``main`` has returned,
@@ -53,7 +60,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-from .cohom import FamilyDescriptor, cohomology_of_nA, family_divisor, target_context
+from . import _lazy
 from .cone3fold import (
     ConeModel,
     Table,
@@ -65,9 +72,12 @@ from .cone3fold import (
     resolution_ledger,
     section_numbers,
 )
-from .km_surface import build_km_surface, km_sanity
-from .qlattice import InvariantError, NamedDivisor
-from .scenarios import sweep_kvv, verify_bad_fano, verify_plt_nonnormal
+
+# run on first use (see the module docstring)
+cohom = _lazy("conekit.cohom")
+km_surface = _lazy("conekit.km_surface")
+qlattice = _lazy("conekit.qlattice")
+scenarios = _lazy("conekit.scenarios")
 
 _TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)")
 # Rows of a ``Table`` rendered, and held, at once by the JSON writer.
@@ -92,11 +102,11 @@ def _parse_rat(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational: {text!r}") from None
 
 
-def parse_divisor(text: str) -> NamedDivisor:
+def parse_divisor(text: str) -> qlattice.NamedDivisor:
     """Parse 'E_1+E_2-E_4' or '1/2*l_3-Gamma'; a '^T' suffix on names is ignored."""
     cleaned = text.replace(" ", "").replace("^T", "")
     if not cleaned or cleaned == "0":
-        return NamedDivisor.zero()
+        return qlattice.NamedDivisor.zero()
     pieces = re.findall(r"[+-]?[^+-]+", cleaned)
     if "".join(pieces) != cleaned:
         raise ValueError(f"cannot parse divisor: {text!r}")
@@ -110,7 +120,7 @@ def parse_divisor(text: str) -> NamedDivisor:
         if sign == "-":
             value = -value
         terms.append((name, value))
-    return NamedDivisor.of(terms)
+    return qlattice.NamedDivisor.of(terms)
 
 
 def _cell(value) -> str:
@@ -295,8 +305,8 @@ def _write(args, payload: dict, **views) -> None:
 
 
 def cmd_km_surface(args) -> tuple:
-    surface = build_km_surface(args.d)
-    report = km_sanity(surface) if args.check else None
+    surface = km_surface.build_km_surface(args.d)
+    report = km_surface.km_sanity(surface) if args.check else None
     payload = {"command": "km-surface", "d": args.d, "surface": surface.to_json_dict()}
     if report is not None:
         payload["sanity"] = report
@@ -325,7 +335,7 @@ def cmd_km_surface(args) -> tuple:
 def cmd_contract(args) -> tuple:
     if args.boundary is not None and not args.classify:
         raise ValueError("--boundary needs --classify")
-    psi = target_context(args.d)
+    psi = cohom.target_context(args.d)
     results: dict = {}
     if args.pullback is not None:
         results["pullback"] = psi.pullback(parse_divisor(args.pullback)).terms
@@ -367,9 +377,9 @@ _COHOM_CSV = ("d", "q1", "q2", "n", "subtract", "h0", "h1", "h2", "chi")
 
 
 def cmd_cohom(args) -> tuple:
-    fam = FamilyDescriptor(args.d, args.q1, args.q2)
+    fam = cohom.FamilyDescriptor(args.d, args.q1, args.q2)
     subtract = _parse_subtract(args.subtract)
-    report = cohomology_of_nA(fam, args.n, subtract=subtract)
+    report = cohom.cohomology_of_nA(fam, args.n, subtract=subtract)
     params = {
         "d": args.d,
         "q1": args.q1,
@@ -399,8 +409,9 @@ def cmd_cohom(args) -> tuple:
 
 
 def cmd_cone(args) -> tuple:
-    psi = target_context(args.d)
-    model = ConeModel.build(psi, family_divisor(FamilyDescriptor(args.d, args.q, 1)))
+    psi = cohom.target_context(args.d)
+    polarization = cohom.family_divisor(cohom.FamilyDescriptor(args.d, args.q, 1))
+    model = ConeModel.build(psi, polarization)
     ledger = args.ledger
     failed = False
     # Each ledger supplies its data and the (records, columns) of its tables;
@@ -496,9 +507,9 @@ def cmd_kvv_schedule(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     if args.scenario == "plt":
-        report = verify_plt_nonnormal(args.d, args.q)
+        report = scenarios.verify_plt_nonnormal(args.d, args.q)
     else:
-        report = verify_bad_fano(args.q)
+        report = scenarios.verify_bad_fano(args.q)
 
     def md(p: dict) -> str:
         params = " ".join(f"{k}={v}" for k, v in p["params"].items())
@@ -517,7 +528,7 @@ _SWEEP_COLUMNS = ("d", "q1", "q2", "ample", "h1", "kvv_violation")
 
 
 def cmd_sweep(args) -> tuple:
-    return 0, sweep_kvv(args.d_min, args.d_max), {
+    return 0, scenarios.sweep_kvv(args.d_min, args.d_max), {
         "csv": lambda p: _csv(p["rows"], _SWEEP_COLUMNS),
         "md": lambda p: _table(p["rows"], _SWEEP_COLUMNS),
     }
@@ -637,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except InvariantError as exc:
+    except qlattice.InvariantError as exc:
         sys.stderr.write(f"error: internal check failed: {exc}\n")
         return 3
 

@@ -16,6 +16,12 @@ Each ledger function returns the plain dict (or list of dicts) that
 ``conekit cone`` prints, with exact ``Fraction`` values, so callers such as
 :func:`adjunction_consistency` and the plt verifier read numbers by key.
 Curves are listed in the contraction's ``curve_sort_key`` order.
+
+The coefficient-reduction schedule (``kvv_schedule``) and ``Table``, which
+the JSON writer renders, need no lattice code, so this module reaches
+``qlattice``, ``contract`` and ``km_surface`` through ``conekit._lazy``:
+they run on the first ledger call, and a schedule that raises
+``InvariantError`` loads ``qlattice`` only then.
 """
 
 from __future__ import annotations
@@ -29,19 +35,18 @@ from itertools import repeat
 from math import ceil, gcd, lcm
 from operator import add, floordiv, mul
 
-from .contract import Contraction
-from .km_surface import KMSurface
-from .qlattice import (
-    InvariantError,
-    NamedDivisor,
-    Rat,
-    frac_divisor,
-    pair,
-    pair_canonical,
-)
+from . import _lazy
+
+# run on first use (see the module docstring); contract and km_surface are
+# named only in annotations
+contract = _lazy("conekit.contract")
+km_surface = _lazy("conekit.km_surface")
+qlattice = _lazy("conekit.qlattice")
 
 
-def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[str, int]:
+def validate_assumption_a(
+    psi: contract.Contraction, pulled_back: qlattice.NamedDivisor
+) -> dict[str, int]:
     """Extract the multiplicity table {contracted curve: m_C} from
     ``pulled_back = psi.pullback(A)`` of an integral polarization A.
 
@@ -49,7 +54,7 @@ def validate_assumption_a(psi: Contraction, pulled_back: NamedDivisor) -> dict[s
     with coefficient 0 (m_C = 1) or 1/m (m_C = m); anything else violates the
     cone's structural assumption and is reported with the offending curve.
     """
-    frac = frac_divisor(pulled_back).terms
+    frac = qlattice.frac_divisor(pulled_back).terms
     coeffs = {name: frac.get(name, Fraction(0)) for name in psi.contracted}
     bad = [n for n in frac if n not in coeffs] or [
         n for n, c in coeffs.items() if c.numerator > 1
@@ -67,20 +72,22 @@ class ConeModel:
     target satisfying the unit-fraction assumption, plus the derived
     multiplicity table."""
 
-    def __init__(self, psi: Contraction, polarization: NamedDivisor) -> None:
+    def __init__(
+        self, psi: contract.Contraction, polarization: qlattice.NamedDivisor
+    ) -> None:
         if not psi.is_ample_rho1(polarization):
             raise ValueError(f"polarization is not ample: {polarization}")
         self.psi = psi
         self.polarization = polarization
-        self._dot_e_memo: dict[int, Rat] = {}  # by polarization_dot_e
+        self._dot_e_memo: dict[int, qlattice.Rat] = {}  # by polarization_dot_e
         self.mc  # validates the unit-fraction assumption
 
     @staticmethod
-    def build(psi: Contraction, A: NamedDivisor) -> "ConeModel":
+    def build(psi: contract.Contraction, A: qlattice.NamedDivisor) -> "ConeModel":
         return ConeModel(psi, A)
 
     @property
-    def surface(self) -> KMSurface:
+    def surface(self) -> km_surface.KMSurface:
         return self.psi.surface
 
     @property
@@ -100,28 +107,28 @@ class ConeModel:
         return self.psi.classify_singularities()
 
     @cached_property
-    def pulled_back_polarization(self) -> NamedDivisor:
+    def pulled_back_polarization(self) -> qlattice.NamedDivisor:
         return self.psi.pullback(self.polarization)
 
-    def polarization_dot_e(self, i: int) -> Rat:
+    def polarization_dot_e(self, i: int) -> qlattice.Rat:
         """pullback(A) . E_i on the source surface, paired once per i."""
         memo = self._dot_e_memo
         if i not in memo:
-            memo[i] = pair(
+            memo[i] = qlattice.pair(
                 self.surface.registry,
-                NamedDivisor.of({f"E_{i}": 1}),
+                qlattice.NamedDivisor.of({f"E_{i}": 1}),
                 self.pulled_back_polarization,
             )
         return memo[i]
 
     @cached_property
-    def crepant_coefficients(self) -> dict[str, Rat]:
+    def crepant_coefficients(self) -> dict[str, qlattice.Rat]:
         """Coefficients c_C with K_X + sum c_C R_C equal to the pullback of K_Y.
 
         c_C = (-C^2 - 2 m_C)/(-C^2) per contracted curve; the discrepancy of
         R_C over Y is -c_C.
         """
-        out: dict[str, Rat] = {}
+        out: dict[str, qlattice.Rat] = {}
         for name in self.psi.contracted:
             sq = self.surface.pairing(name, name)
             out[name] = Fraction(-sq - 2 * self.mc[name], -sq)
@@ -168,7 +175,7 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     m_l = model.mc[f"l_{i}"]
     m_lp = model.mc[f"lp_{i}"]
 
-    def unit_defect(m: int) -> Rat:
+    def unit_defect(m: int) -> qlattice.Rat:
         return Fraction(m - 1, m)
 
     k_x_plus = unit_defect(m_gamma) + unit_defect(m_l) + unit_defect(m_lp) - 1 - a_dot_ei
@@ -191,7 +198,7 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
         + Fraction(1 - m_lp, m_lp)
     )
     if crepant_sum != printed:
-        raise InvariantError(
+        raise qlattice.InvariantError(
             f"crepant sum mismatch at i={i}: uniform {crepant_sum} vs printed {printed}"
         )
 
@@ -201,13 +208,13 @@ def section_numbers(model: ConeModel, i: int, j: int) -> dict:
     closed_plus = unit_defect(m_gamma) - 1 - a_dot_ei + gamma_term
     closed_minus = unit_defect(m_gamma) - 1 + a_dot_ei + gamma_term
     if k_y_plus != closed_plus or k_y_minus != closed_minus:
-        raise InvariantError(f"K_Y section numbers disagree at i={i}")
+        raise qlattice.InvariantError(f"K_Y section numbers disagree at i={i}")
 
     e_y_dot = model.psi.target_intersect(
-        NamedDivisor.of({f"E_{j}": 1}), NamedDivisor.of({f"E_{i}": 1})
+        qlattice.NamedDivisor.of({f"E_{j}": 1}), qlattice.NamedDivisor.of({f"E_{i}": 1})
     )
     if e_y_dot != Fraction(1, 2 * d - 4):
-        raise InvariantError(
+        raise qlattice.InvariantError(
             f"E^Y.f(E^+/-) is {e_y_dot} at (i,j)=({i},{j}), expected 1/(2d-4)"
         )
 
@@ -283,17 +290,17 @@ def adjunction_consistency(model: ConeModel) -> dict:
     code paths.
     """
     reg = model.surface.registry
-    boundary = NamedDivisor.of(
+    boundary = qlattice.NamedDivisor.of(
         {name: Fraction(m - 1, m) for name, m in model.mc.items()}
     )
 
-    def adjoint_dot(name: str) -> Rat:
-        C = NamedDivisor.of({name: 1})
-        return pair_canonical(reg, C) + pair(reg, C, boundary)
+    def adjoint_dot(name: str) -> qlattice.Rat:
+        C = qlattice.NamedDivisor.of({name: 1})
+        return qlattice.pair_canonical(reg, C) + qlattice.pair(reg, C, boundary)
 
     checks = []
 
-    def check(name: str, lhs: Rat, rhs: Rat) -> None:
+    def check(name: str, lhs: qlattice.Rat, rhs: qlattice.Rat) -> None:
         checks.append({"name": name, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
 
     for i in range(1, model.d + 1):
@@ -324,7 +331,7 @@ def picard_chain(model: ConeModel) -> dict[str, int]:
     rho_y = rho_x - len(model.psi.contracted)
     rho_z = rho_y - 1
     if rho_t != 1 or rho_y != 2 or rho_z != 1:
-        raise InvariantError(
+        raise qlattice.InvariantError(
             f"Picard chain inconsistent: {(rho_s, rho_t, rho_x, rho_y, rho_z)}"
         )
     return dict(rho_s=rho_s, rho_t=rho_t, rho_x=rho_x, rho_y=rho_y, rho_z=rho_z)
@@ -414,8 +421,8 @@ class KvvTrace:
     def __init__(
         self,
         multiplicities: tuple[int, ...],
-        delta0: tuple[Rat, ...],
-        target: Rat,
+        delta0: tuple[qlattice.Rat, ...],
+        target: qlattice.Rat,
         den: int,
         period: tuple[tuple[int, int, int, tuple[int, ...]], ...],
         count: int,
@@ -484,7 +491,9 @@ class KvvTrace:
         }
 
 
-def _closed_form_steps(e: tuple[int, ...], delta: tuple[Rat, ...], target: Rat) -> int:
+def _closed_form_steps(
+    e: tuple[int, ...], delta: tuple[qlattice.Rat, ...], target: qlattice.Rat
+) -> int:
     """The step count by index: index i reaches 1 at lambda = (k - delta_i)/e_i
     for k >= 1, ceil(target*e_i + delta_i) - 1 times below the target, and
     one step more is at or above it (none for target 0)."""
@@ -576,7 +585,7 @@ def kvv_schedule(
         raised = [s + ev * n - f * den for s, ev, f in zip(start, e, fired)]
         if not all(0 <= x <= den for x in raised):
             shown = ", ".join(str(Fraction(x, den)) for x in raised)
-            raise InvariantError(
+            raise qlattice.InvariantError(
                 f"coefficient left [0,1] at step {len(period)}: [{shown}]"
             )
         raised[i] -= den
@@ -586,10 +595,10 @@ def kvv_schedule(
     # the state after one period is the first one shifted by den, so every
     # later step repeats a checked one, one unit of lambda on
     if len(period) == cycle and sorted(heap) != [(m + den, x) for m, x in first]:
-        raise InvariantError(f"schedule did not repeat after {cycle} steps")
+        raise qlattice.InvariantError(f"schedule did not repeat after {cycle} steps")
     steps = _period_steps([n for _, _, n, _ in period], stop, den)
     if steps != count:
-        raise InvariantError(
+        raise qlattice.InvariantError(
             f"schedule period gives {steps} steps, its closed form {count}"
         )
     return KvvTrace(e, delta, target, den, tuple(period), count)

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import floor
 
 import pytest
@@ -89,11 +90,19 @@ def test_floor_stats_trivial_family():
     assert dot == 0
 
 
+@cache
+def _canonical_degree(d):
+    """deg(K_T) = K_T . (-K_T) on T(d), from the contraction's own degree."""
+    psi = target_context(d)
+    return psi.degree(psi.target_canonical())
+
+
 def _from_scratch(fam, n=1, subtract=None):
     """The oracle for the walk: pull back the whole twist D = nA - E_subtract,
     floor it, and pair the floor F with itself and with K; with chi(F) =
     1 + F.(F - K)/2 as a Fraction, and the degrees of D and of its Serre
-    dual K - D on the target."""
+    dual K - D on the target, the latter deg(K_T) - deg(D) as degree is
+    linear."""
     psi = target_context(fam.d)
     reg = psi.registry
     divisor = family_divisor(fam).scale(n)
@@ -101,13 +110,14 @@ def _from_scratch(fam, n=1, subtract=None):
         divisor -= NamedDivisor.of({f"E_{subtract}": 1})
     floored = floor_divisor(psi.pullback(divisor))
     square, dot = pair(reg, floored, floored), -pair_canonical(reg, floored)
+    degree = psi.degree(divisor)
     return (
         floored,
         square,
         dot,
         1 + (square + dot) / 2,
-        psi.degree(divisor),
-        psi.degree(psi.target_canonical() - divisor),
+        degree,
+        _canonical_degree(fam.d) - degree,
     )
 
 

@@ -4,7 +4,7 @@ from math import ceil
 import pytest
 
 from conekit.cohom import FamilyDescriptor, family_divisor, target_context
-from conekit import cli, cone3fold
+from conekit import cli, cone3fold, qlattice
 from conekit.cone3fold import (
     KVV_MAX_STEPS,
     ConeModel,
@@ -163,14 +163,15 @@ def test_polarization_dot_e_pairs_once_per_index(monkeypatch):
     model = plt_model(8, 3)
     pulled = model.psi.pullback(model.polarization)
     paired = []
-    real = cone3fold.pair
+    real = qlattice.pair
 
     def spy(reg, D1, D2):
         if D2 == pulled:
             paired.append(D1)
         return real(reg, D1, D2)
 
-    monkeypatch.setattr(cone3fold, "pair", spy)
+    # cone3fold reads pair from its lazy qlattice handle at each call
+    monkeypatch.setattr(qlattice, "pair", spy)
     adjunction_consistency(model)
     for i in range(1, model.d + 1):
         section_numbers(model, i, i)

@@ -6,13 +6,16 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import conekit.cli
 import conekit.cohom
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -149,3 +152,50 @@ def test_traced_schedule_counts_its_closed_form_steps():
     assert code == 0
     assert tracer.totals()["cone3fold.kvv_schedule"][0] == 1
     assert tracer.kvv_steps == 8
+
+
+# A fresh process that does what the benchmark's traced run does before it
+# installs the tracer: import conekit.cli and conekit.cohom, which runs cohom
+# and the lattice stack, then one kvv-schedule request.  scenarios, held by
+# cli, is then registered but not yet run: install runs it, and a name it
+# took from a module that install had already wrapped would keep the wrapper
+# after restore.  stdout gets the traced modules missing from sys.modules
+# and the names that still hold a tracer wrapper after restore.
+_KVV_SESSION = """
+import contextlib, importlib.util, io, sys
+import conekit.cli
+import conekit.cohom
+with contextlib.redirect_stdout(io.StringIO()):
+    code = conekit.cli.main(["kvv-schedule", "--e", "2,3", "--target", "5"])
+assert code == 0
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+tracer = tracer_mod.Tracer()
+tracer.install()
+tracer.restore()
+traced = {mod for mod, *_ in tracer_mod.FUNCTIONS + tracer_mod.METHODS}
+missing = sorted(m for m in traced if f"conekit.{m}" not in sys.modules)
+leaked = sorted(
+    f"{name}.{key}"
+    for name, module in list(sys.modules.items()) if name.startswith("conekit")
+    for key, value in vars(module).items()
+    if getattr(getattr(value, "__code__", None), "co_filename", None) == sys.argv[1]
+)
+print(missing, leaked)
+"""
+
+
+def test_tracer_installs_after_a_kvv_only_session():
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _KVV_SESSION, str(TRACER_PATH)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[] []\n"
